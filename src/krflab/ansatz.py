@@ -75,83 +75,79 @@ class ODESystem:
     description: str
 
 
-def reduce(model: AnsatzModel) -> ODESystem:
-    """Exact ODE system for the scale coefficients of the reduced flow."""
-    lam = [float(s) for s in model.scales]
-    if model.kind == ROUND_P1:
-        (l0,) = model.scales
-        if model.mode == UNNORMALIZED:
-            return ODESystem(
-                names=("lambda",),
-                rhs=lambda t, y: np.array([-2.0]),
-                closed_form=lambda ts: (lam[0] - 2.0 * np.asarray(ts))[:, None],
-                extinction_time=l0 / 2,
-                description="round sphere: scale' = -2",
-            )
-        # normalized: scale' = -2 - scale
-        t_ext = math.log((lam[0] + 2.0) / 2.0)
-        return ODESystem(
-            names=("lambda",),
-            rhs=lambda t, y: -2.0 - y,
-            closed_form=lambda ts: ((lam[0] + 2.0) * np.exp(-np.asarray(ts)) - 2.0)[
-                :, None
-            ],
-            extinction_time=t_ext,
-            description="round sphere, normalized: scale' = -2 - scale",
-        )
-    if model.kind == P1XP1:
-        l1, l2 = model.scales
-        if model.mode == UNNORMALIZED:
-            return ODESystem(
-                names=("lambda1", "lambda2"),
-                rhs=lambda t, y: np.array([-2.0, -2.0]),
-                closed_form=lambda ts: np.stack(
-                    [lam[0] - 2.0 * np.asarray(ts), lam[1] - 2.0 * np.asarray(ts)],
-                    axis=-1,
-                ),
-                extinction_time=min(l1, l2) / 2,
-                description="sphere product: each scale' = -2",
-            )
-        t_ext = math.log((min(lam) + 2.0) / 2.0)
-        return ODESystem(
-            names=("lambda1", "lambda2"),
-            rhs=lambda t, y: -2.0 - y,
-            closed_form=lambda ts: np.stack(
-                [
-                    (lam[0] + 2.0) * np.exp(-np.asarray(ts)) - 2.0,
-                    (lam[1] + 2.0) * np.exp(-np.asarray(ts)) - 2.0,
-                ],
-                axis=-1,
-            ),
-            extinction_time=t_ext,
-            description="sphere product, normalized: each scale' = -2 - scale",
-        )
+#: per kind: coefficient names, the constant rate c of each scale under
+#: the unnormalized flow, and the (unnormalized, normalized) descriptions;
+#: the normalized flow adds -y, so every coefficient obeys y' = k*y + c
+#: with k = 0 (unnormalized) or k = -1 (normalized)
+_REDUCTIONS = {
+    ROUND_P1: (
+        ("lambda",),
+        (-2,),
+        ("round sphere: scale' = -2", "round sphere, normalized: scale' = -2 - scale"),
+    ),
+    P1XP1: (
+        ("lambda1", "lambda2"),
+        (-2, -2),
+        (
+            "sphere product: each scale' = -2",
+            "sphere product, normalized: each scale' = -2 - scale",
+        ),
+    ),
     # product of an elliptic curve (fiber scale a) and a hyperbolic curve
     # (base scale b); immortal in both modes
-    a0, b0 = lam
-    if model.mode == UNNORMALIZED:
-        return ODESystem(
-            names=("a", "b"),
-            rhs=lambda t, y: np.array([0.0, 2.0]),
-            closed_form=lambda ts: np.stack(
-                [np.full(len(np.asarray(ts)), a0), b0 + 2.0 * np.asarray(ts)],
-                axis=-1,
-            ),
-            extinction_time=None,
-            description="flat x hyperbolic product: a' = 0, b' = 2",
-        )
+    PRODUCT_EC: (
+        ("a", "b"),
+        (0, 2),
+        (
+            "flat x hyperbolic product: a' = 0, b' = 2",
+            "flat x hyperbolic product, normalized: a' = -a, b' = 2 - b",
+        ),
+    ),
+}
+
+
+def _affine_solution(k: int, c: int, y0: float, ts: np.ndarray) -> np.ndarray:
+    """Solution of y' = k*y + c, y(0) = y0, at the times ts."""
+    if k == 0:
+        return y0 + c * ts
+    return (y0 + c / k) * np.exp(k * ts) - c / k
+
+
+def _affine_extinction(k: int, c: int, y0: Fraction) -> Optional[Union[Fraction, float]]:
+    """First t > 0 with y(t) = 0 for y' = k*y + c, or None if y stays positive.
+
+    Exact (a Fraction) when k = 0.
+    """
+    if k == 0:
+        return y0 / -c if c < 0 else None
+    if c == 0:
+        return None
+    ratio = (c + k * float(y0)) / c
+    if ratio <= 0.0:
+        return None
+    t = math.log(ratio) / -k
+    return t if t > 0.0 else None
+
+
+def reduce(model: AnsatzModel) -> ODESystem:
+    """Exact ODE system for the scale coefficients of the reduced flow."""
+    names, rates, descriptions = _REDUCTIONS[model.kind]
+    normalized = model.mode == NORMALIZED
+    k = -1 if normalized else 0
+    C = np.array(rates, dtype=float)
+    lam = [float(s) for s in model.scales]
+    times = [_affine_extinction(k, c, y0) for c, y0 in zip(rates, model.scales)]
+    times = [t for t in times if t is not None]
     return ODESystem(
-        names=("a", "b"),
-        rhs=lambda t, y: np.array([-y[0], 2.0 - y[1]]),
+        names=names,
+        # k*y + C as a single array operation for each of k = -1 and k = 0
+        rhs=(lambda t, y: C - y) if normalized else (lambda t, y: C.copy()),
         closed_form=lambda ts: np.stack(
-            [
-                a0 * np.exp(-np.asarray(ts)),
-                2.0 + (b0 - 2.0) * np.exp(-np.asarray(ts)),
-            ],
+            [_affine_solution(k, c, y0, np.asarray(ts)) for c, y0 in zip(rates, lam)],
             axis=-1,
         ),
-        extinction_time=None,
-        description="flat x hyperbolic product, normalized: a' = -a, b' = 2 - b",
+        extinction_time=min(times) if times else None,
+        description=descriptions[normalized],
     )
 
 
@@ -256,11 +252,11 @@ def einstein_residual(model: AnsatzModel, traj: AnsatzTrajectory) -> np.ndarray:
 @dataclass
 class CollapseProfile:
     ts: np.ndarray
-    fiber_scale_adjusted: np.ndarray  # exp(t) * a(t), constant by the ansatz
+    fiber_scale_adjusted: np.ndarray  # computed exp(t) * a(t), a0 by the ansatz
     base_scale: np.ndarray
     base_trace: np.ndarray  # trace of the limit base metric in the evolving one
     schwarz_floor: float  # inf_t b(t), positive
-    fiber_adjusted_max_error: float  # numeric deviation from the constant
+    fiber_adjusted_max_error: float  # max |exp(t) * a(t) - a0|
 
 
 def collapse_profile(model: AnsatzModel, traj: AnsatzTrajectory) -> CollapseProfile:
@@ -278,9 +274,7 @@ def collapse_profile(model: AnsatzModel, traj: AnsatzTrajectory) -> CollapseProf
     b = traj.coeffs[:, 1]
     return CollapseProfile(
         ts=traj.ts.copy(),
-        # the ansatz makes exp(t)*a(t) identically a0; report the identity
-        # and carry the numeric deviation separately
-        fiber_scale_adjusted=np.full(len(traj.ts), a0),
+        fiber_scale_adjusted=adjusted,
         base_scale=b.copy(),
         base_trace=2.0 / b,
         schwarz_floor=float(b.min()),

@@ -6,24 +6,36 @@ coordinate, stored with axis order (x_1, y_1, ..., x_n, y_n).  Derivatives
 are exact on the discrete Fourier basis: on the mode
 exp(2*pi*i*(k.x + l.y)) the operator d/dz_j d/dzbar_k acts as
 -pi^2 * w_j * conj(w_k) with w = l + i*k.
+
+One kernel computes every metric quantity.  A real field is transformed
+once with rfftn; each real component of its Hessian (H_00, and for n = 2
+also H_11, Re H_01, Im H_01) is one irfftn of that spectrum times a real
+symbol table.  The metric g0 + H, its determinant, eigenvalues, inverse
+and traces, and the Ricci form -H(log det) all follow pointwise from
+these components.  Nyquist convention: the half spectrum carries the
+wavenumber N/2 as -N/2 (numpy's fftfreq), and irfftn extends each product
+to the other half by Hermitian symmetry, so every component is a real
+field; on the Nyquist planes H_01 therefore differs from a complex inverse
+transform of the full-grid symbol, which is not even there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 
 class AdmissibilityError(ValueError):
-    """The candidate metric lost positivity (min eigenvalue below floor)."""
+    """The candidate metric lost positivity (min eigenvalue below floor or not finite)."""
 
     def __init__(self, min_eig: float, location: tuple[int, ...], floor: float):
-        super().__init__(
-            f"metric positivity lost: min eigenvalue {min_eig:.3e} < floor "
-            f"{floor:.1e} at grid index {location}"
-        )
+        if np.isfinite(min_eig):
+            what = f"min eigenvalue {min_eig:.3e} < floor {floor:.1e}"
+        else:
+            what = f"non-finite metric eigenvalue ({min_eig})"
+        super().__init__(f"metric positivity lost: {what} at grid index {location}")
         self.min_eig = min_eig
         self.location = location
         self.floor = floor
@@ -121,74 +133,67 @@ class TorusBackground:
     # -- spectral machinery --------------------------------------------------
 
     def _build_symbols(self) -> None:
-        freqs = np.fft.fftfreq(self.N) * self.N  # integer wavenumbers
-        grids = np.meshgrid(*([freqs] * (2 * self.n)), indexing="ij")
+        n, N = self.n, self.N
+        freqs = np.fft.fftfreq(N) * N  # integer wavenumbers, Nyquist at -N/2
+        absk = np.meshgrid(*([np.abs(freqs)] * (2 * n)), indexing="ij")
+        self._tail_mask = np.max(absk, axis=0) >= N / 3.0
+        # the last axis of an rfftn holds the wavenumbers 0..N/2-1 and -N/2
+        grids = np.meshgrid(
+            *([freqs] * (2 * n - 1) + [freqs[: N // 2 + 1]]), indexing="ij"
+        )
         # w_j = l_j + i k_j where k is the x_j frequency, l the y_j frequency
-        self._w = np.stack(
-            [grids[2 * j + 1] + 1j * grids[2 * j] for j in range(self.n)]
-        )
-        self._hess_symbol = np.empty((self.n, self.n) + self.shape, dtype=complex)
-        for j in range(self.n):
-            for k in range(self.n):
-                self._hess_symbol[j, k] = -(np.pi**2) * self._w[j] * self._w[k].conj()
-        absk = np.stack([np.abs(g) for g in grids])
-        self._tail_mask = absk.max(axis=0) >= self.N / 3.0
-        # half-spectrum symbols for the real-FFT hot path: real fields only
-        # need Re/Im parts of each Hessian component, each a real field
-        half = tuple(slice(None) for _ in range(2 * self.n - 1)) + (
-            slice(0, self.N // 2 + 1),
-        )
-        self._rsym_diag = [self._hess_symbol[j, j][half].real for j in range(self.n)]
-        if self.n == 2:
-            off = self._hess_symbol[0, 1][half]
-            self._rsym_off_re = off.real.copy()
-            self._rsym_off_im = off.imag.copy()
-        base = np.log(float(np.linalg.det(self.g0).real))
+        w = [grids[2 * j + 1] + 1j * grids[2 * j] for j in range(n)]
+
+        def symbol(j, k):
+            return -(np.pi**2) * w[j] * w[k].conj()
+
+        g0 = self.g0
+        self._axes = tuple(range(2 * n))
+        self._symbols = [symbol(0, 0).real]
+        self._g0_parts = [g0[0, 0].real]
+        if n == 2:
+            off = symbol(0, 1)
+            self._symbols += [symbol(1, 1).real, off.real, off.imag]
+            self._g0_parts += [g0[1, 1].real, g0[0, 1].real, g0[0, 1].imag]
+        base = np.log(self.det_g0)
         self._log_density = (
             np.full(self.shape, base) if self.f is None else base + self.f
         )
 
+    def _hessian_parts(self, psi: np.ndarray) -> list[np.ndarray]:
+        """Components of H(psi): [H_00], or [H_00, H_11, Re H_01, Im H_01].
+
+        The package's one Hessian transform: one rfftn, then one irfftn per
+        real component.
+        """
+        psik = np.fft.rfftn(psi, axes=self._axes)
+        return [
+            np.fft.irfftn(sym * psik, s=self.shape, axes=self._axes)
+            for sym in self._symbols
+        ]
+
+    def _metric_parts(self, phi: np.ndarray) -> list[np.ndarray]:
+        """Components [a] or [a, d, p, q] of g0 + H(phi), see ``_det_and_eigs``."""
+        parts = self._hessian_parts(phi)
+        for part, base in zip(parts, self._g0_parts):
+            part += base
+        return parts
+
     def fast_metric_fields(
         self, phi: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(det, min_eig, max_eig) of g0 + H(phi) via real transforms only."""
-        axes = tuple(range(2 * self.n))
-        phik = np.fft.rfftn(phi, axes=axes)
-        if self.n == 1:
-            g = self.g0[0, 0].real + np.fft.irfftn(
-                self._rsym_diag[0] * phik, s=self.shape, axes=axes
-            )
-            return g, g, g
-        a = self.g0[0, 0].real + np.fft.irfftn(self._rsym_diag[0] * phik, s=self.shape, axes=axes)
-        d = self.g0[1, 1].real + np.fft.irfftn(self._rsym_diag[1] * phik, s=self.shape, axes=axes)
-        p = self.g0[0, 1].real + np.fft.irfftn(self._rsym_off_re * phik, s=self.shape, axes=axes)
-        q = self.g0[0, 1].imag + np.fft.irfftn(self._rsym_off_im * phik, s=self.shape, axes=axes)
-        det = a * d - (p * p + q * q)
-        half_tr = 0.5 * (a + d)
-        gap = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + p * p + q * q, 0.0))
-        return det, half_tr - gap, half_tr + gap
+        """(det, min eigenvalue, max eigenvalue) fields of g0 + H(phi)."""
+        return _det_and_eigs(self._metric_parts(phi))
 
     def complex_hessian(self, phi: np.ndarray) -> np.ndarray:
         """Mixed complex Hessian of a real field, shape grid + (n, n).
 
-        Hermitian at every grid point to round-off, diagonal entries real.
+        Hermitian at every grid point, diagonal entries real.
         """
         phi = np.asarray(phi, dtype=float)
         if phi.shape != self.shape:
             raise ValueError(f"field must have shape {self.shape}")
-        phik = np.fft.fftn(phi)
-        H = np.empty(self.shape + (self.n, self.n), dtype=complex)
-        for j in range(self.n):
-            H[..., j, j] = np.fft.ifftn(self._hess_symbol[j, j] * phik).real
-            for k in range(j + 1, self.n):
-                off = np.fft.ifftn(self._hess_symbol[j, k] * phik)
-                H[..., j, k] = off
-                H[..., k, j] = off.conj()
-        return H
-
-    def hessian_of(self, scalar_field: np.ndarray) -> np.ndarray:
-        """Same operator applied to an arbitrary real scalar field."""
-        return self.complex_hessian(scalar_field)
+        return _hermitian(self._hessian_parts(phi))
 
     def tail_energy_fraction(self, phi: np.ndarray) -> float:
         """Spectral energy fraction in the outer third of wavenumbers."""
@@ -202,62 +207,64 @@ class TorusBackground:
 
     # -- linearization oracle -------------------------------------------------
 
-    def heat_rates(self, window: int = 3) -> np.ndarray:
-        """Sorted positive decay rates of the flat-background heat operator.
+    def heat_rates(self) -> np.ndarray:
+        """Sorted distinct positive decay rates of the flat-background heat operator.
 
-        The Laplacian of g0 acts on the mode with frequencies (k, l) as
-        multiplication by -pi^2 <w, g0^{-1} w> with w = l + i*k; the rates
-        are the positive values of that quadratic form over the integer
-        window.
+        The Laplacian of g0 is tr(g0^{-1} H), so on each grid mode it acts
+        as the trace of g0^{-1} against the Hessian symbol, which is
+        -pi^2 <w, g0^{-1} w> with w = l + i*k; the rates are its negatives.
         """
-        inv = np.linalg.inv(self.g0)
-        rng = range(-window, window + 1)
-        rates = set()
-        import itertools
-
-        for combo in itertools.product(rng, repeat=2 * self.n):
-            if not any(combo):
-                continue
-            w = np.array(
-                [combo[2 * j + 1] + 1j * combo[2 * j] for j in range(self.n)]
-            )
-            rates.add(float(np.pi**2 * (w.conj() @ inv @ w).real))
-        return np.array(sorted(rates))
+        rates = -_trace_ratio(self._g0_parts, self.det_g0, self._symbols)
+        return np.unique(rates[rates > 0])
 
     def lowest_heat_rate(self) -> float:
         return float(self.heat_rates()[0])
 
 
-def metric_determinant_and_eigs(
-    g0: np.ndarray, H: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """det, min and max eigenvalue fields of g0 + H (closed forms, n <= 2)."""
-    n = g0.shape[0]
-    if n == 1:
-        g = g0[0, 0].real + H[..., 0, 0].real
-        return g.copy(), g.copy(), g.copy()
-    a = g0[0, 0].real + H[..., 0, 0].real
-    d = g0[1, 1].real + H[..., 1, 1].real
-    b = g0[0, 1] + H[..., 0, 1]
-    det = a * d - (b.real**2 + b.imag**2)
+# A pointwise Hermitian field is carried as its real components: [a] for
+# n = 1, and [a, d, p, q] for n = 2, meaning [[a, p + i q], [p - i q, d]].
+
+
+def _det_and_eigs(g: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """det, min and max eigenvalue of the pointwise metric g (closed forms)."""
+    if len(g) == 1:
+        (a,) = g
+        return a, a, a
+    a, d, p, q = g
+    det = a * d - (p * p + q * q)
     half_tr = 0.5 * (a + d)
-    gap = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + b.real**2 + b.imag**2, 0.0))
+    gap = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + p * p + q * q, 0.0))
     return det, half_tr - gap, half_tr + gap
 
 
-def metric_inverse(g0: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Pointwise inverse of g0 + H, shape grid + (n, n)."""
-    n = g0.shape[0]
-    if n == 1:
-        g = g0[0, 0].real + H[..., 0, 0].real
-        return (1.0 / g)[..., None, None].astype(complex)
-    a = g0[0, 0].real + H[..., 0, 0].real
-    d = g0[1, 1].real + H[..., 1, 1].real
-    b = g0[0, 1] + H[..., 0, 1]
-    det = a * d - (b.real**2 + b.imag**2)
-    inv = np.empty(H.shape, dtype=complex)
-    inv[..., 0, 0] = d / det
-    inv[..., 1, 1] = a / det
-    inv[..., 0, 1] = -b / det
-    inv[..., 1, 0] = -b.conj() / det
-    return inv
+def _trace_ratio(g: list, det, h: list) -> np.ndarray:
+    """tr(g^{-1} h) for pointwise Hermitian g (determinant det) and h."""
+    if len(g) == 1:
+        return h[0] / g[0]
+    a, d, p, q = g
+    ha, hd, hp, hq = h
+    return (d * ha + a * hd - 2.0 * (p * hp + q * hq)) / det
+
+
+def _hermitian(h: list) -> np.ndarray:
+    """The field h as a complex array of shape grid + (n, n)."""
+    n = 1 if len(h) == 1 else 2
+    out = np.empty(h[0].shape + (n, n), dtype=complex)
+    out[..., 0, 0] = h[0]
+    if n == 2:
+        _, d, p, q = h
+        out[..., 1, 1] = d
+        out[..., 0, 1] = p + 1j * q
+        out[..., 1, 0] = p - 1j * q
+    return out
+
+
+def metric_determinant_and_eigs(
+    g0: np.ndarray, H: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """det, min and max eigenvalue fields of g0 + H for a Hessian array H."""
+    g = [g0[0, 0].real + H[..., 0, 0].real]
+    if g0.shape[0] == 2:
+        b = g0[0, 1] + H[..., 0, 1]
+        g += [g0[1, 1].real + H[..., 1, 1].real, b.real, b.imag]
+    return _det_and_eigs(g)

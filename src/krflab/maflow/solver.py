@@ -6,6 +6,9 @@ absorbs the linear volume growth and turns the twisted stationary problem
 log(det(g0 + H(phi)) / Omega) = phi into the flow's fixed point.
 Integration is classical RK4 under a diffusive CFL bound, with positivity
 of the evolving metric enforced at every stage.
+Every quantity derives from the background's one metric kernel; one
+check (``_positivity_floor``) guards positivity and one accept/halve loop
+(``_advance``) takes the steps of both ``step`` and ``run``.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ import numpy as np
 from .background import (
     AdmissibilityError,
     TorusBackground,
-    metric_determinant_and_eigs,
-    metric_inverse,
+    _det_and_eigs,
+    _hermitian,
+    _trace_ratio,
 )
 
 UNNORMALIZED = "unnormalized"
@@ -32,6 +36,8 @@ EPS_POS = 1e-8
 TAIL_LIMIT = 1e-6
 #: early-termination threshold on sup|phidot| for normalized runs
 CONVERGENCE_TOL = 1e-10
+#: dt halvings a step may take before it fails
+MAX_HALVINGS = 8
 
 
 class StepFailure(RuntimeError):
@@ -73,19 +79,35 @@ def initial_state(
     return FlowState(t=0.0, phi=phi, mode=mode)
 
 
+def _positivity_floor(eig_min: np.ndarray, eps_pos: float) -> float:
+    """Min of the eigenvalue field; raises unless it is at least eps_pos.
+
+    Written as ``not floor >= eps_pos`` so that a NaN anywhere fails too.
+    """
+    floor = float(eig_min.min())
+    if not floor >= eps_pos:
+        loc = np.unravel_index(int(np.argmin(eig_min)), eig_min.shape)
+        raise AdmissibilityError(floor, tuple(int(i) for i in loc), eps_pos)
+    return floor
+
+
+def _velocity(
+    bg: TorusBackground, log_det: np.ndarray, phi: np.ndarray, mode: str
+) -> np.ndarray:
+    """log(det / Omega), minus phi in normalized mode."""
+    rhs = log_det - bg.log_density
+    if mode == NORMALIZED:
+        rhs = rhs - phi
+    return rhs
+
+
 def _rhs(
     bg: TorusBackground, phi: np.ndarray, mode: str, eps_pos: float
 ) -> tuple[np.ndarray, float]:
     """Monge-Ampere right-hand side and the metric's min eigenvalue."""
     det, eig_min, _ = bg.fast_metric_fields(phi)
-    floor = float(eig_min.min())
-    if floor < eps_pos:
-        loc = np.unravel_index(int(np.argmin(eig_min)), eig_min.shape)
-        raise AdmissibilityError(floor, tuple(int(i) for i in loc), eps_pos)
-    rhs = np.log(det) - bg.log_density
-    if mode == NORMALIZED:
-        rhs = rhs - phi
-    return rhs, floor
+    floor = _positivity_floor(eig_min, eps_pos)
+    return _velocity(bg, np.log(det), phi, mode), floor
 
 
 def ma_rhs(
@@ -101,26 +123,50 @@ def cfl_bound(bg: TorusBackground, min_eig: float) -> float:
     return 0.25 * bg.spacing**2 * min_eig / bg.n
 
 
-def current_cfl_bound(
-    bg: TorusBackground, state: FlowState, eps_pos: float = EPS_POS
-) -> float:
+def current_cfl_bound(bg: TorusBackground, state: FlowState) -> float:
     _, eig_min, _ = bg.fast_metric_fields(state.phi)
     return cfl_bound(bg, float(eig_min.min()))
 
 
-def _rk4_tail(
+def _advance(
     bg: TorusBackground,
-    phi: np.ndarray,
+    state: FlowState,
     k1: np.ndarray,
-    mode: str,
     dt: float,
     eps_pos: float,
-) -> np.ndarray:
-    """RK4 update given the already-computed first stage."""
-    k2, _ = _rhs(bg, phi + 0.5 * dt * k1, mode, eps_pos)
-    k3, _ = _rhs(bg, phi + 0.5 * dt * k2, mode, eps_pos)
-    k4, _ = _rhs(bg, phi + dt * k3, mode, eps_pos)
-    return phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+) -> tuple[FlowState, np.ndarray, float]:
+    """The accept/halve loop of ``step`` and ``run``, given the first stage k1.
+
+    Tries the RK4 step with dt, dt/2, ... and accepts the first whose
+    stages and result keep metric positivity; after MAX_HALVINGS halvings
+    a StepFailure carrying diagnostics is raised.  Returns the new state
+    with its velocity and floor, which double as the next step's first
+    stage and admissibility check.
+    """
+    phi, mode, trial = state.phi, state.mode, dt
+    for _ in range(MAX_HALVINGS + 1):
+        try:
+            k2, _ = _rhs(bg, phi + 0.5 * trial * k1, mode, eps_pos)
+            k3, _ = _rhs(bg, phi + 0.5 * trial * k2, mode, eps_pos)
+            k4, _ = _rhs(bg, phi + trial * k3, mode, eps_pos)
+            phi1 = phi + (trial / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k1_next, floor = _rhs(bg, phi1, mode, eps_pos)
+            return FlowState(t=state.t + trial, phi=phi1, mode=mode), k1_next, floor
+        except AdmissibilityError as err:
+            last_error = err
+            trial *= 0.5
+    raise StepFailure(
+        f"step at t={state.t:.6g} failed after {MAX_HALVINGS} halvings "
+        f"(min eigenvalue {last_error.min_eig:.3e})",
+        diagnostics={
+            "t": state.t,
+            "sup_phi": float(np.abs(state.phi).max()),
+            "requested_dt": dt,
+            "final_dt": trial,
+            "min_eig": last_error.min_eig,
+            "location": last_error.location,
+        },
+    )
 
 
 def step(
@@ -128,14 +174,12 @@ def step(
     state: FlowState,
     dt: float,
     eps_pos: float = EPS_POS,
-    max_halvings: int = 8,
 ) -> FlowState:
     """One RK4 update of the potential.
 
     dt must respect the CFL bound of the current state.  If any stage or
-    the result loses metric positivity the step is rejected and retried
-    with dt/2, up to ``max_halvings`` times, after which a StepFailure
-    carrying diagnostics is raised.
+    the result loses metric positivity the step is retried with dt/2, up
+    to MAX_HALVINGS times, after which a StepFailure is raised.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -143,35 +187,27 @@ def step(
     bound = cfl_bound(bg, floor)
     if dt > bound * (1.0 + 1e-9):
         raise ValueError(f"dt {dt:.3e} exceeds the CFL bound {bound:.3e}")
-    trial = dt
-    last_error: Optional[AdmissibilityError] = None
-    for _ in range(max_halvings + 1):
-        try:
-            phi1 = _rk4_tail(bg, state.phi, k1, state.mode, trial, eps_pos)
-            # re-check admissibility of the accepted state
-            _rhs(bg, phi1, state.mode, eps_pos)
-            return FlowState(t=state.t + trial, phi=phi1, mode=state.mode)
-        except AdmissibilityError as err:
-            last_error = err
-            trial *= 0.5
-    snap = {
-        "t": state.t,
-        "sup_phi": float(np.abs(state.phi).max()),
-        "requested_dt": dt,
-        "final_dt": trial,
-        "min_eig": last_error.min_eig if last_error else float("nan"),
-        "location": last_error.location if last_error else None,
-    }
-    raise StepFailure(
-        f"step at t={state.t:.6g} failed after {max_halvings} halvings "
-        f"(min eigenvalue {snap['min_eig']:.3e})",
-        diagnostics=snap,
-    )
+    return _advance(bg, state, k1, dt, eps_pos)[0]
 
 
 # ---------------------------------------------------------------------------
 # curvature diagnostics
 # ---------------------------------------------------------------------------
+
+
+def _curvature(bg: TorusBackground, phi: np.ndarray, eps_pos: float) -> tuple:
+    """Pointwise geometry of g = g0 + H(phi), positivity checked.
+
+    Returns (g, det, floor, log_det, hess, R): the metric components, its
+    determinant, min eigenvalue, log det, the components of H(log det)
+    (minus the Ricci form) and the scalar curvature tr(g^{-1} Ric).
+    """
+    g = bg._metric_parts(phi)
+    det, eig_min, _ = _det_and_eigs(g)
+    floor = _positivity_floor(eig_min, eps_pos)
+    log_det = np.log(det)
+    hess = bg._hessian_parts(log_det)
+    return g, det, floor, log_det, hess, -_trace_ratio(g, det, hess)
 
 
 def ricci_and_scalar(
@@ -183,16 +219,8 @@ def ricci_and_scalar(
     evolving metric, differentiated spectrally; the scalar curvature is the
     trace against the inverse metric.
     """
-    H = bg.complex_hessian(state.phi)
-    det, eig_min, _ = metric_determinant_and_eigs(bg.g0, H)
-    floor = float(eig_min.min())
-    if floor < eps_pos:
-        loc = np.unravel_index(int(np.argmin(eig_min)), eig_min.shape)
-        raise AdmissibilityError(floor, tuple(int(i) for i in loc), eps_pos)
-    ric = -bg.hessian_of(np.log(det))
-    inv = metric_inverse(bg.g0, H)
-    scal = np.einsum("...jk,...kj->...", inv, ric).real
-    return ric, scal
+    *_, hess, scal = _curvature(bg, state.phi, eps_pos)
+    return _hermitian([-h for h in hess]), scal
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +246,6 @@ class DiagnosticsRecord:
     sup_phi: float
     sup_phidot: float
     min_eig: float
-    max_eig: float
     inf_R: float
     sup_R: float
     sup_trace: float
@@ -257,28 +284,15 @@ class DiagnosticsSeries:
 def snapshot(
     bg: TorusBackground, state: FlowState, eps_pos: float = EPS_POS
 ) -> DiagnosticsRecord:
-    H = bg.complex_hessian(state.phi)
-    det, eig_min, eig_max = metric_determinant_and_eigs(bg.g0, H)
-    floor = float(eig_min.min())
-    if floor < eps_pos:
-        loc = np.unravel_index(int(np.argmin(eig_min)), eig_min.shape)
-        raise AdmissibilityError(floor, tuple(int(i) for i in loc), eps_pos)
-    rhs = np.log(det) - bg.log_density
-    if state.mode == NORMALIZED:
-        rhs = rhs - state.phi
-    ric = -bg.hessian_of(np.log(det))
-    inv = metric_inverse(bg.g0, H)
-    scal = np.einsum("...jk,...kj->...", inv, ric).real
-    g0_inv = np.linalg.inv(bg.g0)
-    gt = bg.g0 + H  # broadcasting: (n,n) + grid+(n,n)
-    trace0 = np.einsum("jk,...kj->...", g0_inv, gt).real
+    g, det, floor, log_det, _, scal = _curvature(bg, state.phi, eps_pos)
+    rhs = _velocity(bg, log_det, state.phi, state.mode)
+    trace0 = _trace_ratio(bg._g0_parts, bg.det_g0, g)
     mean_phi = float(state.phi.mean())
     return DiagnosticsRecord(
         t=state.t,
         sup_phi=float(np.abs(state.phi).max()),
         sup_phidot=float(np.abs(rhs).max()),
         min_eig=floor,
-        max_eig=float(eig_max.max()),
         inf_R=float(scal.min()),
         sup_R=float(scal.max()),
         sup_trace=float(trace0.max()),
@@ -331,38 +345,17 @@ def run(
     k1, floor = _rhs(bg, state.phi, state.mode, config.eps_pos)
     while state.t < config.t_end - 1e-14:
         bound = cfl_bound(bg, floor)
-        dt = bound if config.dt is None else min(config.dt, bound)
-        dt = min(dt, config.t_end - state.t)
-        if dt < stall_dt:
+        if bound < stall_dt:
             series.termination = "stalled"
             raise StepFailure(
-                f"time step collapsed to {dt:.3e} at t={state.t:.6g}: metric "
+                f"time step collapsed to {bound:.3e} at t={state.t:.6g}: metric "
                 "is pinned against the positivity floor",
-                diagnostics={"t": state.t, "min_eig": floor, "dt": dt},
+                diagnostics={"t": state.t, "min_eig": floor, "dt": bound},
             )
-        trial = dt
-        accepted = None
-        last_error: Optional[AdmissibilityError] = None
-        for _ in range(9):
-            try:
-                cand = _rk4_tail(bg, state.phi, k1, state.mode, trial, config.eps_pos)
-                k1_next, floor_next = _rhs(bg, cand, state.mode, config.eps_pos)
-                accepted = cand
-                break
-            except AdmissibilityError as err:
-                last_error = err
-                trial *= 0.5
-        if accepted is None:
-            raise StepFailure(
-                f"run stalled at t={state.t:.6g}: positivity lost after 8 halvings",
-                diagnostics={
-                    "t": state.t,
-                    "min_eig": last_error.min_eig if last_error else float("nan"),
-                    "location": last_error.location if last_error else None,
-                },
-            )
-        state = FlowState(t=state.t + trial, phi=accepted, mode=state.mode)
-        k1, floor = k1_next, floor_next
+        dt = bound if config.dt is None else min(config.dt, bound)
+        # the end-of-interval remainder may be far below the stall step
+        dt = min(dt, config.t_end - state.t)
+        state, k1, floor = _advance(bg, state, k1, dt, config.eps_pos)
         steps += 1
         at_end = state.t >= config.t_end - 1e-14
         converged = (

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import krflab.ansatz as az
+from krflab import verify
 
 
 def test_round_p1_linear_shrink():
@@ -108,8 +109,8 @@ def test_collapse_profile_facts():
     model = az.AnsatzModel.of(az.PRODUCT_EC, [3, 4], mode=az.NORMALIZED)
     traj = az.integrate(model, 8.0, dt=1e-3)
     prof = az.collapse_profile(model, traj)
-    # rescaled fiber coefficient is the constant 3, exactly
-    assert (prof.fiber_scale_adjusted == 3.0).all()
+    # the reported rescaled fiber coefficient is the computed exp(t) * a(t)
+    assert np.array_equal(prof.fiber_scale_adjusted, np.exp(traj.ts) * traj.coeffs[:, 0])
     assert prof.fiber_adjusted_max_error < 1e-10
     # lower bound on the base scale
     assert prof.schwarz_floor >= min(4.0, 2.0) - 1e-12
@@ -117,6 +118,24 @@ def test_collapse_profile_facts():
     gap = np.abs(prof.base_scale - 2.0)
     assert (gap <= 2.0 * np.exp(-traj.ts / 8.0) + 1e-12).all()
     assert (gap <= 2.0 * np.exp(-traj.ts) + 1e-10).all()
+
+
+def test_collapse_row_fails_on_corrupted_trajectory(monkeypatch):
+    real = az.integrate
+
+    def corrupted(model, t_end, dt=1e-3):
+        traj = real(model, t_end, dt)
+        traj.coeffs[-1, 0] *= 1.0 + 1e-9
+        return traj
+
+    monkeypatch.setattr(az, "integrate", corrupted)
+    model = az.AnsatzModel.of(az.PRODUCT_EC, [3, 4], mode=az.NORMALIZED)
+    traj = az.integrate(model, 2.0, dt=1e-2)
+    prof = az.collapse_profile(model, traj)
+    assert abs(prof.fiber_scale_adjusted[-1] - 3.0) > 1e-9
+    rows = verify.criterion_product_collapse(verify.VerifyOptions()).rows
+    fiber = [r for r in rows if "exp(t) * fiber scale" in r.check]
+    assert len(fiber) == 3 and not any(r.passed for r in fiber)
 
 
 def test_collapse_profile_constant_base():

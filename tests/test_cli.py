@@ -135,6 +135,14 @@ def test_flow_warns_on_biased_density_in_unnormalized_mode(tmp_path, capsys):
     assert "warning" in err and "drifts" in err
 
 
+def test_flow_non_finite_potential_domain_error(tmp_path, capsys):
+    cfg = stationary_config(
+        tmp_path, phi0_modes=[{"freq": [1, 0], "cos": float("nan"), "sin": 0.0}]
+    )
+    assert cli.main(["--output-dir", str(tmp_path / "run"), "flow", str(cfg)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_flow_bad_config_usage_error(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"schema": 2}))

@@ -14,7 +14,6 @@ def synthetic_series(ts, sup_phidot=None, inf_r=None, min_eig=None, sup_phi=None
                 sup_phi=float(sup_phi[i]) if sup_phi is not None else 0.0,
                 sup_phidot=float(sup_phidot[i]) if sup_phidot is not None else 0.0,
                 min_eig=float(min_eig[i]) if min_eig is not None else 1.0,
-                max_eig=1.0,
                 inf_R=float(inf_r[i]) if inf_r is not None else 0.0,
                 sup_R=0.0,
                 sup_trace=1.0,

@@ -204,6 +204,27 @@ def test_spectral_tail_abort_on_rough_data():
         mf.run(bg, cfg, phi0=rough)
 
 
+def test_end_of_interval_remainder_is_not_a_stall():
+    # ten steps of 1e-4 leave a 3e-13 remainder, far below the stall step
+    bg = background(N=16)
+    cfg = mf.RunConfig(dt=1e-4, t_end=10e-4 + 3e-13)
+    final, series = mf.run(bg, cfg)
+    assert series.termination == "t_end"
+    assert abs(final.t - cfg.t_end) < 1e-14
+
+
+def test_non_finite_potential_is_not_admissible():
+    bg = background(N=16)
+    phi0 = np.zeros(bg.shape)
+    phi0[3, 5] = np.nan
+    with pytest.raises(mf.AdmissibilityError, match="non-finite"):
+        mf.run(bg, mf.RunConfig(t_end=0.01), phi0=phi0)
+    with pytest.raises(mf.AdmissibilityError, match="non-finite"):
+        mf.snapshot(bg, mf.initial_state(bg, phi0))
+    with pytest.raises(mf.AdmissibilityError, match="non-finite"):
+        mf.ma_rhs(bg, mf.initial_state(bg, phi0))
+
+
 def test_run_reports_step_failure_when_twist_drives_degeneracy():
     # a strong negative twist inflates the potential until positivity dies
     bg0 = background(N=16)

@@ -3,6 +3,8 @@ import pytest
 import sympy as sp
 
 import krflab.maflow as mf
+from krflab.maflow.background import _trace_ratio
+from oracles import laplacian_multiplier
 
 
 def test_zero_field_has_zero_hessian():
@@ -89,12 +91,77 @@ def test_spectral_consistency_n2_at_32():
     assert np.abs(H[..., 0, 1] + 2j * np.pi**2 * phi).max() < 2e-10 * np.pi**2
 
 
+COMPLEX_G0 = [[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 1.5]]
+
+
 def test_heat_rates_closed_form():
     bg = mf.TorusBackground(n=1, N=16, g0=[[0.5]])
     rates = bg.heat_rates()
     assert abs(rates[0] - 2 * np.pi**2) < 1e-12  # pi^2 (k^2+l^2)/g0 at (1,0)
     bg2 = mf.TorusBackground(n=1, N=16, g0=[[1.0]])
     assert abs(bg2.lowest_heat_rate() - np.pi**2) < 1e-12
+    bg3 = mf.TorusBackground(n=2, N=8, g0=COMPLEX_G0)
+    oracle = -laplacian_multiplier(bg3)
+    assert abs(bg3.lowest_heat_rate() - oracle[oracle > 1e-9].min()) < 1e-12
+    assert abs(bg3.heat_rates()[-1] - oracle.max()) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "n,N,g0", [(1, 32, [[0.7]]), (2, 8, np.eye(2)), (2, 8, COMPLEX_G0)]
+)
+def test_metric_kernel_matches_linalg_oracle(n, N, g0):
+    bg = mf.TorusBackground(n=n, N=N, g0=g0)
+    rng = np.random.default_rng(11)
+    modes = [
+        ((1,) + (0,) * (2 * n - 1), 0.01, 0.004),
+        ((0, 1) * n, 0.006, 0.0),
+        ((1, 1) + (0, 1) * (n - 1), 0.0, 0.005),
+    ]
+    # white noise reaches every mode, the Nyquist planes included
+    phi = bg.field_from_modes(modes) + 1e-5 * rng.standard_normal(bg.shape)
+    G = bg.g0 + bg.complex_hessian(phi)
+    eigs = np.linalg.eigvalsh(G)
+    inv = np.linalg.inv(G)
+
+    det, lo, hi = bg.fast_metric_fields(phi)
+    assert np.abs(det - np.linalg.det(G).real).max() < 1e-13
+    assert np.abs(lo - eigs[..., 0]).max() < 1e-13
+    assert np.abs(hi - eigs[..., -1]).max() < 1e-13
+    # the adapter for Hessian arrays is the same closed form, bit for bit
+    adapter = mf.metric_determinant_and_eigs(bg.g0, bg.complex_hessian(phi))
+    for got, want in zip(adapter, (det, lo, hi)):
+        assert np.array_equal(got, want)
+
+    # tr(g^{-1} E) over a Hermitian basis E reads off the entries of g^{-1}
+    g = bg._metric_parts(phi)
+    one, zero = np.ones(bg.shape), np.zeros(bg.shape)
+    if n == 1:
+        assert np.abs(_trace_ratio(g, det, [one]) - inv[..., 0, 0].real).max() < 1e-13
+    else:
+        read = [
+            _trace_ratio(g, det, basis)
+            for basis in ([one, zero, zero, zero], [zero, one, zero, zero],
+                          [zero, zero, one, zero], [zero, zero, zero, one])
+        ]
+        assert np.abs(read[0] - inv[..., 0, 0].real).max() < 1e-13
+        assert np.abs(read[1] - inv[..., 1, 1].real).max() < 1e-13
+        assert np.abs(read[2] - 2 * inv[..., 0, 1].real).max() < 1e-13
+        assert np.abs(read[3] - 2 * inv[..., 0, 1].imag).max() < 1e-13
+
+    state = mf.initial_state(bg, phi)
+    ric = -bg.complex_hessian(np.log(np.linalg.det(G).real))
+    R = np.einsum("...jk,...kj->...", inv, ric).real
+    _, scal = mf.ricci_and_scalar(bg, state)
+    assert np.abs(scal - R).max() < 1e-12 * np.abs(R).max()
+
+    rec = mf.snapshot(bg, state)
+    assert rec.sup_phidot == float(np.abs(mf.ma_rhs(bg, state)).max())
+    assert rec.min_eig == float(lo.min())
+    assert abs(rec.inf_R - R.min()) < 1e-12 * np.abs(R).max()
+    assert abs(rec.sup_R - R.max()) < 1e-12 * np.abs(R).max()
+    trace0 = np.einsum("jk,...kj->...", np.linalg.inv(bg.g0), G).real
+    assert abs(rec.sup_trace - trace0.max()) < 1e-13
+    assert abs(rec.volume - np.linalg.det(G).real.mean()) < 1e-13
 
 
 def test_field_from_modes_constant_and_waves():
