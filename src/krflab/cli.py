@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -221,10 +222,22 @@ def _modes_from_config(entries) -> list[tuple]:
     return modes
 
 
-def load_flow_config(path) -> tuple[mf.TorusBackground, mf.RunConfig, np.ndarray]:
+#: every key a flow config may carry; anything else is a typo and rejected
+FLOW_CONFIG_KEYS = frozenset(
+    "schema n N g0 f_modes phi0_modes mode dt t_end record_every eps_pos output".split()
+)
+
+
+def load_flow_config(
+    path,
+) -> tuple[mf.TorusBackground, mf.RunConfig, np.ndarray, Optional[str]]:
+    """Background, run settings, initial potential and output path of a config."""
     cfg = ser.read_json(path)
     if cfg.get("schema") != 1:
         raise ValueError(f"unsupported flow config schema: {cfg.get('schema')!r}")
+    unknown = sorted(set(cfg) - FLOW_CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
     n = int(cfg["n"])
     N = int(cfg["N"])
     g0 = _parse_g0(cfg["g0"], n)
@@ -241,13 +254,37 @@ def load_flow_config(path) -> tuple[mf.TorusBackground, mf.RunConfig, np.ndarray
         record_every=int(cfg.get("record_every", 100)),
         eps_pos=float(cfg.get("eps_pos", mf.EPS_POS)),
     )
-    return bg, run_cfg, phi0
+    return bg, run_cfg, phi0, cfg.get("output")
+
+
+def _write_run_record(out: Path, args, series: mf.DiagnosticsSeries) -> None:
+    """diagnostics.csv, diagnostics.json and the manifest, with the termination."""
+    ser.write_csv(out / "diagnostics.csv", series.header, series.rows())
+    ser.write_json(
+        out / "diagnostics.json",
+        {
+            "schema": 1,
+            "columns": list(series.header),
+            "rows": series.rows(),
+            "converged": series.converged,
+            "termination": series.termination,
+            "steps": series.steps,
+            "rejected": series.rejected,
+            "rhs_evals": series.rhs_evals,
+        },
+    )
+    ser.write_manifest(
+        out,
+        "flow",
+        config_path=str(args.config),
+        seed=args.seed,
+        extra={"termination": series.termination},
+    )
 
 
 def cmd_flow(args) -> int:
     try:
-        bg, run_cfg, phi0 = load_flow_config(args.config)
-        cfg_out = ser.read_json(args.config).get("output")
+        bg, run_cfg, phi0, cfg_out = load_flow_config(args.config)
     except (OSError, ValueError, KeyError) as err:
         print(f"error: bad flow config: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -264,21 +301,16 @@ def cmd_flow(args) -> int:
             )
     try:
         final, series = mf.run(bg, run_cfg, phi0=phi0)
-    except (mf.AdmissibilityError, mf.StepFailure, mf.SpectralTailError) as err:
+    except (mf.StepFailure, mf.SpectralTailError) as err:
+        # keep the evidence: the diagnostics recorded up to the failure
+        print(f"error: {err}", file=sys.stderr)
+        _write_run_record(out, args, err.series)
+        print(f"partial diagnostics written to {out}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except mf.AdmissibilityError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
-    out.mkdir(parents=True, exist_ok=True)
-    ser.write_csv(out / "diagnostics.csv", series.header, series.rows())
-    ser.write_json(
-        out / "diagnostics.json",
-        {
-            "schema": 1,
-            "columns": list(series.header),
-            "rows": series.rows(),
-            "converged": series.converged,
-            "termination": series.termination,
-        },
-    )
+    _write_run_record(out, args, series)
     final.phi.astype(np.float64).tofile(out / "phi.bin")
     ser.write_json(
         out / "phi.json",
@@ -292,7 +324,6 @@ def cmd_flow(args) -> int:
             "layout": "row-major float64",
         },
     )
-    ser.write_manifest(out, "flow", config_path=str(args.config), seed=args.seed)
     # the scalar floor is only a fact for the untwisted unnormalized flow,
     # and the decay-rate fit only makes sense once the run converged
     untwisted = bg.f is None or float(np.abs(bg.f).max()) < 1e-14
@@ -305,6 +336,10 @@ def cmd_flow(args) -> int:
     )
     print(report)
     print(f"termination: {series.termination} at t = {final.t:.6g}")
+    print(
+        f"steps: {series.steps} accepted, {series.rejected} rejected, "
+        f"{series.rhs_evals} RHS evaluations"
+    )
     print(f"artifacts written to {out}")
     return EXIT_OK
 

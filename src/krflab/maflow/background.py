@@ -205,16 +205,21 @@ class TorusBackground:
             return 0.0
         return float(power[self._tail_mask].sum() / total)
 
-    # -- linearization oracle -------------------------------------------------
+    # -- linearization ---------------------------------------------------------
 
-    def heat_rates(self) -> np.ndarray:
-        """Sorted distinct positive decay rates of the flat-background heat operator.
+    @property
+    def laplacian_symbol(self) -> np.ndarray:
+        """Fourier symbol of the g0-Laplacian on the rfftn half grid (real, <= 0).
 
         The Laplacian of g0 is tr(g0^{-1} H), so on each grid mode it acts
         as the trace of g0^{-1} against the Hessian symbol, which is
-        -pi^2 <w, g0^{-1} w> with w = l + i*k; the rates are its negatives.
+        -pi^2 <w, g0^{-1} w> with w = l + i*k.
         """
-        rates = -_trace_ratio(self._g0_parts, self.det_g0, self._symbols)
+        return _trace_ratio(self._g0_parts, self.det_g0, self._symbols)
+
+    def heat_rates(self) -> np.ndarray:
+        """Sorted distinct positive decay rates of the flat-background heat operator."""
+        rates = -self.laplacian_symbol
         return np.unique(rates[rates > 0])
 
     def lowest_heat_rate(self) -> float:

@@ -4,17 +4,30 @@ Unnormalized mode evolves phi by log(det(g0 + H(phi)) / Omega) with Omega
 the reference density det(g0)*exp(f); normalized mode subtracts phi, which
 absorbs the linear volume growth and turns the twisted stationary problem
 log(det(g0 + H(phi)) / Omega) = phi into the flow's fixed point.
-Integration is classical RK4 under a diffusive CFL bound, with positivity
-of the evolving metric enforced at every stage.
+
+``run`` integrates with ETDRK4 (Cox & Matthews, J. Comput. Phys. 176,
+2002).  The stiff linear part L, the background Laplacian (minus one when
+normalized), is diagonal on the rfftn half grid and is applied exactly;
+the rest of the velocity, N(phi) = log(det / Omega) - Laplacian(phi), is
+evaluated by the metric kernel at each stage.  The exponential
+coefficients come from their closed forms, or near L*h = 0, where those
+cancel, from contour integrals (Kassam & Trefethen, SIAM J. Sci. Comput.
+26, 2005).  An embedded second-order solution built from the same
+stages controls the step inside each record interval, and records are
+spaced in simulated time as ``record_every`` steps of the explicit scheme
+would be.  ``step`` is one classical RK4 update under the diffusive CFL
+bound.
 Every quantity derives from the background's one metric kernel; one
-check (``_positivity_floor``) guards positivity and one accept/halve loop
-(``_advance``) takes the steps of both ``step`` and ``run``.
+check (``_positivity_floor``) guards positivity at every stage and one
+accept/shrink loop (``_advance``) takes the steps of both ``step`` and
+``run``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,18 +51,45 @@ TAIL_LIMIT = 1e-6
 CONVERGENCE_TOL = 1e-10
 #: dt halvings a step may take before it fails
 MAX_HALVINGS = 8
+#: an ETD step is accepted when its embedded pair differs by at most this (sup norm)
+ETD_TOL = 1e-6
+#: contour points for the ETD coefficients: the upper half of the unit circle
+#: (L is real, so the real part of the half-circle mean is the full mean)
+_CONTOUR = np.exp(1j * np.pi * (np.arange(32) + 0.5) / 32)
+#: |L*h| below which the closed forms of the ETD coefficients lose digits
+#: to cancellation and the contour mean replaces them
+_NEAR_ZERO = 0.5
 
 
 class StepFailure(RuntimeError):
-    """A step kept losing metric positivity after repeated dt halvings."""
+    """A step kept losing metric positivity, or the step size collapsed.
 
-    def __init__(self, message: str, diagnostics: Optional[dict] = None):
+    ``termination`` names the reason; when ``run`` raises it, ``series``
+    holds the diagnostics recorded before the failure.
+    """
+
+    series: Optional["DiagnosticsSeries"] = None
+
+    def __init__(
+        self,
+        message: str,
+        diagnostics: Optional[dict] = None,
+        termination: str = "step-failure",
+    ):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
+        self.termination = termination
 
 
 class SpectralTailError(RuntimeError):
-    """Too much energy reached the top of the spectrum; the run is unresolved."""
+    """Too much energy reached the top of the spectrum; the run is unresolved.
+
+    When ``run`` raises it, ``series`` holds the diagnostics recorded up to
+    and including the offending record.
+    """
+
+    termination = "spectral-tail"
+    series: Optional["DiagnosticsSeries"] = None
 
 
 @dataclass(frozen=True)
@@ -124,49 +164,64 @@ def cfl_bound(bg: TorusBackground, min_eig: float) -> float:
 
 
 def current_cfl_bound(bg: TorusBackground, state: FlowState) -> float:
+    """CFL bound at the state; raises AdmissibilityError unless it is admissible."""
     _, eig_min, _ = bg.fast_metric_fields(state.phi)
-    return cfl_bound(bg, float(eig_min.min()))
+    return cfl_bound(bg, _positivity_floor(eig_min, EPS_POS))
 
 
 def _advance(
-    bg: TorusBackground,
+    attempt: Callable[[float], tuple],
     state: FlowState,
-    k1: np.ndarray,
-    dt: float,
-    eps_pos: float,
-) -> tuple[FlowState, np.ndarray, float]:
-    """The accept/halve loop of ``step`` and ``run``, given the first stage k1.
+    h: float,
+    stall_dt: float = 0.0,
+) -> tuple[object, float, int, float]:
+    """The accept/shrink loop of ``step`` and ``run``.
 
-    Tries the RK4 step with dt, dt/2, ... and accepts the first whose
-    stages and result keep metric positivity; after MAX_HALVINGS halvings
-    a StepFailure carrying diagnostics is raised.  Returns the new state
-    with its velocity and floor, which double as the next step's first
-    stage and admissibility check.
+    ``attempt(h)`` takes one step of size h from the state and returns
+    (result, err): err is the step's error estimate, or None for RK4,
+    which reports none.  A stage or result that loses metric positivity
+    halves h, and after MAX_HALVINGS halvings a StepFailure carrying
+    diagnostics is raised.  An error above ETD_TOL shrinks h by the
+    controller to 0.9 * h * (ETD_TOL / err)^(1/3) (half h for a non-finite
+    error), and a step it shrinks below stall_dt fails as a stall.  An
+    accepted step proposes the next by the same rule, capped at 2h.
+    Returns (result, h taken, attempts rejected, next step proposed).
     """
-    phi, mode, trial = state.phi, state.mode, dt
-    for _ in range(MAX_HALVINGS + 1):
+    requested, halvings, rejected = h, 0, 0
+    while True:
         try:
-            k2, _ = _rhs(bg, phi + 0.5 * trial * k1, mode, eps_pos)
-            k3, _ = _rhs(bg, phi + 0.5 * trial * k2, mode, eps_pos)
-            k4, _ = _rhs(bg, phi + trial * k3, mode, eps_pos)
-            phi1 = phi + (trial / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            k1_next, floor = _rhs(bg, phi1, mode, eps_pos)
-            return FlowState(t=state.t + trial, phi=phi1, mode=mode), k1_next, floor
-        except AdmissibilityError as err:
-            last_error = err
-            trial *= 0.5
-    raise StepFailure(
-        f"step at t={state.t:.6g} failed after {MAX_HALVINGS} halvings "
-        f"(min eigenvalue {last_error.min_eig:.3e})",
-        diagnostics={
-            "t": state.t,
-            "sup_phi": float(np.abs(state.phi).max()),
-            "requested_dt": dt,
-            "final_dt": trial,
-            "min_eig": last_error.min_eig,
-            "location": last_error.location,
-        },
-    )
+            result, err = attempt(h)
+        except AdmissibilityError as exc:
+            if halvings == MAX_HALVINGS:
+                raise StepFailure(
+                    f"step at t={state.t:.6g} failed after {MAX_HALVINGS} halvings "
+                    f"(min eigenvalue {exc.min_eig:.3e})",
+                    diagnostics={
+                        "t": state.t,
+                        "sup_phi": float(np.abs(state.phi).max()),
+                        "requested_dt": requested,
+                        "final_dt": h,
+                        "min_eig": exc.min_eig,
+                        "location": exc.location,
+                    },
+                ) from exc
+            halvings += 1
+            rejected += 1
+            h *= 0.5
+            continue
+        # the embedded pair differs by O(h^3), hence the cube root
+        if err is None or err <= ETD_TOL:
+            grow = min(2.0, 0.9 * (ETD_TOL / err) ** (1 / 3)) if err else 2.0
+            return result, h, rejected, h * grow
+        rejected += 1
+        h *= 0.9 * (ETD_TOL / err) ** (1 / 3) if np.isfinite(err) else 0.5
+        if h < stall_dt:
+            raise StepFailure(
+                f"error control shrank the step to {h:.3e} at t={state.t:.6g}, "
+                f"below the stall step {stall_dt:.3e}",
+                diagnostics={"t": state.t, "dt": h, "error": err},
+                termination="stalled",
+            )
 
 
 def step(
@@ -181,13 +236,24 @@ def step(
     the result loses metric positivity the step is retried with dt/2, up
     to MAX_HALVINGS times, after which a StepFailure is raised.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    k1, floor = _rhs(bg, state.phi, state.mode, eps_pos)
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    phi, mode = state.phi, state.mode
+    k1, floor = _rhs(bg, phi, mode, eps_pos)
     bound = cfl_bound(bg, floor)
     if dt > bound * (1.0 + 1e-9):
         raise ValueError(f"dt {dt:.3e} exceeds the CFL bound {bound:.3e}")
-    return _advance(bg, state, k1, dt, eps_pos)[0]
+
+    def attempt(h: float) -> tuple[np.ndarray, None]:
+        k2, _ = _rhs(bg, phi + 0.5 * h * k1, mode, eps_pos)
+        k3, _ = _rhs(bg, phi + 0.5 * h * k2, mode, eps_pos)
+        k4, _ = _rhs(bg, phi + h * k3, mode, eps_pos)
+        phi1 = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _rhs(bg, phi1, mode, eps_pos)  # the result must keep positivity too
+        return phi1, None
+
+    phi1, taken, _, _ = _advance(attempt, state, dt)
+    return FlowState(t=state.t + taken, phi=phi1, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +327,10 @@ class DiagnosticsSeries:
     records: list[DiagnosticsRecord] = field(default_factory=list)
     converged: bool = False
     termination: str = "t_end"
+    #: accepted steps, rejected step attempts and kernel evaluations of the run
+    steps: int = 0
+    rejected: int = 0
+    rhs_evals: int = 0
 
     def append(self, rec: DiagnosticsRecord) -> None:
         if self.records and rec.t <= self.records[-1].t:
@@ -304,8 +374,10 @@ def snapshot(
 @dataclass
 class RunConfig:
     mode: str = UNNORMALIZED
-    dt: Optional[float] = None  # None: adaptive diffusive CFL step
+    dt: Optional[float] = None  # cap on the step; None: no cap
     t_end: float = 1.0
+    # records are spaced by record_every nominal steps in simulated time, the
+    # nominal step being the diffusive CFL bound at the record (or dt if smaller)
     record_every: int = 100
     eps_pos: float = EPS_POS
     convergence_tol: float = CONVERGENCE_TOL
@@ -320,53 +392,208 @@ class RunConfig:
             raise ValueError("record_every must be >= 1")
 
 
+def _etd_terms(z: np.ndarray) -> np.ndarray:
+    """Q/h, f1/h, f2/h, f3/h, phi1 and phi2 at z by their closed forms (z != 0)."""
+    ez2 = np.exp(0.5 * z)
+    ez = ez2 * ez2
+    z2 = z * z
+    z3 = z2 * z
+    return np.stack(
+        [
+            (ez2 - 1.0) / z,
+            (-4.0 - z + ez * (4.0 - 3.0 * z + z2)) / z3,
+            (2.0 + z + ez * (z - 2.0)) / z3,
+            (-4.0 - 3.0 * z - z2 + ez * (4.0 - z)) / z3,
+            (ez - 1.0) / z,
+            (ez - 1.0 - z) / z2,
+        ]
+    )
+
+
+class _Etdrk4:
+    """ETDRK4 on the rfftn half grid for phi' = L phi + N(phi).
+
+    L is the background Laplacian symbol, minus one in normalized mode.  N
+    is the rest of the velocity, so N-hat = rfftn(log det - log density)
+    - lap * phi-hat costs no transform beyond the stage's own: a stage is
+    one irfftn, the metric kernel on the real field, and one rfftn.  The
+    coefficients are evaluated on the distinct values of L*h only, held
+    for the current h alone, and gathered to the grid where they are used.
+    """
+
+    def __init__(self, bg: TorusBackground, mode: str, eps_pos: float):
+        self.bg, self.mode, self.eps_pos = bg, mode, eps_pos
+        self.lap = bg.laplacian_symbol
+        linear = self.lap - 1.0 if mode == NORMALIZED else self.lap
+        self.values, index = np.unique(linear, return_inverse=True)
+        self.index = index.reshape(linear.shape)
+        self.h: Optional[float] = None
+        self.table: dict[str, np.ndarray] = {}
+        self.rhs_evals = 0
+
+    def stage(self, vk: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+        """(phi, N-hat, floor, log det) at the half spectrum vk, positivity checked."""
+        bg = self.bg
+        self.rhs_evals += 1
+        phi = np.fft.irfftn(vk, s=bg.shape, axes=bg._axes)
+        det, eig_min = bg.fast_metric_fields(phi)[:2]
+        floor = _positivity_floor(eig_min, self.eps_pos)
+        log_det = np.log(det)
+        nk = np.fft.rfftn(log_det - bg.log_density, axes=bg._axes) - self.lap * vk
+        return phi, nk, floor, log_det
+
+    def coefficients(self, h: float) -> dict[str, np.ndarray]:
+        """E, E^(1/2), Q, f1, f2, f3 and the error weights g1, g3 per distinct L*h.
+
+        With z = L*h: E = exp(z), Q = h*(exp(z/2) - 1)/z, and f1, f2, f3
+        are the Cox-Matthews weights.  The embedded solution is
+        u2 = E v + h phi1(z) N_v + h phi2(z) (N_c - N_v); u4 - u2 then
+        weights N_v by g1 = f1 - h phi1 + h phi2, N_a + N_b by 2 f2 and N_c
+        by g3 = f3 - h phi2.
+        """
+        if h != self.h:
+            z = h * self.values
+            # near z = 0 each term is its mean over the unit circle around z
+            # (Kassam-Trefethen), which stays 0.5 away from the removable
+            # singularity; elsewhere the closed forms are accurate to round-off
+            near = np.abs(z) < _NEAR_ZERO
+            terms = np.empty((6, z.size))
+            terms[:, ~near] = _etd_terms(z[~near])
+            terms[:, near] = _etd_terms(z[near, None] + _CONTOUR).mean(axis=-1).real
+            q, f1, f2, f3, p1, p2 = h * terms
+            self.table = {
+                "E": np.exp(z),
+                "E2": np.exp(0.5 * z),
+                "Q": q,
+                "f1": f1,
+                "f2": f2,
+                "f3": f3,
+                "g1": f1 - p1 + p2,
+                "g3": f3 - p2,
+            }
+            self.h = h
+        return self.table
+
+    def attempt(self, vk: np.ndarray, nv: np.ndarray, h: float) -> tuple:
+        """One step from vk, whose N-hat is nv; returns (result, error).
+
+        The result (vk1, phi1, N-hat, floor, sup|velocity|) is evaluated, and
+        its positivity checked, only when the error is within ETD_TOL;
+        otherwise it is None.  Stage arrays are freed as soon as they are
+        spent, since the kernel's own fields dominate peak memory.
+        """
+        table = self.coefficients(h)
+
+        def at(name: str) -> np.ndarray:
+            return table[name][self.index]
+
+        a = at("E2") * vk + at("Q") * nv
+        na = self.stage(a)[1]
+        nb = self.stage(at("E2") * vk + at("Q") * na)[1]
+        c = at("E2") * a + at("Q") * (2.0 * nb - nv)
+        del a
+        nab = 2.0 * at("f2") * (na + nb)
+        del na, nb
+        nc = self.stage(c)[1]
+        del c
+        bg = self.bg
+        diff = at("g1") * nv + nab + at("g3") * nc
+        err = float(np.abs(np.fft.irfftn(diff, s=bg.shape, axes=bg._axes)).max())
+        del diff
+        if not err <= ETD_TOL:
+            return None, err
+        vk1 = at("E") * vk + at("f1") * nv + nab + at("f3") * nc
+        del nab, nc
+        phi1, n1, floor, log_det = self.stage(vk1)
+        speed = float(np.abs(_velocity(bg, log_det, phi1, self.mode)).max())
+        return (vk1, phi1, n1, floor, speed), err
+
+
 def run(
     bg: TorusBackground,
     config: RunConfig,
     phi0: Optional[np.ndarray] = None,
 ) -> tuple[FlowState, DiagnosticsSeries]:
-    """Integrate to t_end, recording diagnostics every record_every steps.
+    """Integrate to t_end with ETDRK4, recording diagnostics along the way.
 
+    Records fall every record_every nominal steps in simulated time (see
+    ``RunConfig``), and the steps land exactly on them and on t_end.
     Normalized runs terminate early (reported via series.converged) once
     sup|phidot| falls below the convergence tolerance.  The spectral tail
     is monitored at record times and the run aborts if more than
     ``tail_limit`` of the fluctuation energy reaches the outer third of
-    the spectrum.
+    the spectrum.  A StepFailure or SpectralTailError raised here carries
+    the series recorded so far as ``err.series``, its termination set.
     """
     state = initial_state(bg, phi0, config.mode)
     series = DiagnosticsSeries()
     series.append(snapshot(bg, state, config.eps_pos))
-    steps = 0
+    etd = _Etdrk4(bg, config.mode, config.eps_pos)
+    try:
+        state = _integrate(bg, config, etd, state, series)
+    except (StepFailure, SpectralTailError) as err:
+        series.termination = err.termination
+        err.series = series
+        raise
+    finally:
+        series.rhs_evals = etd.rhs_evals
+    return state, series
+
+
+def _integrate(
+    bg: TorusBackground,
+    config: RunConfig,
+    etd: _Etdrk4,
+    state: FlowState,
+    series: DiagnosticsSeries,
+) -> FlowState:
+    """The stepping loop of ``run``; returns the final state."""
     # a collapsing CFL step means the metric is pinned against the
     # positivity floor; bail out instead of crawling forever
     g0_floor = float(np.linalg.eigvalsh(bg.g0).min())
     stall_dt = cfl_bound(bg, g0_floor) * 2.0**-24
-    # stage-1 velocity doubles as the previous step's admissibility re-check
-    k1, floor = _rhs(bg, state.phi, state.mode, config.eps_pos)
+    vk = np.fft.rfftn(state.phi, axes=bg._axes)
+    _, nv, floor, _ = etd.stage(vk)
+    t_record = proposal = None
     while state.t < config.t_end - 1e-14:
         bound = cfl_bound(bg, floor)
         if bound < stall_dt:
-            series.termination = "stalled"
             raise StepFailure(
                 f"time step collapsed to {bound:.3e} at t={state.t:.6g}: metric "
                 "is pinned against the positivity floor",
                 diagnostics={"t": state.t, "min_eig": floor, "dt": bound},
+                termination="stalled",
             )
-        dt = bound if config.dt is None else min(config.dt, bound)
-        # the end-of-interval remainder may be far below the stall step
-        dt = min(dt, config.t_end - state.t)
-        state, k1, floor = _advance(bg, state, k1, dt, config.eps_pos)
-        steps += 1
-        at_end = state.t >= config.t_end - 1e-14
-        converged = (
-            config.mode == NORMALIZED
-            and float(np.abs(k1).max()) < config.convergence_tol
+        if t_record is None:
+            nominal = bound if config.dt is None else min(config.dt, bound)
+            t_record = state.t + config.record_every * nominal
+            if t_record >= config.t_end - 1e-14:
+                t_record = config.t_end
+        remaining = t_record - state.t
+        h = remaining if proposal is None else min(proposal, remaining)
+        if config.dt is not None:
+            h = min(h, config.dt)
+        if h >= remaining - 1e-14:
+            h = remaining  # leave no sliver before the record
+        # a step clipped to the record or to dt keeps the controller's proposal
+        clipped = proposal is not None and h < proposal
+        result, taken, rejected, next_h = _advance(
+            partial(etd.attempt, vk, nv), state, h, stall_dt
         )
-        if steps % config.record_every == 0 or at_end or converged:
+        vk, phi, nv, floor, speed = result
+        series.steps += 1
+        series.rejected += rejected
+        proposal = max(proposal, next_h) if clipped and taken == h else next_h
+        landed = taken == remaining
+        state = FlowState(
+            t=t_record if landed else state.t + taken, phi=phi, mode=config.mode
+        )
+        converged = config.mode == NORMALIZED and speed < config.convergence_tol
+        if landed or converged:
+            t_record = None
             series.append(snapshot(bg, state, config.eps_pos))
             tail = bg.tail_energy_fraction(state.phi)
             if tail > config.tail_limit:
-                series.termination = "spectral-tail"
                 raise SpectralTailError(
                     f"tail energy fraction {tail:.3e} exceeds "
                     f"{config.tail_limit:.1e} at t={state.t:.6g}"
@@ -374,6 +601,6 @@ def run(
             if converged:
                 series.converged = True
                 series.termination = "converged"
-                return state, series
+                return state
     series.termination = "t_end"
-    return state, series
+    return state

@@ -149,6 +149,59 @@ def test_flow_bad_config_usage_error(tmp_path, capsys):
     assert cli.main(["flow", str(path)]) == 2
 
 
+def test_flow_config_rejects_unknown_key(tmp_path, capsys):
+    cfg = stationary_config(tmp_path, **{"t-end": 3.0})
+    out = tmp_path / "run"
+    assert cli.main(["--output-dir", str(out), "flow", str(cfg)]) == 2
+    assert "'t-end'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flow_config_names_its_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = stationary_config(tmp_path, output=str(tmp_path / "named"))
+    assert cli.main(["flow", str(cfg)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "named" / "diagnostics.csv").exists()
+    assert not (tmp_path / "krflab-out").exists()
+
+
+def test_flow_reports_step_counts(tmp_path, capsys):
+    cfg = stationary_config(
+        tmp_path, phi0_modes=[{"freq": [1, 0], "cos": 0.01, "sin": 0.0}]
+    )
+    out = tmp_path / "run"
+    assert cli.main(["--output-dir", str(out), "flow", str(cfg)]) == 0
+    printed = capsys.readouterr().out
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["steps"] > 0 and diag["rhs_evals"] >= 4 * diag["steps"] + 1
+    assert diag["rejected"] >= 0
+    line = (
+        f"steps: {diag['steps']} accepted, {diag['rejected']} rejected, "
+        f"{diag['rhs_evals']} RHS evaluations"
+    )
+    assert line in printed.splitlines()
+
+
+def test_flow_failure_keeps_partial_diagnostics(tmp_path, capsys):
+    # the strong negative twist drives the metric against the positivity floor
+    cfg = stationary_config(
+        tmp_path, t_end=5.0, record_every=10, f_modes=[{"freq": [1, 0], "cos": -60.0}]
+    )
+    out = tmp_path / "run"
+    assert cli.main(["--output-dir", str(out), "flow", str(cfg)]) == 3
+    assert "error:" in capsys.readouterr().err
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["termination"] in ("stalled", "step-failure", "spectral-tail")
+    assert diag["converged"] is False and len(diag["rows"]) >= 1
+    rows = (out / "diagnostics.csv").read_text().splitlines()
+    assert len(rows) == len(diag["rows"]) + 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "flow"
+    assert manifest["termination"] == diag["termination"]
+    assert not (out / "phi.bin").exists()
+
+
 def test_ansatz_round_p1_extinction(tmp_path, capsys):
     out = tmp_path / "a"
     code = cli.main(

@@ -235,6 +235,94 @@ def test_run_reports_step_failure_when_twist_drives_degeneracy():
         mf.run(bg, cfg)
 
 
+def test_step_rejects_nan_dt():
+    bg = background(N=16)
+    with pytest.raises(ValueError, match="positive"):
+        mf.step(bg, mf.initial_state(bg), float("nan"))
+
+
+def test_cfl_bound_of_non_finite_potential_is_not_admissible():
+    bg = background(N=16)
+    phi0 = np.zeros(bg.shape)
+    phi0[3, 5] = np.nan
+    with pytest.raises(mf.AdmissibilityError, match="non-finite"):
+        mf.current_cfl_bound(bg, mf.initial_state(bg, phi0))
+
+
+def rk4_reference(bg, phi0, mode, t_end):
+    """A loop of RK4 ``step`` calls at the CFL bound, landing on t_end."""
+    state = mf.initial_state(bg, phi0, mode)
+    while state.t < t_end:
+        dt = min(mf.current_cfl_bound(bg, state), t_end - state.t)
+        state = mf.step(bg, state, dt)
+    return state
+
+
+@pytest.mark.parametrize(
+    "n, N, g0, mode",
+    [
+        (1, 16, [[2.0]], mf.NORMALIZED),
+        (2, 8, [[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 1.5]], mf.UNNORMALIZED),
+    ],
+)
+def test_run_matches_rk4_steps_over_a_short_window(n, N, g0, mode):
+    shell = background(n=n, N=N, g0=g0)
+    if n == 1:
+        f = shell.field_from_modes([((1, 0), 0.08, 0.0), ((0, 1), 0.0, 0.05)])
+        phi0 = shell.field_from_modes([((1, 1), 0.01, 0.004)])
+    else:
+        f = None
+        phi0 = shell.field_from_modes([((1, 0, 0, 0), 0.01, 0.0), ((0, 1, 1, 0), 0.006, 0.004)])
+    bg = background(n=n, N=N, g0=g0, f=f)
+    t_end = 20 * mf.current_cfl_bound(bg, mf.initial_state(bg, phi0))
+    final, series = mf.run(bg, mf.RunConfig(mode=mode, t_end=t_end, record_every=20), phi0=phi0)
+    reference = rk4_reference(bg, phi0, mode, t_end)
+    assert series.termination == "t_end" and final.t == t_end
+    assert abs(reference.t - t_end) < 1e-15
+    assert np.abs(final.phi - reference.phi).max() <= 1e-9
+    assert 0 < series.steps and series.rhs_evals >= 4 * series.steps + 1
+
+
+def strong_twist_background():
+    bg0 = background(N=16)
+    f = bg0.field_from_modes([((1, 0), -60.0, 0.0)])
+    return mf.TorusBackground(n=1, N=16, g0=np.eye(1), f=f)
+
+
+def test_strong_twist_fails_fast_and_keeps_its_series():
+    cfg = mf.RunConfig(t_end=5.0, record_every=10, tail_limit=1.0)
+    with pytest.raises(mf.StepFailure) as info:
+        mf.run(strong_twist_background(), cfg)
+    series = info.value.series
+    assert series is not None and series.termination == info.value.termination
+    assert series.termination in ("stalled", "step-failure")
+    assert 0 < series.rhs_evals < 10_000
+    assert len(series) >= 1 and not series.converged
+
+
+def test_spectral_tail_error_keeps_its_series():
+    bg = background(N=16)
+    rough = 1e-4 * np.random.default_rng(5).standard_normal(bg.shape)
+    with pytest.raises(mf.SpectralTailError) as info:
+        mf.run(bg, mf.RunConfig(t_end=0.2, record_every=1), phi0=rough)
+    series = info.value.series
+    assert series.termination == "spectral-tail"
+    assert len(series) == 2 and series.steps >= 1
+
+
+@pytest.mark.parametrize("dt", [None, 2e-4])
+def test_records_spaced_by_record_every_cfl_steps(dt):
+    bg = background(N=16)
+    x, y = bg.coordinates()
+    phi0 = 0.02 * np.cos(2 * np.pi * x) + 0.01 * np.sin(2 * np.pi * y)
+    cfg = mf.RunConfig(dt=dt, t_end=0.3, record_every=25)
+    _, series = mf.run(bg, cfg, phi0=phi0)
+    t, floor = series.column("t"), series.column("min_eig")
+    allowed = [cfg.record_every * mf.cfl_bound(bg, m) for m in floor[:-1]]
+    assert np.all(np.diff(t) <= np.array(allowed) + 1e-12)
+    assert t[-1] == cfg.t_end and len(series) >= 3
+
+
 # ---------------------------------------------------------------------------
 # curvature diagnostics
 # ---------------------------------------------------------------------------
