@@ -44,7 +44,8 @@ class CriterionResult:
         return all(r.passed for r in self.rows)
 
     def add(self, check: str, expected, got, tolerance: str, passed: bool) -> None:
-        self.rows.append(CheckRow(check, str(expected), str(got), tolerance, passed))
+        # bool() so that a numpy verdict stays JSON-encodable in verify.json
+        self.rows.append(CheckRow(check, str(expected), str(got), tolerance, bool(passed)))
 
 
 @dataclass

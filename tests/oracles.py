@@ -57,3 +57,52 @@ def brute_force_gh_bound(X, Y) -> float:
             eps = gh_epsilon(X, Y, CorrespondencePair(np.array(F), np.array(G)))
             best = min(best, eps)
     return best
+
+
+def sequential_improve(X, Y, F, G, rng, passes: int = 12):
+    """The GH local search scoring one candidate move at a time.
+
+    Reference for ``krflab.ghmetric._improve``, which scores each
+    coordinate's candidates in one batch and must return the same maps.
+    """
+
+    def score(Fc, Gc):
+        d1 = X.D - Y.D[np.ix_(Fc, Fc)]
+        d2 = Y.D - X.D[np.ix_(Gc, Gc)]
+        d3 = X.D[np.arange(len(X)), Gc[Fc]]
+        d4 = Y.D[np.arange(len(Y)), Fc[Gc]]
+        worst = max(
+            np.abs(d1).max(initial=0.0),
+            np.abs(d2).max(initial=0.0),
+            d3.max(initial=0.0),
+            d4.max(initial=0.0),
+        )
+        soft = (d1**2).sum() + (d2**2).sum() + (d3**2).sum() + (d4**2).sum()
+        return float(worst), float(soft)
+
+    best = score(F, G)
+    for _ in range(passes):
+        improved = False
+        for x in rng.permutation(len(X)):
+            current = F[x]
+            for cand in range(len(Y)):
+                if cand == current:
+                    continue
+                F[x] = cand
+                trial = score(F, G)
+                if trial < best:
+                    best, current, improved = trial, cand, True
+            F[x] = current
+        for y in rng.permutation(len(Y)):
+            current = G[y]
+            for cand in range(len(X)):
+                if cand == current:
+                    continue
+                G[y] = cand
+                trial = score(F, G)
+                if trial < best:
+                    best, current, improved = trial, cand, True
+            G[y] = current
+        if not improved:
+            break
+    return F, G, best[0]

@@ -1,8 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+import krflab.serialize as ser
+import krflab.verify as V
 from krflab import cli
 from krflab.cohomology import models as coh_models
 
@@ -264,6 +267,15 @@ def test_gh_sample_and_bound(tmp_path, capsys):
     assert bound["epsilon"] == 0.0 and bound["flag"] == "exact"
 
 
+def test_gh_bound_rejects_non_finite_space(tmp_path, capsys):
+    space = {"schema": 1, "labels": ["a", "b", "c"], "D": [0, math.nan, 1, math.nan, 0, 1, 1, 1, 0]}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))  # json writes and reads NaN
+    code = cli.main(["--output-dir", str(tmp_path / "out"), "gh", "bound", str(path), str(path)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_gh_collapse_series(tmp_path, capsys):
     out = tmp_path / "ghc"
     code = cli.main(
@@ -302,6 +314,14 @@ def test_verify_fast_criteria(tmp_path, capsys):
     report = json.loads((out / "verify.json").read_text())
     assert report["all_passed"] is True
     assert [c["index"] for c in report["criteria"]] == [1, 6, 7, 8]
+
+
+def test_verify_report_encodes_numpy_bool_rows(tmp_path):
+    res = V.CriterionResult(4, "numpy verdict")
+    res.add("floor", "drop <= 1e-4", "0", "1e-4", np.bool_(True))
+    ser.write_json(tmp_path / "verify.json", V.results_payload([res]))
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert report["criteria"][0]["checks"][0]["passed"] is True
 
 
 def test_verify_detects_corrupted_catalogue(tmp_path, capsys):

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import krflab.ghmetric as gh
-from oracles import brute_force_gh_bound
+from oracles import brute_force_gh_bound, sequential_improve
 
 
 def test_identity_maps_give_zero():
@@ -123,6 +124,91 @@ def test_heuristic_deterministic_given_seed():
     assert (a.maps.F == b.maps.F).all() and (a.maps.G == b.maps.G).all()
 
 
+@pytest.mark.parametrize("src, dst", [(6, 6), (4, 6), (6, 4), (1, 3), (3, 1), (0, 2)])
+def test_all_maps_rows_follow_itertools_product(src, dst):
+    # the exhaustive search's stable tie-breaks depend on this row order
+    expected = np.array(list(itertools.product(range(dst), repeat=src)), dtype=int)
+    rows = gh._all_maps(src, dst)
+    assert rows.shape == expected.shape
+    assert (rows == expected).all()
+
+
+def _euclidean(rng, n):
+    pts = rng.uniform(0, 1, size=(n, 2))
+    D = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    np.fill_diagonal(D, 0.0)
+    return gh.FiniteMetricSpace.of([f"{i}" for i in range(n)], D)
+
+
+def _search_cases():
+    rotation = (np.arange(8) + 3) % 8
+    circle8 = gh.circle_space(8)
+    rng = np.random.default_rng(41)
+    return {
+        # the gh-search workload's seed-8 heuristic pair, full of symmetric ties
+        "torus 16 vs circle 4": (gh.sample_warped_torus(1.0925835231625027, 4, 4), gh.circle_space(4), 1921531423),
+        "torus 12 vs circle 5": (gh.sample_warped_torus(1.0, 4, 3), gh.circle_space(5), 7),
+        "rotated circle 8": (circle8, gh.FiniteMetricSpace.of(list("abcdefgh"), circle8.D[np.ix_(rotation, rotation)]), 0),
+        "exhaustive 6 vs circle 6": (gh.sample_warped_torus(1.2, 2, 3), gh.circle_space(6), 3),
+        "euclidean 7 vs 6 (a)": (_euclidean(rng, 7), _euclidean(rng, 6), 11),
+        "euclidean 7 vs 6 (b)": (_euclidean(rng, 7), _euclidean(rng, 6), 12),
+    }
+
+
+def test_candidate_scores_equal_single_candidate_scores():
+    # a score off in its last bit can flip a symmetric tie between two moves
+    X, Y = gh.sample_warped_torus(1.3, 4, 3), _euclidean(np.random.default_rng(5), 9)
+    rng = np.random.default_rng(6)
+
+    def single(Fc, Gc):
+        d1 = X.D - Y.D[np.ix_(Fc, Fc)]
+        d2 = Y.D - X.D[np.ix_(Gc, Gc)]
+        d3 = X.D[np.arange(len(X)), Gc[Fc]]
+        d4 = Y.D[np.arange(len(Y)), Fc[Gc]]
+        soft = (d1**2).sum() + (d2**2).sum() + (d3**2).sum() + (d4**2).sum()
+        return gh.gh_epsilon(X, Y, gh.CorrespondencePair(Fc, Gc)), soft
+
+    # every move of three random pairs: a wrong order shows in a few percent
+    for _ in range(3):
+        F = rng.integers(0, len(Y), size=len(X))
+        G = rng.integers(0, len(X), size=len(Y))
+        for x in range(len(X)):
+            worst, soft = gh._candidate_scores(X, Y, F, G, gh._distortion(Y.D, X.D, G), x=x)
+            for c in range(len(Y)):
+                Fc = F.copy()
+                Fc[x] = c
+                assert (worst[c], soft[c]) == single(Fc, G)
+        for y in range(len(Y)):
+            worst, soft = gh._candidate_scores(X, Y, F, G, gh._distortion(X.D, Y.D, F), y=y)
+            for c in range(len(X)):
+                Gc = G.copy()
+                Gc[y] = c
+                assert (worst[c], soft[c]) == single(F, Gc)
+
+
+def _searches(X, Y, seed):
+    bound = gh.gh_upper_bound(X, Y, seed=seed)
+    found = [(bound.flag, bound.epsilon, bound.maps)]
+    if bound.exact:  # otherwise gh_upper_bound was this very call
+        eps, pair = gh._heuristic_bound(X, Y, seed)
+        found.append(("heuristic", eps, pair))
+    return found
+
+
+@pytest.mark.parametrize("case", list(_search_cases()))
+def test_batched_search_matches_sequential_oracle(case, monkeypatch):
+    X, Y, seed = _search_cases()[case]
+    batched = _searches(X, Y, seed)
+    monkeypatch.setattr(gh, "_improve", sequential_improve)
+    sequential = _searches(X, Y, seed)
+    assert len(batched) == len(sequential)
+    for (flag, eps, pair), (ref_flag, ref_eps, ref_pair) in zip(batched, sequential):
+        assert flag == ref_flag
+        assert eps == ref_eps
+        assert np.array_equal(pair.F, ref_pair.F)
+        assert np.array_equal(pair.G, ref_pair.G)
+
+
 # ---------------------------------------------------------------------------
 # warped torus
 # ---------------------------------------------------------------------------
@@ -190,3 +276,11 @@ def test_space_validation():
             ["a", "b", "c"],
             [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]],  # triangle fails
         )
+
+
+def test_space_rejects_non_finite_distances():
+    nan = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        gh.FiniteMetricSpace.of(["a", "b", "c"], [[0, nan, 1], [nan, 0, 1], [1, 1, 0]])
+    with pytest.raises(ValueError, match="finite"):
+        gh.FiniteMetricSpace.of(["a", "b"], [[0, math.inf], [math.inf, 0]])
