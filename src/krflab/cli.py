@@ -418,7 +418,11 @@ def cmd_ansatz(args) -> int:
 def cmd_gh(args) -> int:
     out = Path(args.output_dir)
     if args.gh_command == "sample":
-        space = gh.sample_warped_torus(args.t, args.nb, args.nf)
+        try:
+            space = gh.sample_warped_torus(args.t, args.nb, args.nf)
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_USAGE
         out.mkdir(parents=True, exist_ok=True)
         ser.write_json(out / "space.json", gh.space_to_dict(space))
         ser.write_manifest(out, "gh sample", seed=args.seed)
@@ -446,8 +450,12 @@ def cmd_gh(args) -> int:
         print(f"epsilon = {bound.epsilon:.12g} ({bound.flag})")
         return EXIT_OK
     # collapse
-    ts = np.linspace(args.t_start, args.t_end, args.steps)
-    series = gh.collapse_series(ts, args.nb, args.nf)
+    try:
+        ts = np.linspace(args.t_start, args.t_end, args.steps)
+        series = gh.collapse_series(ts, args.nb, args.nf)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     ser.write_csv(out / "collapse.csv", series.header, series.rows())
     ser.write_json(
         out / "collapse.json",

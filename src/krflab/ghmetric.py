@@ -6,11 +6,18 @@ four defect families (distance distortion under each map and the two
 round-trip displacements) are all bounded by eps.  ``gh_epsilon`` scores
 a given pair of maps; ``gh_upper_bound`` searches over maps, exhaustively
 (exact) when |X|*|Y| <= 36 and by a seeded local search (upper bound
-only) otherwise.  The local search is coordinate descent on one
-coordinate of F or G at a time, and scores all candidate values of that
-coordinate in one batch: a block of |Y|*|X|**2 floats when F[x] moves
-(2 MB at 64 points).  Its maps are bit-for-bit those of scoring each
-candidate alone, which needs two things: every gathered block is
+only) otherwise.
+
+The local search is coordinate descent on one coordinate of F or G at a
+time, run on a stack of starts at once: every value of one coordinate,
+for every start still descending, is scored in one batch, a block of
+S*|Y|*|X|**2 floats for S starts when F[x] moves.  The starts share
+their pass orders, drawn once after the start maps.  They run in stacks
+whose blocks hold at most ``BLOCK_FLOATS`` (2 MB, one 64-point start's
+block), and the search stops after the first stack that reaches
+epsilon 0.  The result is the first start, in order, with the smallest
+epsilon.  Each start ends bit-for-bit where scoring each of its
+candidates alone ends, which needs two things: every block is
 C-contiguous before its rows are reduced, and the soft score is summed
 in one order, ((d1 + d2) + d3) + d4, whichever map moves.
 
@@ -31,8 +38,15 @@ import numpy as np
 EXHAUSTIVE_LIMIT = 36
 #: random restarts for the heuristic search
 RESTARTS = 64
+#: coordinate-descent passes of the heuristic search
+PASSES = 12
+#: largest candidate block of the heuristic search, in floats: one
+#: 64-point start's |Y|*|X|**2, so a stack of starts needs no more memory
+BLOCK_FLOATS = 64**3
 #: slack used when validating the triangle inequality
 TRIANGLE_TOL = 1e-12
+#: largest temporary of the triangle-inequality check, in floats
+TRIANGLE_BLOCK = 128**3
 
 
 @dataclass(frozen=True)
@@ -47,6 +61,8 @@ class FiniteMetricSpace:
     def __post_init__(self):
         D = self.D
         n = len(self.labels)
+        if n == 0:
+            raise ValueError("a metric space needs at least one point")
         if D.shape != (n, n):
             raise ValueError(f"distance matrix must be {n}x{n}, got {D.shape}")
         if not np.isfinite(D).all():
@@ -57,9 +73,16 @@ class FiniteMetricSpace:
             raise ValueError("distances must be nonnegative")
         if np.abs(D - D.T).max(initial=0.0) > TRIANGLE_TOL:
             raise ValueError("distance matrix must be symmetric")
-        if n <= 128:
-            through = (D[:, :, None] + D[None, :, :]).min(axis=1)
-            if (D > through + TRIANGLE_TOL).any():
+        # rows i and middle points k in blocks of b, so that the (i, k, j)
+        # temporary holds at most TRIANGLE_BLOCK floats; one block up to 128 points
+        b = max(1, math.isqrt(TRIANGLE_BLOCK // n))
+        for i in range(0, n, b):
+            rows = D[i : i + b]
+            through = np.full(rows.shape, np.inf)
+            for k in range(0, n, b):
+                via = rows[:, k : k + b, None] + D[None, k : k + b, :]
+                np.minimum(through, via.min(axis=1), out=through)
+            if (rows > through + TRIANGLE_TOL).any():
                 raise ValueError("triangle inequality violated")
 
     def __len__(self) -> int:
@@ -131,36 +154,58 @@ def _anchor_seed(
     return F
 
 
-def _distortion(DA: np.ndarray, DB: np.ndarray, A: np.ndarray) -> tuple[float, float]:
-    """(max |defect|, sum of squared defects) of the distortion of A: DA -> DB."""
-    d = DA - DB[np.ix_(A, A)]
-    return float(np.abs(d).max(initial=0.0)), float((d**2).sum())
+def _distortion(
+    DA: np.ndarray, DB: np.ndarray, A: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(max |defect|, sum of squared defects) of the distortion of each row of A: DA -> DB."""
+    d = np.ascontiguousarray(DA - DB[A[:, :, None], A[:, None, :]]).reshape(len(A), -1)
+    return np.abs(d).max(axis=1, initial=0.0), np.square(d).sum(axis=1)
 
 
 def _moves(
     DA: np.ndarray, DB: np.ndarray, A: np.ndarray, B: np.ndarray, a: int
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Score every value of A[a] at once, with A: DA -> DB and B: DB -> DA.
+    """Score every value of A[:, a] at once, for a stack of map pairs.
 
-    Row c of each block is one defect family with A[a] = c: the distortion
-    of A (nb x na*na), the round trip DA[i, B[A[i]]] (nb x na) and the round
-    trip DB[j, A[B[j]]] (nb x nb).  Returns (row max, row sum of squares)
-    per family.  Each block is made C-contiguous before it is reduced (the
-    nb x nb one comes out of fancy indexing Fortran-ordered): numpy then
-    sums each row pairwise, exactly as it sums the family of one candidate.
+    Row s of A (S x na) maps DA -> DB and row s of B (S x nb) maps DB -> DA.
+    Entry [s, c] of each family is that family with A[s, a] = c: the
+    distortion of A (na*na values), the round trip DA[i, B[A[i]]] (na) and
+    the round trip DB[j, A[B[j]]] (nb).  Returns (max, sum of squares) per
+    family, each S x nb.  Only row and column a of the distortion, entry a
+    of the first round trip and the entries j with B[j] = a of the second
+    depend on c, so each family is the current pair's values broadcast
+    over the candidates and patched there; the maxima of the distortion
+    are taken from the unchanged part and the patch.  Every block is
+    C-contiguous, so numpy sums each of its rows pairwise, exactly as it
+    sums the family of one candidate.
     """
-    na, nb = len(DA), len(DB)
-    cands = np.repeat(A[None, :], nb, axis=0)
-    cands[:, a] = np.arange(nb)
-    # in place: at 64 points each temporary would be a fresh 2 MB allocation
-    dist = DB[cands[:, :, None], cands[:, None, :]].reshape(nb, na * na)
-    np.abs(np.subtract(DA.reshape(-1), dist, out=dist), out=dist)
-    out = []
-    for block in (dist, DA[np.arange(na), B[cands]], DB[np.arange(nb), cands[:, B]]):
-        block = np.ascontiguousarray(block)
-        worst = block.max(axis=1, initial=0.0)
-        out.append((worst, np.square(block, out=block).sum(axis=1)))
-    return tuple(out)
+    S, na = A.shape
+    nb = len(DB)
+    c = np.arange(nb)
+    cands = np.repeat(A[:, None, :], nb, axis=1)
+    cands[:, :, a] = c
+    line = DA[a] - DB[c[:, None], cands]  # row a: DA[a, j] - DB[c, A[j]]
+    column = DA[:, a] - DB[cands, c[:, None]]  # column a: DA[i, a] - DB[A[i], c]
+    base = np.abs(DA - DB[A[:, :, None], A[:, None, :]])
+    block = np.empty((S, nb, na, na))
+    block[...] = np.square(base)[:, None]
+    block[:, :, a, :] = np.square(line)
+    block[:, :, :, a] = np.square(column)
+    base[:, a, :] = 0.0
+    base[:, :, a] = 0.0
+    edge = np.maximum(np.abs(line).max(axis=2), np.abs(column).max(axis=2))
+    distortion = (
+        np.maximum(base.max(axis=(1, 2))[:, None], edge),
+        block.reshape(S, nb, na * na).sum(axis=2),
+    )
+    there = DA[np.arange(na), np.take_along_axis(B, A, axis=1)]
+    there = np.repeat(there[:, None, :], nb, axis=1)
+    there[:, :, a] = DA[a, B]
+    back = DB[np.arange(nb), np.take_along_axis(A, B, axis=1)]
+    back = np.repeat(back[:, None, :], nb, axis=1)
+    np.copyto(back, DB.T, where=(B == a)[:, None, :])  # DB[j, c] where B[j] = a
+    trips = tuple((t.max(axis=2), np.square(t, out=t).sum(axis=2)) for t in (there, back))
+    return (distortion, *trips)
 
 
 def _candidate_scores(
@@ -168,23 +213,26 @@ def _candidate_scores(
     Y: FiniteMetricSpace,
     F: np.ndarray,
     G: np.ndarray,
-    fixed: tuple[float, float],
+    fixed: tuple[np.ndarray, np.ndarray],
     x: int | None = None,
     y: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(worst, soft) of (F, G) with F[x], or else G[y], set to each value.
+    """(worst, soft) of each row of (F, G) with F[:, x], or else G[:, y], set to each value.
 
-    ``fixed`` is ``_distortion`` of the map that does not move.  The soft
-    score is summed as ((d1 + d2) + d3) + d4 for either move, d1/d2 being
-    the X/Y distortions and d3/d4 the round trips starting in X/Y, which is
-    the order a single candidate's score is summed in.
+    F and G are stacks of maps, one pair per row, and the scores are
+    S x |Y| (or S x |X|).  ``fixed`` is ``_distortion`` of the map that
+    does not move.  The soft score is summed as ((d1 + d2) + d3) + d4 for
+    either move, d1/d2 being the X/Y distortions and d3/d4 the round trips
+    starting in X/Y, which is the order a single candidate's score is
+    summed in.
     """
+    wf, sf = (v[:, None] for v in fixed)
     if y is None:
         (w1, s1), (w3, s3), (w4, s4) = _moves(X.D, Y.D, F, G, x)
-        w2, s2 = fixed
+        w2, s2 = wf, sf
     else:
         (w2, s2), (w4, s4), (w3, s3) = _moves(Y.D, X.D, G, F, y)
-        w1, s1 = fixed
+        w1, s1 = wf, sf
     return np.maximum(np.maximum(w1, w2), np.maximum(w3, w4)), ((s1 + s2) + s3) + s4
 
 
@@ -193,48 +241,64 @@ def _improve(
     Y: FiniteMetricSpace,
     F: np.ndarray,
     G: np.ndarray,
-    rng: np.random.Generator,
-    passes: int = 12,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Coordinate descent on (max defect, sum of squared defects).
+    orders: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinate descent on (max defect, sum of squared defects), for a stack of starts.
 
-    Each coordinate F[x] (then G[y]) is one candidate batch: all |Y| (|X|)
-    values are scored together from a block of |Y|*|X|**2 floats (2 MB at
-    64 points), and the distortion of the map that does not move is scored
-    once per phase.  The move taken is the first lexicographic minimum of
-    (worst, soft) over the values other than the current one (masked to
-    inf; scores are finite because distances are), if it beats the best
-    so far.  That is the move a scan over the values in index order makes
-    when it keeps each one that beats the running best.  The maps are
-    bit-for-bit those of scoring each candidate alone, because the
-    gathered blocks are reduced as C-contiguous rows and the soft sum
-    keeps one order for both maps.
+    F (S x |X|) and G (S x |Y|) hold one starting pair per row; returns
+    the improved stacks and each row's max defect, without touching the
+    inputs.  Each pass visits F's coordinates in the order of its X
+    permutation from ``orders``, then G's in the order of its Y one, and
+    every row follows the same orders.  Each coordinate is one candidate
+    batch over the live rows: all |Y| (|X|) values of F[:, x] (G[:, y])
+    are scored together, and the distortion of the map that does not move
+    is scored once per phase.  A row takes the first lexicographic minimum
+    of (worst, soft) over its values other than the current one (masked
+    to inf; scores are finite because distances are), if it beats that
+    row's best so far.  That is the move a scan over the values in index
+    order makes when it keeps each one that beats the running best.  A row
+    that makes no move in a full pass is at a local minimum of every
+    single-coordinate move and drops out.  Rows never mix, so each row
+    ends bit-for-bit where the search from that start alone ends, which
+    is where scoring each candidate alone ends: the blocks are reduced as
+    C-contiguous rows and the soft sum keeps one order for both maps.
     """
+    F, G = np.array(F), np.array(G)
+    eps = np.empty(len(F))
+    # the rows still descending: their indices, maps and best scores
+    live = np.arange(len(F))
+    f, g = F.copy(), G.copy()
+    # entry F[:, 0] of the candidates for F[:, 0] scores each pair as it stands
+    worst, soft = _candidate_scores(X, Y, f, g, _distortion(Y.D, X.D, g), x=0)
+    best_w, best_s = worst[live, f[:, 0]], soft[live, f[:, 0]]
 
-    def take(scores, current):
+    def descend(maps, k, scores, improved):
         worst, soft = scores
-        worst[current] = np.inf
-        c = int(np.lexsort((soft, worst))[0])
-        return c, (float(worst[c]), float(soft[c]))
+        rows = np.arange(len(maps))
+        worst[rows, maps[:, k]] = np.inf
+        c = np.lexsort((soft, worst))[:, 0]
+        w, s = worst[rows, c], soft[rows, c]
+        moved = (w < best_w) | ((w == best_w) & (s < best_s))
+        maps[moved, k] = c[moved]
+        best_w[moved], best_s[moved] = w[moved], s[moved]
+        improved |= moved
 
-    # row F[0] scores the pair as it stands
-    worst, soft = _candidate_scores(X, Y, F, G, _distortion(Y.D, X.D, G), x=0)
-    best = (float(worst[F[0]]), float(soft[F[0]]))
-    for _ in range(passes):
-        improved = False
-        fixed = _distortion(Y.D, X.D, G)
-        for x in rng.permutation(len(X)):
-            c, trial = take(_candidate_scores(X, Y, F, G, fixed, x=x), F[x])
-            if trial < best:
-                best, F[x], improved = trial, c, True
-        fixed = _distortion(X.D, Y.D, F)
-        for y in rng.permutation(len(Y)):
-            c, trial = take(_candidate_scores(X, Y, F, G, fixed, y=y), G[y])
-            if trial < best:
-                best, G[y], improved = trial, c, True
-        if not improved:
+    for order_x, order_y in orders:
+        improved = np.zeros(len(f), dtype=bool)
+        fixed = _distortion(Y.D, X.D, g)
+        for x in order_x:
+            descend(f, x, _candidate_scores(X, Y, f, g, fixed, x=x), improved)
+        fixed = _distortion(X.D, Y.D, f)
+        for y in order_y:
+            descend(g, y, _candidate_scores(X, Y, f, g, fixed, y=y), improved)
+        done = live[~improved]
+        F[done], G[done], eps[done] = f[~improved], g[~improved], best_w[~improved]
+        live, f, g = live[improved], f[improved], g[improved]
+        best_w, best_s = best_w[improved], best_s[improved]
+        if not len(live):
             break
-    return F, G, best[0]
+    F[live], G[live], eps[live] = f, g, best_w
+    return F, G, eps
 
 
 def _heuristic_bound(
@@ -243,31 +307,47 @@ def _heuristic_bound(
     seed: int,
     restarts: int = RESTARTS,
 ) -> tuple[float, CorrespondencePair]:
+    """Best pair the local search reaches from its starts, and its epsilon.
+
+    The starts are the profile-matching pair, up to 8 x 8 anchor
+    alignments and ``restarts`` random pairs.  After the start maps, the
+    rng draws ``PASSES`` pass orders (one permutation of X and one of Y
+    each), shared by every start.  ``_improve`` runs the starts as stacks
+    of at most ``BLOCK_FLOATS // (|X| |Y| max(|X|, |Y|))`` rows, one start
+    at the least, so no candidate block is larger than one 64-point
+    start's.  The search stops after the first stack that reaches epsilon
+    0.  The result is the first start, in order, with the smallest epsilon.
+    """
     rng = np.random.default_rng(seed)
     nx, ny = len(X), len(Y)
-    # deterministic seeds (profile matching, anchor alignment), then the
+    # deterministic starts (profile matching, anchor alignment), then the
     # requested number of random restarts
-    seeds: list[tuple[np.ndarray, np.ndarray]] = [
+    starts: list[tuple[np.ndarray, np.ndarray]] = [
         (_signature_seed(X, Y), _signature_seed(Y, X))
     ]
     anchors_x = range(nx) if nx <= 8 else rng.choice(nx, size=8, replace=False)
     anchors_y = range(ny) if ny <= 8 else rng.choice(ny, size=8, replace=False)
     for x0 in anchors_x:
         for y0 in anchors_y:
-            seeds.append(
+            starts.append(
                 (_anchor_seed(X, Y, int(x0), int(y0)), _anchor_seed(Y, X, int(y0), int(x0)))
             )
     for _ in range(restarts):
-        seeds.append((rng.integers(0, ny, size=nx), rng.integers(0, nx, size=ny)))
+        starts.append((rng.integers(0, ny, size=nx), rng.integers(0, nx, size=ny)))
+    orders = [(rng.permutation(nx), rng.permutation(ny)) for _ in range(PASSES)]
+    Fs = np.array([F for F, _ in starts], dtype=int)
+    Gs = np.array([G for _, G in starts], dtype=int)
+    chunk = max(1, BLOCK_FLOATS // (nx * ny * max(nx, ny)))
     best_eps = math.inf
     best_pair = None
-    for F0, G0 in seeds:
-        F, G, eps = _improve(X, Y, np.array(F0, dtype=int), np.array(G0, dtype=int), rng)
-        if eps < best_eps:
-            best_eps = eps
-            best_pair = CorrespondencePair(F.copy(), G.copy())
-            if best_eps == 0.0:
-                break
+    for lo in range(0, len(starts), chunk):
+        F, G, eps = _improve(X, Y, Fs[lo : lo + chunk], Gs[lo : lo + chunk], orders)
+        i = int(eps.argmin())
+        if eps[i] < best_eps:
+            best_eps = float(eps[i])
+            best_pair = CorrespondencePair(F[i], G[i])
+        if best_eps == 0.0:
+            break
     return best_eps, best_pair
 
 
@@ -328,7 +408,11 @@ def gh_upper_bound(
     Exact (full enumeration with sound pruning) when |X|*|Y| is at most
     36; otherwise a nearest-neighbor/anchor seeded local search with 64
     random restarts, which only certifies an upper bound and is flagged
-    "heuristic".
+    "heuristic".  The local search runs its starts as stacks that share
+    one set of pass orders (see ``_heuristic_bound``), stops after the
+    first stack that reaches epsilon 0, and keeps the first start, in
+    order, with the smallest epsilon.  The enumeration starts from the
+    local search with 8 random restarts, whose epsilon prunes it.
     """
     if len(X) * len(Y) <= EXHAUSTIVE_LIMIT:
         eps, pair = _exhaustive_bound(X, Y, seed)
@@ -417,7 +501,9 @@ def collapse_series(
     discretization floor as the fiber collapses.
     """
     ts = np.asarray(list(ts), dtype=float)
-    if len(ts) == 0 or np.any(np.diff(ts) <= 0):
+    if len(ts) == 0:
+        raise ValueError("need at least one t value")
+    if np.any(np.diff(ts) <= 0):
         raise ValueError("t values must be strictly increasing")
     base = circle_space(n_base)
     maps = fibration_maps(n_base, n_fiber)

@@ -59,11 +59,13 @@ def brute_force_gh_bound(X, Y) -> float:
     return best
 
 
-def sequential_improve(X, Y, F, G, rng, passes: int = 12):
-    """The GH local search scoring one candidate move at a time.
+def sequential_improve(X, Y, F, G, orders):
+    """The GH local search from one start, scoring one candidate move at a time.
 
-    Reference for ``krflab.ghmetric._improve``, which scores each
-    coordinate's candidates in one batch and must return the same maps.
+    Reference for ``krflab.ghmetric._improve``, which runs a stack of
+    starts and scores each coordinate's candidates in one batch, and must
+    return, row by row, the same maps.  ``orders`` holds one pass's
+    permutation of X and of Y per pass.
     """
 
     def score(Fc, Gc):
@@ -80,10 +82,11 @@ def sequential_improve(X, Y, F, G, rng, passes: int = 12):
         soft = (d1**2).sum() + (d2**2).sum() + (d3**2).sum() + (d4**2).sum()
         return float(worst), float(soft)
 
+    F, G = np.array(F), np.array(G)
     best = score(F, G)
-    for _ in range(passes):
+    for order_x, order_y in orders:
         improved = False
-        for x in rng.permutation(len(X)):
+        for x in order_x:
             current = F[x]
             for cand in range(len(Y)):
                 if cand == current:
@@ -93,7 +96,7 @@ def sequential_improve(X, Y, F, G, rng, passes: int = 12):
                 if trial < best:
                     best, current, improved = trial, cand, True
             F[x] = current
-        for y in rng.permutation(len(Y)):
+        for y in order_y:
             current = G[y]
             for cand in range(len(X)):
                 if cand == current:

@@ -276,6 +276,34 @@ def test_gh_bound_rejects_non_finite_space(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--nb", "0"], "at least one sample"), (["--t", "-1"], "nonnegative")],
+)
+def test_gh_sample_rejects_bad_values(tmp_path, capsys, flags, message):
+    code = cli.main(["--output-dir", str(tmp_path / "out"), "gh", "sample", *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--steps", "0"], "at least one t value"),
+        (["--t-start", "2", "--t-end", "1"], "strictly increasing"),
+        (["--nb", "0"], "at least one point"),
+    ],
+)
+def test_gh_collapse_rejects_bad_values(tmp_path, capsys, flags, message):
+    code = cli.main(["--output-dir", str(tmp_path / "out"), "gh", "collapse", *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gh_collapse_series(tmp_path, capsys):
     out = tmp_path / "ghc"
     code = cli.main(

@@ -140,6 +140,12 @@ def _euclidean(rng, n):
     return gh.FiniteMetricSpace.of([f"{i}" for i in range(n)], D)
 
 
+def _simplex(n):
+    D = np.ones((n, n))
+    np.fill_diagonal(D, 0.0)
+    return gh.FiniteMetricSpace.of([f"{i}" for i in range(n)], D)
+
+
 def _search_cases():
     rotation = (np.arange(8) + 3) % 8
     circle8 = gh.circle_space(8)
@@ -150,6 +156,8 @@ def _search_cases():
         "torus 12 vs circle 5": (gh.sample_warped_torus(1.0, 4, 3), gh.circle_space(5), 7),
         "rotated circle 8": (circle8, gh.FiniteMetricSpace.of(list("abcdefgh"), circle8.D[np.ix_(rotation, rotation)]), 0),
         "exhaustive 6 vs circle 6": (gh.sample_warped_torus(1.2, 2, 3), gh.circle_space(6), 3),
+        # distances 0, 1/4, 1/2 and 1: every score is exact, so ties are exact
+        "simplex 10 vs circle 4": (_simplex(10), gh.circle_space(4), 5),
         "euclidean 7 vs 6 (a)": (_euclidean(rng, 7), _euclidean(rng, 6), 11),
         "euclidean 7 vs 6 (b)": (_euclidean(rng, 7), _euclidean(rng, 6), 12),
     }
@@ -168,22 +176,31 @@ def test_candidate_scores_equal_single_candidate_scores():
         soft = (d1**2).sum() + (d2**2).sum() + (d3**2).sum() + (d4**2).sum()
         return gh.gh_epsilon(X, Y, gh.CorrespondencePair(Fc, Gc)), soft
 
-    # every move of three random pairs: a wrong order shows in a few percent
-    for _ in range(3):
-        F = rng.integers(0, len(Y), size=len(X))
-        G = rng.integers(0, len(X), size=len(Y))
+    # every move of every row of two stacks of random pairs: a wrong order
+    # shows in a few percent
+    for rows in (3, 4):
+        F = rng.integers(0, len(Y), size=(rows, len(X)))
+        G = rng.integers(0, len(X), size=(rows, len(Y)))
         for x in range(len(X)):
             worst, soft = gh._candidate_scores(X, Y, F, G, gh._distortion(Y.D, X.D, G), x=x)
-            for c in range(len(Y)):
-                Fc = F.copy()
+            assert worst.shape == soft.shape == (rows, len(Y))
+            for s, c in itertools.product(range(rows), range(len(Y))):
+                Fc = F[s].copy()
                 Fc[x] = c
-                assert (worst[c], soft[c]) == single(Fc, G)
+                assert (worst[s, c], soft[s, c]) == single(Fc, G[s])
         for y in range(len(Y)):
             worst, soft = gh._candidate_scores(X, Y, F, G, gh._distortion(X.D, Y.D, F), y=y)
-            for c in range(len(X)):
-                Gc = G.copy()
+            assert worst.shape == soft.shape == (rows, len(X))
+            for s, c in itertools.product(range(rows), range(len(X))):
+                Gc = G[s].copy()
                 Gc[y] = c
-                assert (worst[c], soft[c]) == single(F, Gc)
+                assert (worst[s, c], soft[s, c]) == single(F[s], Gc)
+
+
+def _one_by_one(X, Y, F, G, orders):
+    """``_improve`` as the sequential oracle run on each start alone."""
+    found = [sequential_improve(X, Y, f, g, orders) for f, g in zip(F, G)]
+    return tuple(np.array(column) for column in zip(*found))
 
 
 def _searches(X, Y, seed):
@@ -199,14 +216,63 @@ def _searches(X, Y, seed):
 def test_batched_search_matches_sequential_oracle(case, monkeypatch):
     X, Y, seed = _search_cases()[case]
     batched = _searches(X, Y, seed)
-    monkeypatch.setattr(gh, "_improve", sequential_improve)
+    monkeypatch.setattr(gh, "_improve", _one_by_one)
     sequential = _searches(X, Y, seed)
     assert len(batched) == len(sequential)
     for (flag, eps, pair), (ref_flag, ref_eps, ref_pair) in zip(batched, sequential):
         assert flag == ref_flag
-        assert eps == ref_eps
+        assert eps.hex() == ref_eps.hex()
         assert np.array_equal(pair.F, ref_pair.F)
         assert np.array_equal(pair.G, ref_pair.G)
+
+
+@pytest.mark.parametrize("case", list(_search_cases()))
+def test_heuristic_bound_keeps_the_first_best_start_in_any_stacks(case, monkeypatch):
+    # every start and the shared pass orders, recorded with no stop at epsilon 0
+    X, Y, seed = _search_cases()[case]
+    starts = []
+
+    def record(X, Y, F, G, orders):
+        starts.extend(zip(F, G))
+        record.orders = orders
+        return F, G, np.full(len(F), np.inf)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gh, "_improve", record)
+        gh._heuristic_bound(X, Y, seed)
+    assert len(starts) == 1 + min(len(X), 8) * min(len(Y), 8) + gh.RESTARTS
+    # one start after another: keep each strictly better one, stop at zero
+    best_eps, best = math.inf, None
+    for F0, G0 in starts:
+        F, G, eps = gh._improve(X, Y, F0[None], G0[None], record.orders)
+        if eps[0] < best_eps:
+            best_eps, best = eps[0], (F[0], G[0])
+            if best_eps == 0.0:
+                break
+    start_block = len(X) * len(Y) * max(len(X), len(Y))
+    for rows in (7, gh.BLOCK_FLOATS // start_block):
+        monkeypatch.setattr(gh, "BLOCK_FLOATS", rows * start_block)
+        eps, pair = gh._heuristic_bound(X, Y, seed)
+        assert eps.hex() == best_eps.hex()
+        assert np.array_equal(pair.F, best[0]) and np.array_equal(pair.G, best[1])
+
+
+@pytest.mark.parametrize("case", list(_search_cases()))
+def test_stacked_descent_rows_match_each_start_alone(case):
+    # rows never mix, so where the starts are cut into stacks cannot matter
+    X, Y, seed = _search_cases()[case]
+    rng = np.random.default_rng(seed)
+    F = rng.integers(0, len(Y), size=(9, len(X)))
+    G = rng.integers(0, len(X), size=(9, len(Y)))
+    F[0], G[0] = np.arange(len(X)) % len(Y), np.arange(len(Y)) % len(X)
+    orders = [(rng.permutation(len(X)), rng.permutation(len(Y))) for _ in range(gh.PASSES)]
+    Fs, Gs, eps = gh._improve(X, Y, F, G, orders)
+    assert eps.shape == (9,)
+    for s in range(9):
+        F1, G1, eps1 = gh._improve(X, Y, F[s : s + 1], G[s : s + 1], orders)
+        assert eps[s].hex() == eps1[0].hex()
+        assert np.array_equal(Fs[s], F1[0]) and np.array_equal(Gs[s], G1[0])
+        assert eps[s] == gh.gh_epsilon(X, Y, gh.CorrespondencePair(Fs[s], Gs[s]))
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +342,22 @@ def test_space_validation():
             ["a", "b", "c"],
             [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]],  # triangle fails
         )
+
+
+@pytest.mark.parametrize("n", [128, 129, 300])
+def test_space_checks_triangle_inequality_at_every_size(n):
+    D = _simplex(n).D
+    # d(0, 1) = 5 > d(0, 2) + d(2, 1) = 2, and the same for the last pair
+    for i, j in ((0, 1), (n - 2, n - 1)):
+        bad = D.copy()
+        bad[i, j] = bad[j, i] = 5.0
+        with pytest.raises(ValueError, match="triangle"):
+            gh.FiniteMetricSpace.of([f"{i}" for i in range(n)], bad)
+
+
+def test_space_needs_a_point():
+    with pytest.raises(ValueError, match="at least one point"):
+        gh.FiniteMetricSpace.of([], np.zeros((0, 0)))
 
 
 def test_space_rejects_non_finite_distances():
