@@ -38,10 +38,6 @@ UNNORMALIZED = "unnormalized"
 NORMALIZED = "normalized"
 
 
-class ExtinctionError(ValueError):
-    """Asked to evaluate the reduced flow at or beyond its extinction time."""
-
-
 @dataclass(frozen=True)
 class AnsatzModel:
     kind: str

@@ -1,7 +1,7 @@
 """Command-line surface: models, maxtime, flow, ansatz, gh, verify.
 
 Exit codes: 0 success, 2 usage error, 3 domain error (non-Kahler class,
-metric positivity loss, extinction), 4 verification failure.
+metric positivity loss), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def cmd_maxtime(args) -> int:
             )
             return EXIT_USAGE
         coords = ser.parse_class_coords(args.klass)
-    except (ValueError, OSError) as err:
+    except (OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -285,7 +285,7 @@ def _write_run_record(out: Path, args, series: mf.DiagnosticsSeries) -> None:
 def cmd_flow(args) -> int:
     try:
         bg, run_cfg, phi0, cfg_out = load_flow_config(args.config)
-    except (OSError, ValueError, KeyError) as err:
+    except (OSError, ValueError, KeyError, TypeError) as err:
         print(f"error: bad flow config: {err}", file=sys.stderr)
         return EXIT_USAGE
     # the config may name its own output path; an explicit flag wins
@@ -496,15 +496,17 @@ def cmd_verify(args) -> int:
         except ValueError:
             print("error: --criteria takes comma-separated indices", file=sys.stderr)
             return EXIT_USAGE
-    models = None
-    if args.catalogue:
-        try:
-            models = coh_models.load_catalogue(args.catalogue)
-        except (OSError, ValueError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_USAGE
+    try:
+        models = _load_models(args)
+    except (OSError, ValueError, KeyError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     opts = ver.VerifyOptions(seed=args.seed, flow_grid=args.flow_grid, models=models)
-    results = ver.run_all(opts, only=only)
+    try:
+        results = ver.run_all(opts, only=only)
+    except ver.MissingModel as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     print(ver.format_table(results))
     if args.report:
         out = Path(args.output_dir)

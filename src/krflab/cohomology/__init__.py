@@ -293,15 +293,6 @@ class ExistenceTime:
     interval: Optional[tuple[Fraction, Fraction]] = None
     binding: Optional[str] = None
 
-    @property
-    def float_value(self) -> float:
-        if not self.finite:
-            return math.inf
-        if self.exact:
-            return float(self.value)
-        lo, hi = self.interval
-        return float((lo + hi) / 2)
-
     def __str__(self) -> str:
         if not self.finite:
             return "infinity"

@@ -37,21 +37,6 @@ def _linear(coeffs: dict[int, Fraction], dim: int) -> PolyFunctional:
     return PolyFunctional(monos)
 
 
-def pairing_functional(tensor: IntersectionTensor, w: ClassVector) -> PolyFunctional:
-    """Linear functional a -> tensor(a, w, ..., w) for surface models (n=2)."""
-    if tensor.n != 2:
-        raise ValueError("pairing functional helper is for n=2 tensors")
-    coeffs = {}
-    for i in range(tensor.dim):
-        c = sum(
-            (tensor.value((i, j)) * w.coords[j] for j in range(tensor.dim)),
-            Fraction(0),
-        )
-        if c:
-            coeffs[i] = c
-    return _linear(coeffs, tensor.dim)
-
-
 def volume_functional(tensor: IntersectionTensor) -> PolyFunctional:
     """The degree-n form a -> a^n as an explicit polynomial."""
     import math

@@ -90,10 +90,6 @@ class TorusBackground:
         return (self.N,) * (2 * self.n)
 
     @property
-    def npoints(self) -> int:
-        return self.N ** (2 * self.n)
-
-    @property
     def spacing(self) -> float:
         return 1.0 / self.N
 
@@ -216,14 +212,6 @@ class TorusBackground:
         -pi^2 <w, g0^{-1} w> with w = l + i*k.
         """
         return _trace_ratio(self._g0_parts, self.det_g0, self._symbols)
-
-    def heat_rates(self) -> np.ndarray:
-        """Sorted distinct positive decay rates of the flat-background heat operator."""
-        rates = -self.laplacian_symbol
-        return np.unique(rates[rates > 0])
-
-    def lowest_heat_rate(self) -> float:
-        return float(self.heat_rates()[0])
 
 
 # A pointwise Hermitian field is carried as its real components: [a] for

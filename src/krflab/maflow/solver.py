@@ -15,12 +15,10 @@ cancel, from contour integrals (Kassam & Trefethen, SIAM J. Sci. Comput.
 26, 2005).  An embedded second-order solution built from the same
 stages controls the step inside each record interval, and records are
 spaced in simulated time as ``record_every`` steps of the explicit scheme
-would be.  ``step`` is one classical RK4 update under the diffusive CFL
-bound.
+would be.
 Every quantity derives from the background's one metric kernel; one
-check (``_positivity_floor``) guards positivity at every stage and one
-accept/shrink loop (``_advance``) takes the steps of both ``step`` and
-``run``.
+check (``_positivity_floor``) guards positivity at every stage, and the
+accept/shrink loop ``_advance`` serves ``run`` alone.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from .background import (
     AdmissibilityError,
     TorusBackground,
     _det_and_eigs,
-    _hermitian,
     _trace_ratio,
 )
 
@@ -141,24 +138,16 @@ def _velocity(
     return rhs
 
 
-def _rhs(
-    bg: TorusBackground, phi: np.ndarray, mode: str, eps_pos: float
-) -> tuple[np.ndarray, float]:
-    """Monge-Ampere right-hand side and the metric's min eigenvalue."""
-    det, eig_min, _ = bg.fast_metric_fields(phi)
-    floor = _positivity_floor(eig_min, eps_pos)
-    return _velocity(bg, np.log(det), phi, mode), floor
-
-
 def ma_rhs(
     bg: TorusBackground, state: FlowState, eps_pos: float = EPS_POS
 ) -> np.ndarray:
     """Instantaneous potential velocity at the state (admissibility checked)."""
-    rhs, _ = _rhs(bg, state.phi, state.mode, eps_pos)
-    return rhs
+    det, eig_min, _ = bg.fast_metric_fields(state.phi)
+    _positivity_floor(eig_min, eps_pos)
+    return _velocity(bg, np.log(det), state.phi, state.mode)
 
 
-def cfl_bound(bg: TorusBackground, min_eig: float) -> float:
+def _cfl_bound(bg: TorusBackground, min_eig: float) -> float:
     """Diffusive step bound 0.25 * h^2 * min_eig(metric) / n."""
     return 0.25 * bg.spacing**2 * min_eig / bg.n
 
@@ -166,25 +155,25 @@ def cfl_bound(bg: TorusBackground, min_eig: float) -> float:
 def current_cfl_bound(bg: TorusBackground, state: FlowState) -> float:
     """CFL bound at the state; raises AdmissibilityError unless it is admissible."""
     _, eig_min, _ = bg.fast_metric_fields(state.phi)
-    return cfl_bound(bg, _positivity_floor(eig_min, EPS_POS))
+    return _cfl_bound(bg, _positivity_floor(eig_min, EPS_POS))
 
 
 def _advance(
     attempt: Callable[[float], tuple],
     state: FlowState,
     h: float,
-    stall_dt: float = 0.0,
+    stall_dt: float,
 ) -> tuple[object, float, int, float]:
-    """The accept/shrink loop of ``step`` and ``run``.
+    """The accept/shrink loop of ``run``.
 
     ``attempt(h)`` takes one step of size h from the state and returns
-    (result, err): err is the step's error estimate, or None for RK4,
-    which reports none.  A stage or result that loses metric positivity
-    halves h, and after MAX_HALVINGS halvings a StepFailure carrying
-    diagnostics is raised.  An error above ETD_TOL shrinks h by the
-    controller to 0.9 * h * (ETD_TOL / err)^(1/3) (half h for a non-finite
-    error), and a step it shrinks below stall_dt fails as a stall.  An
-    accepted step proposes the next by the same rule, capped at 2h.
+    (result, err), err being the step's error estimate.  A stage or result
+    that loses metric positivity halves h, and after MAX_HALVINGS halvings
+    a StepFailure carrying diagnostics is raised.  An error above ETD_TOL
+    shrinks h by the controller to 0.9 * h * (ETD_TOL / err)^(1/3) (half h
+    for a non-finite error), and a step it shrinks below stall_dt fails as
+    a stall.  An accepted step proposes the next by the same rule, capped
+    at 2h, which an error of exactly 0 reaches.
     Returns (result, h taken, attempts rejected, next step proposed).
     """
     requested, halvings, rejected = h, 0, 0
@@ -210,7 +199,7 @@ def _advance(
             h *= 0.5
             continue
         # the embedded pair differs by O(h^3), hence the cube root
-        if err is None or err <= ETD_TOL:
+        if err <= ETD_TOL:
             grow = min(2.0, 0.9 * (ETD_TOL / err) ** (1 / 3)) if err else 2.0
             return result, h, rejected, h * grow
         rejected += 1
@@ -222,38 +211,6 @@ def _advance(
                 diagnostics={"t": state.t, "dt": h, "error": err},
                 termination="stalled",
             )
-
-
-def step(
-    bg: TorusBackground,
-    state: FlowState,
-    dt: float,
-    eps_pos: float = EPS_POS,
-) -> FlowState:
-    """One RK4 update of the potential.
-
-    dt must respect the CFL bound of the current state.  If any stage or
-    the result loses metric positivity the step is retried with dt/2, up
-    to MAX_HALVINGS times, after which a StepFailure is raised.
-    """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    phi, mode = state.phi, state.mode
-    k1, floor = _rhs(bg, phi, mode, eps_pos)
-    bound = cfl_bound(bg, floor)
-    if dt > bound * (1.0 + 1e-9):
-        raise ValueError(f"dt {dt:.3e} exceeds the CFL bound {bound:.3e}")
-
-    def attempt(h: float) -> tuple[np.ndarray, None]:
-        k2, _ = _rhs(bg, phi + 0.5 * h * k1, mode, eps_pos)
-        k3, _ = _rhs(bg, phi + 0.5 * h * k2, mode, eps_pos)
-        k4, _ = _rhs(bg, phi + h * k3, mode, eps_pos)
-        phi1 = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _rhs(bg, phi1, mode, eps_pos)  # the result must keep positivity too
-        return phi1, None
-
-    phi1, taken, _, _ = _advance(attempt, state, dt)
-    return FlowState(t=state.t + taken, phi=phi1, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -274,19 +231,6 @@ def _curvature(bg: TorusBackground, phi: np.ndarray, eps_pos: float) -> tuple:
     log_det = np.log(det)
     hess = bg._hessian_parts(log_det)
     return g, det, floor, log_det, hess, -_trace_ratio(g, det, hess)
-
-
-def ricci_and_scalar(
-    bg: TorusBackground, state: FlowState, eps_pos: float = EPS_POS
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ricci tensor field (grid + (n,n)) and scalar curvature field.
-
-    The Ricci components are minus the complex Hessian of log det of the
-    evolving metric, differentiated spectrally; the scalar curvature is the
-    trace against the inverse metric.
-    """
-    *_, hess, scal = _curvature(bg, state.phi, eps_pos)
-    return _hermitian([-h for h in hess]), scal
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +330,13 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        # written as "not x > 0" so that NaN fails too
+        if self.dt is not None and not self.dt > 0:
+            raise ValueError(f"dt must be positive or None, got {self.dt}")
+        if not self.t_end > 0:
+            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not self.eps_pos > 0:
+            raise ValueError(f"eps_pos must be positive, got {self.eps_pos}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -551,12 +500,12 @@ def _integrate(
     # a collapsing CFL step means the metric is pinned against the
     # positivity floor; bail out instead of crawling forever
     g0_floor = float(np.linalg.eigvalsh(bg.g0).min())
-    stall_dt = cfl_bound(bg, g0_floor) * 2.0**-24
+    stall_dt = _cfl_bound(bg, g0_floor) * 2.0**-24
     vk = np.fft.rfftn(state.phi, axes=bg._axes)
     _, nv, floor, _ = etd.stage(vk)
     t_record = proposal = None
     while state.t < config.t_end - 1e-14:
-        bound = cfl_bound(bg, floor)
+        bound = _cfl_bound(bg, floor)
         if bound < stall_dt:
             raise StepFailure(
                 f"time step collapsed to {bound:.3e} at t={state.t:.6g}: metric "

@@ -48,6 +48,10 @@ class CriterionResult:
         self.rows.append(CheckRow(check, str(expected), str(got), tolerance, bool(passed)))
 
 
+class MissingModel(LookupError):
+    """A criterion reads a model that the catalogue in VerifyOptions lacks."""
+
+
 @dataclass
 class VerifyOptions:
     seed: int = 0
@@ -56,6 +60,8 @@ class VerifyOptions:
 
     def model(self, name: str):
         cat = self.models if self.models is not None else coh_models.builtin_models()
+        if name not in cat:
+            raise MissingModel(f"the catalogue has no model {name!r}, which the criteria read")
         return cat[name]
 
 
@@ -160,10 +166,8 @@ def criterion_stationarity(opts: VerifyOptions) -> CriterionResult:
     res = CriterionResult(2, "flow stationarity and conservation")
     N = opts.flow_grid
     bg = mf.TorusBackground(n=1, N=N, g0=[[1.0]])
-    state = mf.initial_state(bg)
-    dt = mf.current_cfl_bound(bg, state)
-    for _ in range(1000):
-        state = mf.step(bg, state, dt)
+    dt = mf.current_cfl_bound(bg, mf.initial_state(bg))
+    state, _ = mf.run(bg, mf.RunConfig(dt=dt, t_end=1000 * dt, record_every=1000))
     drift = float(np.abs(state.phi).max())
     res.add("zero potential fixed over 1000 steps", "sup|phi| < 1e-12", f"{drift:.3e}", "1e-12", drift < 1e-12)
 

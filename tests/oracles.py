@@ -2,8 +2,8 @@
 
 These deliberately avoid the solver's time-stepping path: the elliptic
 solver below is a preconditioned Newton iteration for the stationary
-problem, and the symbolic Hessian builds derivative fields from sympy
-expressions.
+problem, the RK4 step is a second scheme to hold ``maflow.run`` against,
+and the symbolic Hessian builds derivative fields from sympy expressions.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 import krflab.maflow as mf
+from krflab.maflow.background import _hermitian
+from krflab.maflow.solver import _curvature
 
 
 def laplacian_multiplier(bg: mf.TorusBackground) -> np.ndarray:
@@ -42,6 +44,38 @@ def solve_stationary_normalized(
         delta = np.fft.ifftn(np.fft.fftn(residual) / mult).real
         phi = phi - delta
     raise RuntimeError("stationary solve did not converge")
+
+
+def rk4_step(bg: mf.TorusBackground, state: mf.FlowState, dt: float) -> mf.FlowState:
+    """One classical RK4 update of the potential, positivity checked at each stage.
+
+    Cross-scheme reference for ``maflow.run``, which integrates with ETDRK4;
+    dt is the caller's to keep under the diffusive CFL bound.
+    """
+
+    def rhs(phi):
+        return mf.ma_rhs(bg, mf.FlowState(t=state.t, phi=phi, mode=state.mode))
+
+    phi = state.phi
+    k1 = rhs(phi)
+    k2 = rhs(phi + 0.5 * dt * k1)
+    k3 = rhs(phi + 0.5 * dt * k2)
+    k4 = rhs(phi + dt * k3)
+    phi1 = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return mf.FlowState(t=state.t + dt, phi=phi1, mode=state.mode)
+
+
+def ricci_and_scalar(
+    bg: mf.TorusBackground, state: mf.FlowState
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ricci tensor field (grid + (n, n)) and scalar curvature field.
+
+    The Ricci components are minus the complex Hessian of log det of the
+    evolving metric, read off the solver's curvature pass, whose scalar
+    curvature feeds the ``inf_R``/``sup_R`` diagnostics.
+    """
+    *_, hess, scal = _curvature(bg, state.phi, mf.EPS_POS)
+    return _hermitian([-h for h in hess]), scal
 
 
 def brute_force_gh_bound(X, Y) -> float:

@@ -160,6 +160,26 @@ def test_flow_config_rejects_unknown_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, reason",
+    [
+        ({"dt": float("nan")}, "dt must be positive"),
+        ({"dt": 0.0}, "dt must be positive"),
+        ({"dt": -1e-3}, "dt must be positive"),
+        ({"dt": "1e-4"}, "not supported"),
+        ({"g0": 2.0}, "not subscriptable"),
+        ({"t_end": [1.0]}, "float()"),
+    ],
+)
+def test_flow_config_with_a_bad_value_is_a_usage_error(tmp_path, capsys, overrides, reason):
+    cfg = stationary_config(tmp_path, **overrides)
+    out = tmp_path / "run"
+    assert cli.main(["--output-dir", str(out), "flow", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad flow config: ") and reason in err
+    assert not out.exists()
+
+
 def test_flow_config_names_its_output(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = stationary_config(tmp_path, output=str(tmp_path / "named"))
@@ -364,6 +384,30 @@ def test_verify_detects_corrupted_catalogue(tmp_path, capsys):
     code = cli.main(["verify", "--criteria", "1", "--catalogue", str(path)])
     assert code == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_catalogue_entry_without_basis_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "catalogue.json"
+    coh_models.dump_catalogue(path)
+    payload = json.loads(path.read_text())
+    del payload["models"][0]["basis"]
+    path.write_text(json.dumps(payload))
+    for argv in (
+        ["models", "--catalogue", str(path)],
+        ["maxtime", "--catalogue", str(path), "cp1", "1"],
+        ["verify", "--catalogue", str(path)],
+    ):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'basis'" in err
+
+
+def test_verify_catalogue_without_a_criterion_model_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "catalogue.json"
+    coh_models.dump_catalogue(path, {"cp1": coh_models.builtin_models()["cp1"]})
+    assert cli.main(["verify", "--catalogue", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'torus1'" in err
 
 
 def test_maxtime_reports_flagged_approximation(tmp_path, capsys):

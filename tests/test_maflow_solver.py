@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import krflab.maflow as mf
-from oracles import solve_stationary_normalized
+from krflab.maflow.solver import _cfl_bound
+from oracles import ricci_and_scalar, rk4_step, solve_stationary_normalized
 
 
 def background(n=1, N=32, g0=None, f=None):
@@ -52,7 +53,7 @@ def test_rhs_admissibility_violation_reports_location():
 
 
 # ---------------------------------------------------------------------------
-# step
+# the RK4 oracle
 # ---------------------------------------------------------------------------
 
 
@@ -61,7 +62,7 @@ def test_stationary_point_is_exact_fixed_point():
     state = mf.initial_state(bg)
     dt = mf.current_cfl_bound(bg, state)
     for _ in range(25):
-        state = mf.step(bg, state, dt)
+        state = rk4_step(bg, state, dt)
     assert np.abs(state.phi).max() == 0.0
 
 
@@ -72,18 +73,10 @@ def test_step_matches_euler_to_second_order():
     state = mf.initial_state(bg, phi0)
     rhs0 = mf.ma_rhs(bg, state)
     for dt in (1e-5, 2e-5):
-        new = mf.step(bg, state, dt)
+        new = rk4_step(bg, state, dt)
         euler = phi0 + dt * rhs0
         # RK4 - Euler = O(dt^2), with an O(1) curvature constant
         assert np.abs(new.phi - euler).max() < 100 * dt**2
-
-
-def test_step_rejects_oversized_dt():
-    bg = background()
-    state = mf.initial_state(bg)
-    bound = mf.current_cfl_bound(bg, state)
-    with pytest.raises(ValueError):
-        mf.step(bg, state, 10 * bound)
 
 
 def test_normalized_constant_mode_decouples_to_scalar_ode():
@@ -122,7 +115,8 @@ def test_unnormalized_perturbation_decays_at_heat_rate():
     )
     assert fit is not None
     rate, _ = fit
-    assert abs(rate - bg.lowest_heat_rate()) < 0.1 * bg.lowest_heat_rate()
+    lowest = np.pi**2  # heat rate of the (1,0) mode on g0 = 1
+    assert abs(rate - lowest) < 0.1 * lowest
 
 
 def test_volume_exactly_conserved_in_unnormalized_mode():
@@ -163,8 +157,8 @@ def test_comparison_principle_preserves_ordering():
     assert (hi.phi >= lo.phi).all()
     for _ in range(300):
         dt = min(mf.current_cfl_bound(bg, lo), mf.current_cfl_bound(bg, hi))
-        lo = mf.step(bg, lo, dt)
-        hi = mf.step(bg, hi, dt)
+        lo = rk4_step(bg, lo, dt)
+        hi = rk4_step(bg, hi, dt)
         assert float((hi.phi - lo.phi).min()) > -1e-12
 
 
@@ -235,10 +229,16 @@ def test_run_reports_step_failure_when_twist_drives_degeneracy():
         mf.run(bg, cfg)
 
 
-def test_step_rejects_nan_dt():
-    bg = background(N=16)
-    with pytest.raises(ValueError, match="positive"):
-        mf.step(bg, mf.initial_state(bg), float("nan"))
+@pytest.mark.parametrize(
+    "field, value",
+    [("dt", float("nan")), ("dt", 0.0), ("dt", -1e-3), ("t_end", float("nan")),
+     ("eps_pos", float("nan"))],
+)
+def test_run_config_rejects_non_positive_values(field, value):
+    # NaN passed "<= 0" checks: a NaN dt or floor then failed as a positivity
+    # loss, and a NaN t_end ended the run at t = 0 as if it had reached t_end
+    with pytest.raises(ValueError, match=f"{field} must be positive"):
+        mf.RunConfig(**{field: value})
 
 
 def test_cfl_bound_of_non_finite_potential_is_not_admissible():
@@ -250,11 +250,11 @@ def test_cfl_bound_of_non_finite_potential_is_not_admissible():
 
 
 def rk4_reference(bg, phi0, mode, t_end):
-    """A loop of RK4 ``step`` calls at the CFL bound, landing on t_end."""
+    """A loop of RK4 oracle steps at the CFL bound, landing on t_end."""
     state = mf.initial_state(bg, phi0, mode)
     while state.t < t_end:
         dt = min(mf.current_cfl_bound(bg, state), t_end - state.t)
-        state = mf.step(bg, state, dt)
+        state = rk4_step(bg, state, dt)
     return state
 
 
@@ -318,7 +318,7 @@ def test_records_spaced_by_record_every_cfl_steps(dt):
     cfg = mf.RunConfig(dt=dt, t_end=0.3, record_every=25)
     _, series = mf.run(bg, cfg, phi0=phi0)
     t, floor = series.column("t"), series.column("min_eig")
-    allowed = [cfg.record_every * mf.cfl_bound(bg, m) for m in floor[:-1]]
+    allowed = [cfg.record_every * _cfl_bound(bg, m) for m in floor[:-1]]
     assert np.all(np.diff(t) <= np.array(allowed) + 1e-12)
     assert t[-1] == cfg.t_end and len(series) >= 3
 
@@ -331,7 +331,7 @@ def test_records_spaced_by_record_every_cfl_steps(dt):
 def test_flat_metric_has_zero_curvature():
     bg = background(N=16, g0=[[2.0]])
     state = mf.initial_state(bg)
-    ric, scal = mf.ricci_and_scalar(bg, state)
+    ric, scal = ricci_and_scalar(bg, state)
     assert np.abs(ric).max() == 0.0
     assert np.abs(scal).max() == 0.0
 
@@ -343,7 +343,7 @@ def test_scalar_curvature_linearization():
     amp = 1e-4
     phi = amp * np.cos(2 * np.pi * x)
     state = mf.initial_state(bg, phi)
-    _, scal = mf.ricci_and_scalar(bg, state)
+    _, scal = ricci_and_scalar(bg, state)
     lam = np.pi**2  # heat rate of the (1,0) mode on g0 = 1
     predicted = -(lam**2) * phi
     assert np.abs(scal - predicted).max() < 0.01 * np.abs(predicted).max()
@@ -360,5 +360,5 @@ def test_total_scalar_curvature_vanishes():
         state = mf.initial_state(bg, phi)
         H = bg.complex_hessian(phi)
         det, _, _ = mf.metric_determinant_and_eigs(bg.g0, H)
-        _, scal = mf.ricci_and_scalar(bg, state)
+        _, scal = ricci_and_scalar(bg, state)
         assert abs(float((scal * det).mean())) < 1e-8

@@ -4,7 +4,7 @@ import sympy as sp
 
 import krflab.maflow as mf
 from krflab.maflow.background import _trace_ratio
-from oracles import laplacian_multiplier
+from oracles import laplacian_multiplier, ricci_and_scalar
 
 
 def test_zero_field_has_zero_hessian():
@@ -94,16 +94,25 @@ def test_spectral_consistency_n2_at_32():
 COMPLEX_G0 = [[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 1.5]]
 
 
+def heat_rates(bg):
+    """Sorted distinct positive decay rates of -laplacian_symbol, the ETD's L."""
+    rates = -bg.laplacian_symbol
+    return np.unique(rates[rates > 0])
+
+
 def test_heat_rates_closed_form():
     bg = mf.TorusBackground(n=1, N=16, g0=[[0.5]])
-    rates = bg.heat_rates()
+    rates = heat_rates(bg)
     assert abs(rates[0] - 2 * np.pi**2) < 1e-12  # pi^2 (k^2+l^2)/g0 at (1,0)
     bg2 = mf.TorusBackground(n=1, N=16, g0=[[1.0]])
-    assert abs(bg2.lowest_heat_rate() - np.pi**2) < 1e-12
+    assert abs(heat_rates(bg2)[0] - np.pi**2) < 1e-12
     bg3 = mf.TorusBackground(n=2, N=8, g0=COMPLEX_G0)
     oracle = -laplacian_multiplier(bg3)
-    assert abs(bg3.lowest_heat_rate() - oracle[oracle > 1e-9].min()) < 1e-12
-    assert abs(bg3.heat_rates()[-1] - oracle.max()) < 1e-10
+    assert abs(heat_rates(bg3)[0] - oracle[oracle > 1e-9].min()) < 1e-12
+    assert abs(heat_rates(bg3)[-1] - oracle.max()) < 1e-10
+    # pointwise: the half grid is the full grid's last axis cut at N/2
+    half = laplacian_multiplier(bg3)[..., : bg3.N // 2 + 1]
+    assert np.abs(bg3.laplacian_symbol - half).max() < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -151,7 +160,7 @@ def test_metric_kernel_matches_linalg_oracle(n, N, g0):
     state = mf.initial_state(bg, phi)
     ric = -bg.complex_hessian(np.log(np.linalg.det(G).real))
     R = np.einsum("...jk,...kj->...", inv, ric).real
-    _, scal = mf.ricci_and_scalar(bg, state)
+    _, scal = ricci_and_scalar(bg, state)
     assert np.abs(scal - R).max() < 1e-12 * np.abs(R).max()
 
     rec = mf.snapshot(bg, state)
