@@ -498,10 +498,12 @@ def cmd_verify(args) -> int:
             return EXIT_USAGE
     try:
         models = _load_models(args)
+        # a bad grid or an unknown index is refused before any criterion runs
+        opts = ver.VerifyOptions(seed=args.seed, flow_grid=args.flow_grid, models=models)
+        ver.check_criteria(only or [])
     except (OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    opts = ver.VerifyOptions(seed=args.seed, flow_grid=args.flow_grid, models=models)
     try:
         results = ver.run_all(opts, only=only)
     except ver.MissingModel as err:

@@ -7,16 +7,18 @@ are exact on the discrete Fourier basis: on the mode
 exp(2*pi*i*(k.x + l.y)) the operator d/dz_j d/dzbar_k acts as
 -pi^2 * w_j * conj(w_k) with w = l + i*k.
 
-One kernel computes every metric quantity.  A real field is transformed
-once with rfftn; each real component of its Hessian (H_00, and for n = 2
-also H_11, Re H_01, Im H_01) is one irfftn of that spectrum times a real
-symbol table.  The metric g0 + H, its determinant, eigenvalues, inverse
-and traces, and the Ricci form -H(log det) all follow pointwise from
-these components.  Nyquist convention: the half spectrum carries the
-wavenumber N/2 as -N/2 (numpy's fftfreq), and irfftn extends each product
-to the other half by Hermitian symmetry, so every component is a real
-field; on the Nyquist planes H_01 therefore differs from a complex inverse
-transform of the full-grid symbol, which is not even there.
+One kernel computes every metric quantity, and it starts from the rfftn
+half spectrum of the potential: each real component of the Hessian (H_00,
+and for n = 2 also H_11, Re H_01, Im H_01) is one irfftn of that spectrum
+times a real symbol table, so a caller that already holds the spectrum,
+as the time stepper does, pays no forward transform.  The metric g0 + H,
+its determinant, eigenvalues, inverse and traces, and the Ricci form
+-H(log det) all follow pointwise from these components.  Nyquist
+convention: the half spectrum carries the wavenumber N/2 as -N/2 (numpy's
+fftfreq), and irfftn extends each product to the other half by Hermitian
+symmetry, so every component is a real field; on the Nyquist planes H_01
+therefore differs from a complex inverse transform of the full-grid
+symbol, which is not even there.
 """
 
 from __future__ import annotations
@@ -39,6 +41,12 @@ class AdmissibilityError(ValueError):
         self.min_eig = min_eig
         self.location = location
         self.floor = floor
+
+
+def check_grid(N: int) -> None:
+    """Raise ValueError unless N is a grid resolution the toolkit supports."""
+    if N < 4 or (N & (N - 1)) != 0:
+        raise ValueError(f"grid resolution must be a power of two, >= 4, got {N}")
 
 
 def _as_g0(n: int, g0) -> np.ndarray:
@@ -74,8 +82,7 @@ class TorusBackground:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise ValueError("complex dimension must be 1 or 2")
-        if self.N < 4 or (self.N & (self.N - 1)) != 0:
-            raise ValueError("grid resolution must be a power of two, >= 4")
+        check_grid(self.N)
         self.g0 = _as_g0(self.n, self.g0)
         if self.f is not None:
             self.f = np.asarray(self.f, dtype=float)
@@ -131,12 +138,11 @@ class TorusBackground:
     def _build_symbols(self) -> None:
         n, N = self.n, self.N
         freqs = np.fft.fftfreq(N) * N  # integer wavenumbers, Nyquist at -N/2
-        absk = np.meshgrid(*([np.abs(freqs)] * (2 * n)), indexing="ij")
-        self._tail_mask = np.max(absk, axis=0) >= N / 3.0
         # the last axis of an rfftn holds the wavenumbers 0..N/2-1 and -N/2
         grids = np.meshgrid(
             *([freqs] * (2 * n - 1) + [freqs[: N // 2 + 1]]), indexing="ij"
         )
+        self._tail_mask = np.max(np.abs(grids), axis=0) >= N / 3.0
         # w_j = l_j + i k_j where k is the x_j frequency, l the y_j frequency
         w = [grids[2 * j + 1] + 1j * grids[2 * j] for j in range(n)]
 
@@ -151,35 +157,65 @@ class TorusBackground:
             off = symbol(0, 1)
             self._symbols += [symbol(1, 1).real, off.real, off.imag]
             self._g0_parts += [g0[1, 1].real, g0[0, 1].real, g0[0, 1].imag]
+        # irfftn reads only the conjugate-even part of the self-conjugate
+        # planes (last index 0 and N/2), on which _mirror maps k to -k; a
+        # symbol that is odd there (Re and Im H_01 on Nyquist entries) would
+        # carry the rest into what irfftn keeps, so _hessian_parts projects
+        plane = np.arange(N ** (2 * n - 1)).reshape((N,) * (2 * n - 1))
+        self._mirror = np.roll(np.flip(plane), 1, axis=tuple(range(2 * n - 1)))
+        self._odd_symbols = any(
+            not np.array_equal(sym[..., j], np.take(sym[..., j], self._mirror))
+            for sym in self._symbols
+            for j in (0, -1)
+        )
         base = np.log(self.det_g0)
         self._log_density = (
             np.full(self.shape, base) if self.f is None else base + self.f
         )
 
-    def _hessian_parts(self, psi: np.ndarray) -> list[np.ndarray]:
+    def spectrum(self, psi: np.ndarray) -> np.ndarray:
+        """rfftn half spectrum of a real field on the grid."""
+        return np.fft.rfftn(psi, axes=self._axes)
+
+    def field(self, psik: np.ndarray) -> np.ndarray:
+        """Real field of an rfftn half spectrum (the inverse of ``spectrum``)."""
+        return np.fft.irfftn(psik, s=self.shape, axes=self._axes)
+
+    def _conjugate_even(self, psik: np.ndarray) -> np.ndarray:
+        """The half spectrum of irfftn(psik): k and -k averaged on the planes 0 and N/2.
+
+        A spectrum from rfftn is already conjugate-even there; a linear
+        combination of such spectra with coefficients that are odd on the
+        Nyquist entries, as an ETD stage forms, need not be.
+        """
+        out = psik.copy()
+        for j in (0, -1):
+            plane = psik[..., j]
+            out[..., j] = 0.5 * (plane + np.take(plane, self._mirror).conj())
+        return out
+
+    def _hessian_parts(self, psik: np.ndarray) -> list[np.ndarray]:
         """Components of H(psi): [H_00], or [H_00, H_11, Re H_01, Im H_01].
 
-        The package's one Hessian transform: one rfftn, then one irfftn per
-        real component.
+        The package's one Hessian transform: psi = irfftn(psik) for any half
+        spectrum psik, and each real component is one irfftn.
         """
-        psik = np.fft.rfftn(psi, axes=self._axes)
-        return [
-            np.fft.irfftn(sym * psik, s=self.shape, axes=self._axes)
-            for sym in self._symbols
-        ]
-
-    def _metric_parts(self, phi: np.ndarray) -> list[np.ndarray]:
-        """Components [a] or [a, d, p, q] of g0 + H(phi), see ``_det_and_eigs``."""
-        parts = self._hessian_parts(phi)
-        for part, base in zip(parts, self._g0_parts):
-            part += base
-        return parts
+        if self._odd_symbols:
+            psik = self._conjugate_even(psik)
+        return [self.field(sym * psik) for sym in self._symbols]
 
     def fast_metric_fields(
-        self, phi: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(det, min eigenvalue, max eigenvalue) fields of g0 + H(phi)."""
-        return _det_and_eigs(self._metric_parts(phi))
+        self, vk: np.ndarray
+    ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """(components, det, min eigenvalue) of g0 + H(phi), phi = irfftn(vk).
+
+        The components are [a] or [a, d, p, q], see ``_det_and_eigs``.
+        """
+        g = self._hessian_parts(vk)
+        for part, base in zip(g, self._g0_parts):
+            part += base
+        det, eig_min, _ = _det_and_eigs(g)
+        return g, det, eig_min
 
     def complex_hessian(self, phi: np.ndarray) -> np.ndarray:
         """Mixed complex Hessian of a real field, shape grid + (n, n).
@@ -189,12 +225,18 @@ class TorusBackground:
         phi = np.asarray(phi, dtype=float)
         if phi.shape != self.shape:
             raise ValueError(f"field must have shape {self.shape}")
-        return _hermitian(self._hessian_parts(phi))
+        return _hermitian(self._hessian_parts(self.spectrum(phi)))
 
-    def tail_energy_fraction(self, phi: np.ndarray) -> float:
-        """Spectral energy fraction in the outer third of wavenumbers."""
-        phik = np.fft.fftn(phi)
-        power = np.abs(phik) ** 2
+    def tail_energy_fraction(self, vk: np.ndarray) -> float:
+        """Spectral energy fraction of irfftn(vk) in the outer third of wavenumbers.
+
+        A last-axis wavenumber strictly between 0 and N/2 stands for itself
+        and its mirror -k, which the half grid leaves out, so it weighs
+        twice; the planes 0 and N/2 hold their own mirrors and weigh once.
+        """
+        vk = self._conjugate_even(vk)
+        power = vk.real**2 + vk.imag**2
+        power[..., 1:-1] *= 2.0
         power.flat[0] = 0.0  # ignore the mean
         total = power.sum()
         if total < 1e-30:

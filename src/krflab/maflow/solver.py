@@ -9,13 +9,16 @@ log(det(g0 + H(phi)) / Omega) = phi into the flow's fixed point.
 2002).  The stiff linear part L, the background Laplacian (minus one when
 normalized), is diagonal on the rfftn half grid and is applied exactly;
 the rest of the velocity, N(phi) = log(det / Omega) - Laplacian(phi), is
-evaluated by the metric kernel at each stage.  The exponential
+evaluated by the metric kernel at each stage, straight from the stage's
+half spectrum: a stage never forms phi.  The exponential
 coefficients come from their closed forms, or near L*h = 0, where those
 cancel, from contour integrals (Kassam & Trefethen, SIAM J. Sci. Comput.
 26, 2005).  An embedded second-order solution built from the same
 stages controls the step inside each record interval, and records are
 spaced in simulated time as ``record_every`` steps of the explicit scheme
-would be.
+would be.  A record reuses the metric of the accepted step's result
+stage, so its snapshot adds only the Ricci transforms, and the spectral
+tail is read off the same half spectrum.
 Every quantity derives from the background's one metric kernel; one
 check (``_positivity_floor``) guards positivity at every stage, and the
 accept/shrink loop ``_advance`` serves ``run`` alone.
@@ -32,7 +35,6 @@ import numpy as np
 from .background import (
     AdmissibilityError,
     TorusBackground,
-    _det_and_eigs,
     _trace_ratio,
 )
 
@@ -138,13 +140,23 @@ def _velocity(
     return rhs
 
 
+def _metric(bg: TorusBackground, vk: np.ndarray, eps_pos: float) -> tuple:
+    """(g, det, floor, log det) of g0 + H(phi), phi = irfftn(vk).
+
+    g holds the metric components, floor is the min eigenvalue, and
+    positivity is checked.
+    """
+    g, det, eig_min = bg.fast_metric_fields(vk)
+    floor = _positivity_floor(eig_min, eps_pos)
+    return g, det, floor, np.log(det)
+
+
 def ma_rhs(
     bg: TorusBackground, state: FlowState, eps_pos: float = EPS_POS
 ) -> np.ndarray:
     """Instantaneous potential velocity at the state (admissibility checked)."""
-    det, eig_min, _ = bg.fast_metric_fields(state.phi)
-    _positivity_floor(eig_min, eps_pos)
-    return _velocity(bg, np.log(det), state.phi, state.mode)
+    log_det = _metric(bg, bg.spectrum(state.phi), eps_pos)[3]
+    return _velocity(bg, log_det, state.phi, state.mode)
 
 
 def _cfl_bound(bg: TorusBackground, min_eig: float) -> float:
@@ -154,8 +166,7 @@ def _cfl_bound(bg: TorusBackground, min_eig: float) -> float:
 
 def current_cfl_bound(bg: TorusBackground, state: FlowState) -> float:
     """CFL bound at the state; raises AdmissibilityError unless it is admissible."""
-    _, eig_min, _ = bg.fast_metric_fields(state.phi)
-    return _cfl_bound(bg, _positivity_floor(eig_min, EPS_POS))
+    return _cfl_bound(bg, _metric(bg, bg.spectrum(state.phi), EPS_POS)[2])
 
 
 def _advance(
@@ -218,19 +229,15 @@ def _advance(
 # ---------------------------------------------------------------------------
 
 
-def _curvature(bg: TorusBackground, phi: np.ndarray, eps_pos: float) -> tuple:
-    """Pointwise geometry of g = g0 + H(phi), positivity checked.
+def _curvature(bg: TorusBackground, metric: tuple) -> tuple:
+    """(hess, R) of the metric (g, det, floor, log det) that ``_metric`` returns.
 
-    Returns (g, det, floor, log_det, hess, R): the metric components, its
-    determinant, min eigenvalue, log det, the components of H(log det)
-    (minus the Ricci form) and the scalar curvature tr(g^{-1} Ric).
+    hess holds the components of H(log det), minus the Ricci form, and R
+    is the scalar curvature tr(g^{-1} Ric).
     """
-    g = bg._metric_parts(phi)
-    det, eig_min, _ = _det_and_eigs(g)
-    floor = _positivity_floor(eig_min, eps_pos)
-    log_det = np.log(det)
-    hess = bg._hessian_parts(log_det)
-    return g, det, floor, log_det, hess, -_trace_ratio(g, det, hess)
+    g, det, _, log_det = metric
+    hess = bg._hessian_parts(bg.spectrum(log_det))
+    return hess, -_trace_ratio(g, det, hess)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +303,22 @@ class DiagnosticsSeries:
 
 
 def snapshot(
-    bg: TorusBackground, state: FlowState, eps_pos: float = EPS_POS
+    bg: TorusBackground,
+    state: FlowState,
+    eps_pos: float = EPS_POS,
+    *,
+    metric: Optional[tuple] = None,
 ) -> DiagnosticsRecord:
-    g, det, floor, log_det, _, scal = _curvature(bg, state.phi, eps_pos)
+    """Diagnostics record of the state.
+
+    ``metric`` is the state's (g, det, floor, log det) from ``_metric``
+    when the caller already holds it, as ``run`` does from its accepted
+    stage; by default it is computed from phi.
+    """
+    if metric is None:
+        metric = _metric(bg, bg.spectrum(state.phi), eps_pos)
+    g, det, floor, log_det = metric
+    scal = _curvature(bg, metric)[1]
     rhs = _velocity(bg, log_det, state.phi, state.mode)
     trace0 = _trace_ratio(bg._g0_parts, bg.det_g0, g)
     mean_phi = float(state.phi.mean())
@@ -365,7 +385,9 @@ class _Etdrk4:
     L is the background Laplacian symbol, minus one in normalized mode.  N
     is the rest of the velocity, so N-hat = rfftn(log det - log density)
     - lap * phi-hat costs no transform beyond the stage's own: a stage is
-    one irfftn, the metric kernel on the real field, and one rfftn.  The
+    the metric kernel on the stage's half spectrum (one irfftn per Hessian
+    component) and one rfftn, and only the result stage adds the irfftn
+    that forms phi.  The
     coefficients are evaluated on the distinct values of L*h only, held
     for the current h alone, and gathered to the grid where they are used.
     """
@@ -380,16 +402,12 @@ class _Etdrk4:
         self.table: dict[str, np.ndarray] = {}
         self.rhs_evals = 0
 
-    def stage(self, vk: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-        """(phi, N-hat, floor, log det) at the half spectrum vk, positivity checked."""
+    def stage(self, vk: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """(N-hat, metric) at the half spectrum vk; metric as ``_metric`` returns it."""
         bg = self.bg
         self.rhs_evals += 1
-        phi = np.fft.irfftn(vk, s=bg.shape, axes=bg._axes)
-        det, eig_min = bg.fast_metric_fields(phi)[:2]
-        floor = _positivity_floor(eig_min, self.eps_pos)
-        log_det = np.log(det)
-        nk = np.fft.rfftn(log_det - bg.log_density, axes=bg._axes) - self.lap * vk
-        return phi, nk, floor, log_det
+        metric = _metric(bg, vk, self.eps_pos)
+        return bg.spectrum(metric[3] - bg.log_density) - self.lap * vk, metric
 
     def coefficients(self, h: float) -> dict[str, np.ndarray]:
         """E, E^(1/2), Q, f1, f2, f3 and the error weights g1, g3 per distinct L*h.
@@ -426,8 +444,8 @@ class _Etdrk4:
     def attempt(self, vk: np.ndarray, nv: np.ndarray, h: float) -> tuple:
         """One step from vk, whose N-hat is nv; returns (result, error).
 
-        The result (vk1, phi1, N-hat, floor, sup|velocity|) is evaluated, and
-        its positivity checked, only when the error is within ETD_TOL;
+        The result (vk1, phi1, N-hat, metric, sup|velocity|) is evaluated,
+        and its positivity checked, only when the error is within ETD_TOL;
         otherwise it is None.  Stage arrays are freed as soon as they are
         spent, since the kernel's own fields dominate peak memory.
         """
@@ -437,25 +455,26 @@ class _Etdrk4:
             return table[name][self.index]
 
         a = at("E2") * vk + at("Q") * nv
-        na = self.stage(a)[1]
-        nb = self.stage(at("E2") * vk + at("Q") * na)[1]
+        na = self.stage(a)[0]
+        nb = self.stage(at("E2") * vk + at("Q") * na)[0]
         c = at("E2") * a + at("Q") * (2.0 * nb - nv)
         del a
         nab = 2.0 * at("f2") * (na + nb)
         del na, nb
-        nc = self.stage(c)[1]
+        nc = self.stage(c)[0]
         del c
         bg = self.bg
         diff = at("g1") * nv + nab + at("g3") * nc
-        err = float(np.abs(np.fft.irfftn(diff, s=bg.shape, axes=bg._axes)).max())
+        err = float(np.abs(bg.field(diff)).max())
         del diff
         if not err <= ETD_TOL:
             return None, err
         vk1 = at("E") * vk + at("f1") * nv + nab + at("f3") * nc
         del nab, nc
-        phi1, n1, floor, log_det = self.stage(vk1)
-        speed = float(np.abs(_velocity(bg, log_det, phi1, self.mode)).max())
-        return (vk1, phi1, n1, floor, speed), err
+        n1, metric = self.stage(vk1)
+        phi1 = bg.field(vk1)
+        speed = float(np.abs(_velocity(bg, metric[3], phi1, self.mode)).max())
+        return (vk1, phi1, n1, metric, speed), err
 
 
 def run(
@@ -476,7 +495,6 @@ def run(
     """
     state = initial_state(bg, phi0, config.mode)
     series = DiagnosticsSeries()
-    series.append(snapshot(bg, state, config.eps_pos))
     etd = _Etdrk4(bg, config.mode, config.eps_pos)
     try:
         state = _integrate(bg, config, etd, state, series)
@@ -496,13 +514,21 @@ def _integrate(
     state: FlowState,
     series: DiagnosticsSeries,
 ) -> FlowState:
-    """The stepping loop of ``run``; returns the final state."""
+    """The stepping loop of ``run``, the first record included; returns the final state.
+
+    Each record's snapshot reuses the metric of the stage that produced
+    the state, and that metric is dropped right after, so that no stage's
+    full-grid fields live on through the next step.
+    """
     # a collapsing CFL step means the metric is pinned against the
     # positivity floor; bail out instead of crawling forever
     g0_floor = float(np.linalg.eigvalsh(bg.g0).min())
     stall_dt = _cfl_bound(bg, g0_floor) * 2.0**-24
-    vk = np.fft.rfftn(state.phi, axes=bg._axes)
-    _, nv, floor, _ = etd.stage(vk)
+    vk = bg.spectrum(state.phi)
+    nv, metric = etd.stage(vk)
+    floor = metric[2]
+    series.append(snapshot(bg, state, config.eps_pos, metric=metric))
+    del metric
     t_record = proposal = None
     while state.t < config.t_end - 1e-14:
         bound = _cfl_bound(bg, floor)
@@ -526,10 +552,10 @@ def _integrate(
             h = remaining  # leave no sliver before the record
         # a step clipped to the record or to dt keeps the controller's proposal
         clipped = proposal is not None and h < proposal
-        result, taken, rejected, next_h = _advance(
+        (vk, phi, nv, metric, speed), taken, rejected, next_h = _advance(
             partial(etd.attempt, vk, nv), state, h, stall_dt
         )
-        vk, phi, nv, floor, speed = result
+        floor = metric[2]
         series.steps += 1
         series.rejected += rejected
         proposal = max(proposal, next_h) if clipped and taken == h else next_h
@@ -538,10 +564,13 @@ def _integrate(
             t=t_record if landed else state.t + taken, phi=phi, mode=config.mode
         )
         converged = config.mode == NORMALIZED and speed < config.convergence_tol
-        if landed or converged:
+        record = landed or converged
+        if record:
+            series.append(snapshot(bg, state, config.eps_pos, metric=metric))
+        del metric
+        if record:
             t_record = None
-            series.append(snapshot(bg, state, config.eps_pos))
-            tail = bg.tail_energy_fraction(state.phi)
+            tail = bg.tail_energy_fraction(vk)
             if tail > config.tail_limit:
                 raise SpectralTailError(
                     f"tail energy fraction {tail:.3e} exceeds "

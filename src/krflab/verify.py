@@ -58,6 +58,9 @@ class VerifyOptions:
     flow_grid: int = 64  # grid for the n = 1 flow criteria
     models: Optional[dict] = None  # override the built-in catalogue
 
+    def __post_init__(self):
+        mf.check_grid(self.flow_grid)
+
     def model(self, name: str):
         cat = self.models if self.models is not None else coh_models.builtin_models()
         if name not in cat:
@@ -461,10 +464,22 @@ def run_criterion(index: int, opts: Optional[VerifyOptions] = None) -> Criterion
     raise KeyError(f"no criterion {index}")
 
 
+def check_criteria(indices: list[int]) -> None:
+    """Raise ValueError naming every index that is not a criterion's."""
+    known = [idx for idx, _, _ in CRITERIA]
+    unknown = sorted(set(indices) - set(known))
+    if unknown:
+        raise ValueError(
+            f"no criterion {', '.join(map(str, unknown))} "
+            f"(the criteria are {known[0]}-{known[-1]})"
+        )
+
+
 def run_all(
     opts: Optional[VerifyOptions] = None, only: Optional[list[int]] = None
 ) -> list[CriterionResult]:
     opts = opts or VerifyOptions()
+    check_criteria(only or [])
     results = []
     for idx, _, _ in CRITERIA:
         if only is not None and idx not in only:

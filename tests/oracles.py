@@ -3,7 +3,8 @@
 These deliberately avoid the solver's time-stepping path: the elliptic
 solver below is a preconditioned Newton iteration for the stationary
 problem, the RK4 step is a second scheme to hold ``maflow.run`` against,
-and the symbolic Hessian builds derivative fields from sympy expressions.
+the tail fraction is measured on the full complex spectrum, and the
+symbolic Hessian builds derivative fields from sympy expressions.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 
 import krflab.maflow as mf
 from krflab.maflow.background import _hermitian
-from krflab.maflow.solver import _curvature
+from krflab.maflow.solver import _curvature, _metric
 
 
 def laplacian_multiplier(bg: mf.TorusBackground) -> np.ndarray:
@@ -74,8 +75,27 @@ def ricci_and_scalar(
     evolving metric, read off the solver's curvature pass, whose scalar
     curvature feeds the ``inf_R``/``sup_R`` diagnostics.
     """
-    *_, hess, scal = _curvature(bg, state.phi, mf.EPS_POS)
+    metric = _metric(bg, bg.spectrum(state.phi), mf.EPS_POS)
+    hess, scal = _curvature(bg, metric)
     return _hermitian([-h for h in hess]), scal
+
+
+def full_grid_tail_fraction(bg: mf.TorusBackground, phi: np.ndarray) -> float:
+    """Spectral energy fraction of phi in the outer third of wavenumbers.
+
+    Reference for ``TorusBackground.tail_energy_fraction``, which reads the
+    same fraction off the rfftn half spectrum: here a complex fftn of the
+    full grid and a full-grid mask max|k| >= N/3.
+    """
+    freqs = np.fft.fftfreq(bg.N) * bg.N
+    absk = np.meshgrid(*([np.abs(freqs)] * (2 * bg.n)), indexing="ij")
+    mask = np.max(absk, axis=0) >= bg.N / 3.0
+    power = np.abs(np.fft.fftn(phi)) ** 2
+    power.flat[0] = 0.0  # ignore the mean
+    total = power.sum()
+    if total < 1e-30:
+        return 0.0
+    return float(power[mask].sum() / total)
 
 
 def brute_force_gh_bound(X, Y) -> float:

@@ -484,3 +484,24 @@ def test_flow_two_dimensional_complex_background(tmp_path, capsys):
     side = json.loads((out / "phi.json").read_text())
     assert side["n"] == 2 and side["g0"][0][1] == [0.2, 0.1]
     assert "[FAIL]" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("criteria", ["9", "1,9", "0,2"])
+def test_verify_unknown_criterion_is_a_usage_error(criteria, capsys):
+    # "--criteria 9" used to run nothing and report "all passed", and
+    # "--criteria 1,9" dropped the 9 without a word
+    assert cli.main(["verify", "--criteria", criteria]) == 2
+    captured = capsys.readouterr()
+    unknown = [tok for tok in criteria.split(",") if tok not in "12345678"]
+    assert f"no criterion {', '.join(unknown)}" in captured.err
+    assert "criterion 1" not in captured.out
+
+
+@pytest.mark.parametrize("grid", ["17", "2", "0", "-8"])
+def test_verify_bad_flow_grid_is_a_usage_error(grid, capsys):
+    # a grid the flow toolkit cannot use used to end in a traceback from
+    # inside criterion 2; it is now refused before any criterion runs
+    assert cli.main(["verify", "--criteria", "1,2", "--flow-grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert "power of two" in captured.err and grid in captured.err
+    assert "criterion 1" not in captured.out

@@ -362,3 +362,90 @@ def test_total_scalar_curvature_vanishes():
         det, _, _ = mf.metric_determinant_and_eigs(bg.g0, H)
         _, scal = ricci_and_scalar(bg, state)
         assert abs(float((scal * det).mean())) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# what a step and a record cost
+# ---------------------------------------------------------------------------
+
+FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn",
+             "fft2", "ifft2", "rfft2", "irfft2", "hfft", "ihfft")
+
+
+def short_run_case(n):
+    """A short run that records every few steps; n=2 has an off-diagonal g0."""
+    if n == 1:
+        shell = background(N=16, g0=[[2.0]])
+        f = shell.field_from_modes([((1, 0), 0.08, 0.0), ((0, 1), 0.0, 0.05)])
+        bg = background(N=16, g0=[[2.0]], f=f)
+        phi0 = shell.field_from_modes([((1, 1), 0.01, 0.004)])
+        return bg, phi0, mf.RunConfig(mode=mf.NORMALIZED, t_end=0.05, record_every=5)
+    g0 = [[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 1.5]]
+    bg = background(n=2, N=8, g0=g0)
+    phi0 = bg.field_from_modes([((1, 0, 0, 0), 0.01, 0.0), ((0, 1, 1, 0), 0.006, 0.004)])
+    phi0 = phi0 + 1e-5 * np.random.default_rng(0).standard_normal(bg.shape)
+    return bg, phi0, mf.RunConfig(t_end=0.05, record_every=5)
+
+
+def _counting(monkeypatch, owner, name, counts, key):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[key] = counts.get(key, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("n, total", [(1, 77), (2, 282)])
+def test_transform_budget_of_a_short_run(monkeypatch, n, total):
+    # a stage is one irfftn per Hessian component and one rfftn; the result
+    # stage adds the irfftn that forms phi, the error estimate one irfftn,
+    # and a record the Ricci transforms alone (its metric is the stage's,
+    # and its tail check reads the stage's half spectrum)
+    import krflab.maflow.solver as solver
+
+    bg, phi0, cfg = short_run_case(n)
+    counts = {}
+    for name in FFT_NAMES:
+        _counting(monkeypatch, np.fft, name, counts, name)
+    _counting(monkeypatch, mf.TorusBackground, "fast_metric_fields", counts, "kernel")
+    _counting(monkeypatch, mf.TorusBackground, "tail_energy_fraction", counts, "tail")
+    _counting(monkeypatch, solver, "snapshot", counts, "snapshot")
+    _, series = mf.run(bg, cfg, phi0=phi0)
+
+    parts = 1 if n == 1 else 4
+    steps, records, stages = series.steps, len(series), series.rhs_evals
+    # every rejection here is the error control's: three stages, one estimate
+    rejected = series.rejected
+    assert stages == 1 + 4 * steps + 3 * rejected
+    assert counts.pop("kernel") == stages
+    assert counts.pop("snapshot") == records
+    assert counts.pop("tail") == records - 1  # the start is not checked
+    assert counts == {
+        "rfftn": 1 + stages + records,
+        "irfftn": parts * (stages + records) + 2 * steps + rejected,
+    }
+    assert sum(counts.values()) == total
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_snapshot_from_the_accepted_stage_matches_the_one_from_phi(monkeypatch, n):
+    import krflab.maflow.solver as solver
+
+    bg, phi0, cfg = short_run_case(n)
+    original = solver.snapshot
+    pairs = []
+
+    def both(bg, state, eps_pos=mf.EPS_POS, *, metric=None):
+        assert metric is not None  # every record of a run reuses its stage
+        rec = original(bg, state, eps_pos, metric=metric)
+        pairs.append((rec.row(), original(bg, state, eps_pos).row()))
+        return rec
+
+    monkeypatch.setattr(solver, "snapshot", both)
+    _, series = mf.run(bg, cfg, phi0=phi0)
+    assert len(pairs) == len(series) >= 3
+    got, want = np.array(pairs).transpose(1, 0, 2)
+    assert np.array_equal(got[:, 0], want[:, 0])  # the times
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-14)

@@ -3,8 +3,8 @@ import pytest
 import sympy as sp
 
 import krflab.maflow as mf
-from krflab.maflow.background import _trace_ratio
-from oracles import laplacian_multiplier, ricci_and_scalar
+from krflab.maflow.background import _det_and_eigs, _trace_ratio
+from oracles import full_grid_tail_fraction, laplacian_multiplier, ricci_and_scalar
 
 
 def test_zero_field_has_zero_hessian():
@@ -132,7 +132,8 @@ def test_metric_kernel_matches_linalg_oracle(n, N, g0):
     eigs = np.linalg.eigvalsh(G)
     inv = np.linalg.inv(G)
 
-    det, lo, hi = bg.fast_metric_fields(phi)
+    g, det, lo = bg.fast_metric_fields(bg.spectrum(phi))
+    hi = _det_and_eigs(g)[2]
     assert np.abs(det - np.linalg.det(G).real).max() < 1e-13
     assert np.abs(lo - eigs[..., 0]).max() < 1e-13
     assert np.abs(hi - eigs[..., -1]).max() < 1e-13
@@ -142,7 +143,6 @@ def test_metric_kernel_matches_linalg_oracle(n, N, g0):
         assert np.array_equal(got, want)
 
     # tr(g^{-1} E) over a Hermitian basis E reads off the entries of g^{-1}
-    g = bg._metric_parts(phi)
     one, zero = np.ones(bg.shape), np.zeros(bg.shape)
     if n == 1:
         assert np.abs(_trace_ratio(g, det, [one]) - inv[..., 0, 0].real).max() < 1e-13
@@ -189,3 +189,67 @@ def test_background_validation():
         mf.TorusBackground(n=1, N=16, g0=[[-1.0]])
     with pytest.raises(ValueError):
         mf.TorusBackground(n=2, N=8, g0=[[1.0, 0.5], [0.2, 1.0]])
+
+
+def _nyquist_field(bg):
+    """Low modes plus energy on both self-conjugate planes of the last axis."""
+    idx = np.indices(bg.shape)
+    sign_last, sign_first = (-1.0) ** idx[-1], (-1.0) ** idx[0]
+    low = bg.field_from_modes([((1,) + (0,) * (2 * bg.n - 1), 0.3, 0.1)])
+    return low + 0.2 * sign_last + 0.05 * sign_first * sign_last + 0.1 * sign_first
+
+
+@pytest.mark.parametrize("n, N", [(1, 8), (1, 16), (2, 8)])
+def test_tail_fraction_on_the_half_grid_matches_the_full_grid(n, N):
+    bg = mf.TorusBackground(n=n, N=N, g0=np.eye(n))
+    rng = np.random.default_rng(10 * n + N)
+    smooth = bg.field_from_modes([((0, 1) * n, 0.02, 0.01)])
+    fields = [
+        rng.standard_normal(bg.shape),
+        smooth + 1e-4 * rng.standard_normal(bg.shape),
+        _nyquist_field(bg),
+    ]
+    for phi in fields:
+        want = full_grid_tail_fraction(bg, phi)
+        assert want > 0.0
+        assert abs(bg.tail_energy_fraction(bg.spectrum(phi)) - want) <= 1e-13 * want
+    constant = np.full(bg.shape, 0.3)
+    assert full_grid_tail_fraction(bg, constant) == 0.0
+    assert bg.tail_energy_fraction(bg.spectrum(constant)) == 0.0
+
+
+def test_tail_fraction_reads_the_field_of_any_half_spectrum():
+    # a half spectrum that is not conjugate-even on the planes 0 and N/2
+    # counts only the part that irfftn keeps
+    bg = mf.TorusBackground(n=2, N=8, g0=np.eye(2))
+    rng = np.random.default_rng(3)
+    vk = bg.spectrum(_nyquist_field(bg))
+    vk = vk + 1e-3 * (rng.standard_normal(vk.shape) + 1j * rng.standard_normal(vk.shape))
+    want = full_grid_tail_fraction(bg, bg.field(vk))
+    assert abs(bg.tail_energy_fraction(vk) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize(
+    "n, N, g0",
+    [(1, 16, [[2.0]]), (2, 8, np.eye(2)), (2, 8, [[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 1.5]])],
+)
+def test_hessian_from_the_spectrum_matches_the_field_path(n, N, g0):
+    # the stages build the Hessian from the half spectrum without forming
+    # phi; that must be the Hessian of phi = irfftn(vk) even where vk, as a
+    # combination of ETD terms, is not conjugate-even on the planes 0, N/2
+    bg = mf.TorusBackground(n=n, N=N, g0=g0)
+    rng = np.random.default_rng(N + n)
+    vk = bg.spectrum(rng.standard_normal(bg.shape))
+    vk = vk + 0.5 * (rng.standard_normal(vk.shape) + 1j * rng.standard_normal(vk.shape))
+    got = bg._hessian_parts(vk)
+    H = bg.complex_hessian(bg.field(vk))
+    want = [H[..., 0, 0].real]
+    if n == 2:
+        want += [H[..., 1, 1].real, H[..., 0, 1].real, H[..., 0, 1].imag]
+    scale = max(np.abs(w).max() for w in want)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-13 * scale
+    g, det, lo = bg.fast_metric_fields(vk)
+    for part, w, base in zip(g, want, bg._g0_parts):
+        assert np.abs(part - (w + base)).max() <= 1e-13 * scale
+    assert np.array_equal((det, lo), _det_and_eigs(g)[:2])
