@@ -15,19 +15,23 @@ Kinds:
 - ``product-ec``: flat fiber scale frozen, hyperbolic base scale growing
   at rate +2; the normalized flow sends the fiber scale to zero like
   exp(-t) and the base scale to its fixed point 2.
+
+numpy is imported only by the functions that build arrays, so the kind
+and mode names can be read without it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from . import cohomology as coh
 from .cohomology import models as coh_models
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ROUND_P1 = "round-p1"
 P1XP1 = "p1xp1"
@@ -62,10 +66,9 @@ class AnsatzModel:
 
 @dataclass(frozen=True)
 class ODESystem:
-    """Reduced flow: coefficient names, vector field, and exact solution."""
+    """Reduced flow: coefficient names, exact solution and extinction time."""
 
     names: tuple[str, ...]
-    rhs: Callable[[float, np.ndarray], np.ndarray]
     closed_form: Callable[[np.ndarray], np.ndarray]  # ts -> (len(ts), k)
     extinction_time: Optional[Union[Fraction, float]]  # Fraction when exact
     description: str
@@ -102,13 +105,6 @@ _REDUCTIONS = {
 }
 
 
-def _affine_solution(k: int, c: int, y0: float, ts: np.ndarray) -> np.ndarray:
-    """Solution of y' = k*y + c, y(0) = y0, at the times ts."""
-    if k == 0:
-        return y0 + c * ts
-    return (y0 + c / k) * np.exp(k * ts) - c / k
-
-
 def _affine_extinction(k: int, c: int, y0: Fraction) -> Optional[Union[Fraction, float]]:
     """First t > 0 with y(t) = 0 for y' = k*y + c, or None if y stays positive.
 
@@ -130,18 +126,24 @@ def reduce(model: AnsatzModel) -> ODESystem:
     names, rates, descriptions = _REDUCTIONS[model.kind]
     normalized = model.mode == NORMALIZED
     k = -1 if normalized else 0
-    C = np.array(rates, dtype=float)
     lam = [float(s) for s in model.scales]
     times = [_affine_extinction(k, c, y0) for c, y0 in zip(rates, model.scales)]
     times = [t for t in times if t is not None]
+
+    def closed_form(ts):
+        """Solution of y' = k*y + c from each y0, at the times ts."""
+        import numpy as np
+
+        ts = np.asarray(ts)
+        if k == 0:
+            cols = [y0 + c * ts for c, y0 in zip(rates, lam)]
+        else:
+            cols = [(y0 + c / k) * np.exp(k * ts) - c / k for c, y0 in zip(rates, lam)]
+        return np.stack(cols, axis=-1)
+
     return ODESystem(
         names=names,
-        # k*y + C as a single array operation for each of k = -1 and k = 0
-        rhs=(lambda t, y: C - y) if normalized else (lambda t, y: C.copy()),
-        closed_form=lambda ts: np.stack(
-            [_affine_solution(k, c, y0, np.asarray(ts)) for c, y0 in zip(rates, lam)],
-            axis=-1,
-        ),
+        closed_form=closed_form,
         extinction_time=min(times) if times else None,
         description=descriptions[normalized],
     )
@@ -178,42 +180,58 @@ class AnsatzTrajectory:
         return self.coeffs[:, 0].copy()
 
     def fiber_diameter_proxy(self) -> np.ndarray:
+        import numpy as np
+
         return np.sqrt(np.maximum(self.fiber_scale(), 0.0))
 
 
-def _rk4_step(rhs, t, y, dt):
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = rhs(t + dt, y + dt * k3)
+def _rk4_step(c: float, normalized: bool, y: float, dt: float) -> float:
+    """One classical RK4 step of y' = c - y (normalized) or y' = c, on floats."""
+    if normalized:
+        k1 = c - y
+        k2 = c - (y + 0.5 * dt * k1)
+        k3 = c - (y + 0.5 * dt * k2)
+        k4 = c - (y + dt * k3)
+    else:
+        k1 = k2 = k3 = k4 = c
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def integrate(model: AnsatzModel, t_end: float, dt: float = 1e-3) -> AnsatzTrajectory:
     """RK4 sampling of the reduced flow.
 
-    Stops at extinction when a scale coefficient crosses zero before
-    t_end; the crossing is refined by bisection to 1e-12 and reported on
-    the trajectory.  Samples at or past extinction are never produced.
+    Each scale obeys its own scalar equation, so the step runs per
+    component on Python floats.  Stops at extinction when a scale
+    coefficient crosses zero before t_end; the crossing is refined by
+    bisection to 1e-12 and reported on the trajectory.  Samples at or
+    past extinction are never produced.
     """
+    import numpy as np
+
     if t_end <= 0 or dt <= 0:
         raise ValueError("t_end and dt must be positive")
     system = reduce(model)
+    rates = [float(c) for c in _REDUCTIONS[model.kind][1]]
+    normalized = model.mode == NORMALIZED
+
+    def step(y, h):
+        return [_rk4_step(c, normalized, yi, h) for c, yi in zip(rates, y)]
+
     ts = [0.0]
-    ys = [np.array([float(s) for s in model.scales])]
+    ys = [[float(s) for s in model.scales]]
     t, y = 0.0, ys[0]
     extinct = False
     ext_time = None
     while t < t_end - 1e-12 * max(1.0, t_end):
         step_dt = min(dt, t_end - t)
-        y_new = _rk4_step(system.rhs, t, y, step_dt)
-        if y_new.min() <= 0.0:
+        y_new = step(y, step_dt)
+        if min(y_new) <= 0.0:
             lo, hi = 0.0, step_dt
             for _ in range(200):
                 if hi - lo <= 1e-13:
                     break
                 mid = 0.5 * (lo + hi)
-                if _rk4_step(system.rhs, t, y, mid).min() <= 0.0:
+                if min(step(y, mid)) <= 0.0:
                     hi = mid
                 else:
                     lo = mid
@@ -227,7 +245,7 @@ def integrate(model: AnsatzModel, t_end: float, dt: float = 1e-3) -> AnsatzTraje
         model=model,
         system=system,
         ts=np.array(ts),
-        coeffs=np.stack(ys),
+        coeffs=np.array(ys),
         extinct=extinct,
         extinction_numeric=ext_time,
     )
@@ -242,7 +260,7 @@ def einstein_residual(model: AnsatzModel, traj: AnsatzTrajectory) -> np.ndarray:
     """
     if model.kind != PRODUCT_EC or model.mode != NORMALIZED:
         raise ValueError("Einstein residual is defined for the normalized product model")
-    return np.abs(traj.coeffs[:, 1] - 2.0)
+    return abs(traj.coeffs[:, 1] - 2.0)
 
 
 @dataclass
@@ -265,6 +283,8 @@ def collapse_profile(model: AnsatzModel, traj: AnsatzTrajectory) -> CollapseProf
     """
     if model.kind != PRODUCT_EC or model.mode != NORMALIZED:
         raise ValueError("collapse profile is defined for the normalized product model")
+    import numpy as np
+
     a0 = float(model.scales[0])
     adjusted = np.exp(traj.ts) * traj.coeffs[:, 0]
     b = traj.coeffs[:, 1]

@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 2 usage error, 3 domain error (non-Kahler class,
 metric positivity loss), 4 verification failure.
+
+The exact commands (``models``, ``maxtime``) need only the class engine,
+so numpy, ``maflow``, ``ghmetric`` and ``verify`` are imported inside the
+commands that use them.
 """
 
 from __future__ import annotations
@@ -10,18 +14,18 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
 from . import ansatz as az
 from . import cohomology as coh
-from . import ghmetric as gh
-from . import maflow as mf
 from . import serialize as ser
-from . import verify as ver
 from .cohomology import models as coh_models
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import maflow as mf
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -202,6 +206,8 @@ def cmd_maxtime(args) -> int:
 
 
 def _parse_g0(raw, n: int) -> np.ndarray:
+    import numpy as np
+
     arr = np.zeros((n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
@@ -232,6 +238,10 @@ def load_flow_config(
     path,
 ) -> tuple[mf.TorusBackground, mf.RunConfig, np.ndarray, Optional[str]]:
     """Background, run settings, initial potential and output path of a config."""
+    import numpy as np
+
+    from . import maflow as mf
+
     cfg = ser.read_json(path)
     if cfg.get("schema") != 1:
         raise ValueError(f"unsupported flow config schema: {cfg.get('schema')!r}")
@@ -283,6 +293,10 @@ def _write_run_record(out: Path, args, series: mf.DiagnosticsSeries) -> None:
 
 
 def cmd_flow(args) -> int:
+    import numpy as np
+
+    from . import maflow as mf
+
     try:
         bg, run_cfg, phi0, cfg_out = load_flow_config(args.config)
     except (OSError, ValueError, KeyError, TypeError) as err:
@@ -368,7 +382,7 @@ def cmd_ansatz(args) -> int:
         "mode": model.mode,
         "system": traj.system.description,
         "extinct": traj.extinct,
-        "closed_form_max_deviation": float(np.abs(traj.coeffs - traj.closed()).max()),
+        "closed_form_max_deviation": float(abs(traj.coeffs - traj.closed()).max()),
     }
     if traj.extinct:
         summary["extinction_time_numeric"] = traj.extinction_numeric
@@ -416,6 +430,10 @@ def cmd_ansatz(args) -> int:
 
 
 def cmd_gh(args) -> int:
+    import numpy as np
+
+    from . import ghmetric as gh
+
     out = Path(args.output_dir)
     if args.gh_command == "sample":
         try:
@@ -489,6 +507,9 @@ def cmd_gh(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import maflow as mf
+    from . import verify as ver
+
     only = None
     if args.criteria:
         try:
@@ -509,6 +530,9 @@ def cmd_verify(args) -> int:
     except ver.MissingModel as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except (mf.AdmissibilityError, mf.StepFailure, mf.SpectralTailError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_DOMAIN
     print(ver.format_table(results))
     if args.report:
         out = Path(args.output_dir)
@@ -607,9 +631,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except coh.DomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (mf.AdmissibilityError, mf.StepFailure, mf.SpectralTailError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -4,9 +4,12 @@ A :class:`ManifoldModel` is a finite presentation of the real (1,1)
 cohomology of a compact Kahler manifold: a basis, the top intersection
 form, the coordinates of twice-pi times the first Chern class, an
 inequality description of the Kahler cone, and a catalogue of subvarieties
-with their restriction pairings.  All arithmetic is over
-``fractions.Fraction``, so flow times, limiting classes, volumes and null
-loci on the built-in models are exact.
+with their restriction pairings.  Flow times, limiting classes, volumes
+and null loci are exact rationals.
+
+Queries run on a model's integer kernel (:class:`IntegerKernel`): a class
+with coordinates A/q (A integer, q > 0) is tested and measured through
+integer polynomials in A, and each answer becomes one ``Fraction``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -127,24 +130,6 @@ class IntersectionTensor:
     def value(self, idx: Sequence[int]) -> Fraction:
         return self.entries.get(tuple(sorted(idx)), Fraction(0))
 
-    def evaluate(self, *classes: ClassVector) -> Fraction:
-        """Multilinear evaluation on exactly ``n`` class vectors."""
-        if len(classes) != self.n:
-            raise DimensionMismatchError(f"need {self.n} classes, got {len(classes)}")
-        for c in classes:
-            if len(c) != self.dim:
-                raise DimensionMismatchError("class length does not match basis")
-        total = Fraction(0)
-        for idx in itertools.product(range(self.dim), repeat=self.n):
-            v = self.value(idx)
-            if v == 0:
-                continue
-            prod = v
-            for slot, i in enumerate(idx):
-                prod *= classes[slot].coords[i]
-            total += prod
-        return total
-
 
 @dataclass(frozen=True)
 class PolyFunctional:
@@ -161,19 +146,31 @@ class PolyFunctional:
     def degree(self) -> int:
         return sum(next(iter(self.monomials))) if self.monomials else 0
 
-    def evaluate(self, a: ClassVector) -> Fraction:
-        total = Fraction(0)
-        for expo, coeff in self.monomials.items():
-            term = coeff
-            for i, e in enumerate(expo):
-                if e:
-                    term *= a.coords[i] ** e
-            total += term
-        return total
 
-    def along_line(self, start: ClassVector, direction: ClassVector) -> list[Fraction]:
-        """Coefficients of t -> functional(start - t*direction)."""
-        return poly.restrict_to_line(self.monomials, start.coords, direction.coords)
+def volume_functional(tensor: IntersectionTensor) -> PolyFunctional:
+    """The degree-n form a -> a^n as an explicit polynomial."""
+    return PolyFunctional(_expand_symmetric(tensor.entries, tensor.dim))
+
+
+def _expand_symmetric(
+    entries: dict[tuple[int, ...], Fraction], dim: int
+) -> dict[tuple[int, ...], Fraction]:
+    """Monomials of a -> sum over ordered index tuples of entry * prod(a_i).
+
+    ``entries`` is keyed by sorted tuples; each stands for all its
+    orderings, hence the multinomial multiplicity.
+    """
+    monos: dict[tuple[int, ...], Fraction] = {}
+    for idx, val in entries.items():
+        counts = [0] * dim
+        for i in idx:
+            counts[i] += 1
+        mult = math.factorial(len(idx))
+        for c in counts:
+            mult //= math.factorial(c)
+        expo = tuple(counts)
+        monos[expo] = monos.get(expo, Fraction(0)) + val * mult
+    return {e: c for e, c in monos.items() if c}
 
 
 @dataclass(frozen=True)
@@ -181,14 +178,6 @@ class ConeSpec:
     """Kahler iff every functional is strictly positive; nef iff all >= 0."""
 
     constraints: tuple[tuple[str, PolyFunctional], ...]
-
-    def violated(self, a: ClassVector, strict: bool) -> tuple[str, ...]:
-        bad = []
-        for label, f in self.constraints:
-            v = f.evaluate(a)
-            if (v <= 0) if strict else (v < 0):
-                bad.append(label)
-        return tuple(bad)
 
 
 @dataclass(frozen=True)
@@ -205,25 +194,94 @@ class SubvarietyEntry:
     dim: int
     pairing: dict[tuple[int, ...], Fraction]
 
-    def restrict(self, a: ClassVector) -> Fraction:
-        """Integral over the subvariety of a^dim."""
-        total = Fraction(0)
-        for idx, val in self.pairing.items():
-            term = val
-            for i in idx:
-                term *= a.coords[i]
-            # multiplicity of the symmetric tuple in the multilinear expansion
-            total += term * _multinomial(idx)
-        return total
+
+#: integer polynomial in class coordinates, as (coefficient, exponents) terms
+IntPoly = tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _multinomial(sorted_idx: tuple[int, ...]) -> int:
-    k = len(sorted_idx)
-    counts = [len(list(g)) for _, g in itertools.groupby(sorted_idx)]
-    out = math.factorial(k)
-    for c in counts:
-        out //= math.factorial(c)
-    return out
+def _cleared(coords: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """(A, q) with coords = A/q, A integer and q the least common denominator."""
+    q = math.lcm(*(x.denominator for x in coords))
+    return tuple(x.numerator * (q // x.denominator) for x in coords), q
+
+
+def _int_poly(monomials: dict[tuple[int, ...], Fraction]) -> tuple[IntPoly, int]:
+    """(P, D) with P = D * monomials over the integers and D > 0."""
+    den = math.lcm(*(c.denominator for c in monomials.values()))
+    terms = tuple(
+        (c.numerator * (den // c.denominator), e) for e, c in monomials.items() if c
+    )
+    return terms, den
+
+
+def _value(poly: IntPoly, A: Sequence[int]) -> int:
+    total = 0
+    for coeff, expo in poly:
+        for x, e in zip(A, expo):
+            if e:
+                coeff *= x**e
+        total += coeff
+    return total
+
+
+def _along_line(poly: IntPoly, C: Sequence[int]) -> tuple[IntPoly, ...]:
+    """(G_0, ..., G_d) with poly(A - s*C) = sum_j G_j(A) s^j, by binomial expansion."""
+    degree = sum(poly[0][1]) if poly else 0
+    parts: list[dict[tuple[int, ...], int]] = [{} for _ in range(degree + 1)]
+    for coeff, expo in poly:
+        for ks in itertools.product(*(range(e + 1) for e in expo)):
+            term = coeff
+            for e, k, c in zip(expo, ks, C):
+                term *= math.comb(e, k) * (-c) ** k
+            rest = tuple(e - k for e, k in zip(expo, ks))
+            part = parts[sum(ks)]
+            part[rest] = part.get(rest, 0) + term
+    return tuple(tuple((v, e) for e, v in part.items() if v) for part in parts)
+
+
+@dataclass(frozen=True)
+class IntegerKernel:
+    """A model's cone, volume form, pairings and cone lines over the integers.
+
+    For a class A/q every question is an integer polynomial in A.  Each
+    cone constraint f of degree d is stored as F = D*f with D > 0 clearing
+    its denominators, so F and f share signs and zeros; so is each catalogue
+    pairing.  The volume form is ``volume / volume_den``.  With
+    2 pi c1 = C/c, ``lines[k] = (G_0, ..., G_d)`` are the integer
+    polynomials with F(A - s*C) = sum_j G_j(A) s^j, so that along the flow
+    line D*f(A/q - t*C/c) = q^-d * sum_j G_j(A) (q*t/c)^j.
+    """
+
+    cone: tuple[tuple[str, IntPoly], ...]
+    lines: tuple[tuple[IntPoly, ...], ...]
+    volume: IntPoly
+    volume_den: int
+    catalogue: tuple[tuple[str, IntPoly], ...]
+    c1: tuple[int, ...]
+    c1_den: int
+
+    @staticmethod
+    def of(model: "ManifoldModel") -> "IntegerKernel":
+        C, c = _cleared(model.c1twopi.coords)
+        cone = tuple((label, _int_poly(f.monomials)[0]) for label, f in model.cone.constraints)
+        volume, volume_den = _int_poly(_expand_symmetric(model.tensor.entries, model.tensor.dim))
+        catalogue = tuple(
+            (entry.label, _int_poly(_expand_symmetric(entry.pairing, len(model.basis)))[0])
+            for entry in model.catalogue
+        )
+        return IntegerKernel(
+            cone=cone,
+            lines=tuple(_along_line(f, C) for _, f in cone),
+            volume=volume,
+            volume_den=volume_den,
+            catalogue=catalogue,
+            c1=C,
+            c1_den=c,
+        )
+
+    def violated(self, A: Sequence[int], strict: bool) -> tuple[str, ...]:
+        floor = 1 if strict else 0  # an integer v is > 0 iff v >= 1
+        return tuple(label for label, f in self.cone if _value(f, A) < floor)
 
 
 @dataclass(frozen=True)
@@ -237,12 +295,23 @@ class ManifoldModel:
     catalogue: tuple[SubvarietyEntry, ...]
     kodaira: Optional[int]  # None encodes kodaira dimension minus infinity
     notes: str = ""
+    #: built on first use and kept on this instance, never shared between
+    #: models: two models may carry one name and different cones
+    _kernel: Optional[IntegerKernel] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.c1twopi) != len(self.basis):
             raise ValueError("c1 coordinates do not match basis length")
         if self.tensor.dim != len(self.basis) or self.tensor.n != self.n:
             raise ValueError("tensor shape does not match model")
+
+    @property
+    def kernel(self) -> IntegerKernel:
+        if self._kernel is None:
+            object.__setattr__(self, "_kernel", IntegerKernel.of(self))
+        return self._kernel
 
     def check_class(self, a: ClassVector) -> None:
         if len(a) != len(self.basis):
@@ -259,23 +328,32 @@ class ManifoldModel:
 def evolve_class(model: ManifoldModel, a0: ClassVector, t: RatLike) -> ClassVector:
     """Class of the evolving metric at time t: a0 - t * (2 pi c1)."""
     model.check_class(a0)
-    return a0 - model.c1twopi.scale(as_fraction(t))
+    t = as_fraction(t)
+    kernel = model.kernel
+    A, q = _cleared(a0.coords)
+    # A/q - (tn/td) * C/c over the one denominator q*td*c
+    tn, scale = t.numerator, t.denominator * kernel.c1_den
+    return ClassVector(
+        tuple(Fraction(x * scale - tn * k * q, q * scale) for x, k in zip(A, kernel.c1))
+    )
 
 
 def is_kahler(model: ManifoldModel, a: ClassVector) -> bool:
     model.check_class(a)
-    return not model.cone.violated(a, strict=True)
+    return not model.kernel.violated(_cleared(a.coords)[0], strict=True)
 
 
 def is_nef(model: ManifoldModel, a: ClassVector) -> bool:
     model.check_class(a)
-    return not model.cone.violated(a, strict=False)
+    return not model.kernel.violated(_cleared(a.coords)[0], strict=False)
 
 
 def volume(model: ManifoldModel, a: ClassVector) -> Fraction:
     """Top self-intersection of the class, exact."""
     model.check_class(a)
-    return model.tensor.evaluate(*([a] * model.n))
+    kernel = model.kernel
+    A, q = _cleared(a.coords)
+    return Fraction(_value(kernel.volume, A), kernel.volume_den * q**model.n)
 
 
 @dataclass(frozen=True)
@@ -308,14 +386,18 @@ class ExistenceTime:
 def max_existence_time(model: ManifoldModel, a0: ClassVector) -> ExistenceTime:
     """Supremum of t with a0 - t*(2 pi c1) Kahler.
 
-    Each cone functional restricted to the line is a univariate rational
-    polynomial; its first positive root is that constraint's failure time
-    and T is the minimum over constraints.  Linear constraints and
-    quadratics with square discriminant give exact rational answers;
-    anything else is isolated to a 1e-12 interval and flagged approximate.
+    Each cone functional restricted to the line is a univariate polynomial
+    in t, here with integer coefficients (a positive multiple, see
+    :class:`IntegerKernel`); its first positive root is that constraint's
+    failure time and T is the minimum over constraints.  Linear
+    constraints and quadratics with square discriminant give exact
+    rational answers; anything else is isolated to a 1e-12 interval and
+    flagged approximate.
     """
     model.check_class(a0)
-    bad = model.cone.violated(a0, strict=True)
+    kernel = model.kernel
+    A, q = _cleared(a0.coords)
+    bad = kernel.violated(A, strict=True)
     if bad:
         raise NotKahlerError(
             f"initial class {a0} on {model.name} is not Kahler; "
@@ -323,9 +405,12 @@ def max_existence_time(model: ManifoldModel, a0: ClassVector) -> ExistenceTime:
             violated=bad,
         )
 
+    c = kernel.c1_den
     best: Optional[tuple] = None  # (key, exact, value-or-interval, label)
-    for label, f in model.cone.constraints:
-        coeffs = f.along_line(a0, model.c1twopi)
+    for (label, _), line in zip(kernel.cone, kernel.lines):
+        d = len(line) - 1
+        # G(q*t/c) times q^d * c^d: the coefficient of t^j is G_j(A) q^j c^(d-j)
+        coeffs = [_value(g, A) * q**j * c ** (d - j) for j, g in enumerate(line)]
         root, interval = poly.first_positive_root(coeffs)
         if root is not None:
             candidate = (root, True, root, label)
@@ -337,7 +422,7 @@ def max_existence_time(model: ManifoldModel, a0: ClassVector) -> ExistenceTime:
             best = candidate
 
     if best is None:
-        if not is_nef(model, model.c1twopi.scale(-1)):
+        if kernel.violated(tuple(-k for k in kernel.c1), strict=False):
             raise ValueError(
                 f"inconsistent cone spec on {model.name}: every constraint "
                 "survives all t >= 0 but the anticanonical direction is not nef"
@@ -388,12 +473,12 @@ class NullLocus:
 
 def null_locus(model: ManifoldModel, a: ClassVector) -> NullLocus:
     model.check_class(a)
-    if not is_nef(model, a):
+    kernel = model.kernel
+    A, _ = _cleared(a.coords)
+    if kernel.violated(A, strict=False):
         raise NotNefError(f"class {a} on {model.name} is not nef")
-    labels = tuple(
-        entry.label for entry in model.catalogue if entry.restrict(a) == 0
-    )
-    return NullLocus(labels=labels, whole_space=volume(model, a) == 0)
+    labels = tuple(label for label, p in kernel.catalogue if _value(p, A) == 0)
+    return NullLocus(labels=labels, whole_space=_value(kernel.volume, A) == 0)
 
 
 def singularity_seed(model: ManifoldModel, a: ClassVector, lam: RatLike) -> ClassVector:

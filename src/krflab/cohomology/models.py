@@ -20,6 +20,7 @@ from . import (
     ManifoldModel,
     PolyFunctional,
     SubvarietyEntry,
+    volume_functional,
 )
 
 SCHEMA_VERSION = 1
@@ -35,23 +36,6 @@ def _linear(coeffs: dict[int, Fraction], dim: int) -> PolyFunctional:
         expo = tuple(1 if j == i else 0 for j in range(dim))
         monos[expo] = _frac(c)
     return PolyFunctional(monos)
-
-
-def volume_functional(tensor: IntersectionTensor) -> PolyFunctional:
-    """The degree-n form a -> a^n as an explicit polynomial."""
-    import math
-
-    monos: dict[tuple[int, ...], Fraction] = {}
-    for idx, val in tensor.entries.items():
-        counts = [0] * tensor.dim
-        for i in idx:
-            counts[i] += 1
-        mult = math.factorial(tensor.n)
-        for c in counts:
-            mult //= math.factorial(c)
-        expo = tuple(counts)
-        monos[expo] = monos.get(expo, Fraction(0)) + val * mult
-    return PolyFunctional({e: c for e, c in monos.items() if c})
 
 
 def riemann_surface(genus: int) -> ManifoldModel:
@@ -221,26 +205,29 @@ def product_ec() -> ManifoldModel:
     )
 
 
+#: builders of the six catalogued models, keyed by CLI name
+_BUILTINS = {
+    "cp1": lambda: riemann_surface(0),
+    "torus1": lambda: riemann_surface(1),
+    "genus2": lambda: riemann_surface(2),
+    "p1xp1": product_p1_p1,
+    "blowup-p2": blowup_p2,
+    "product-ec": product_ec,
+}
+
+
 def builtin_models() -> dict[str, ManifoldModel]:
     """The six catalogued models, keyed by CLI name."""
-    models = [
-        riemann_surface(0),
-        riemann_surface(1),
-        riemann_surface(2),
-        product_p1_p1(),
-        blowup_p2(),
-        product_ec(),
-    ]
-    return {m.name: m for m in models}
+    return {name: build() for name, build in _BUILTINS.items()}
 
 
 def get_model(name: str) -> ManifoldModel:
-    models = builtin_models()
-    if name not in models:
+    """Build the one built-in model of that name."""
+    if name not in _BUILTINS:
         raise KeyError(
-            f"unknown model {name!r}; built-ins: {', '.join(sorted(models))}"
+            f"unknown model {name!r}; built-ins: {', '.join(sorted(_BUILTINS))}"
         )
-    return models[name]
+    return _BUILTINS[name]()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Exact univariate polynomials over the rationals.
 
 Coefficient lists are ascending (``coeffs[k]`` multiplies ``t**k``) and hold
-``fractions.Fraction`` values.  The one nontrivial service is certified
-isolation of the smallest positive root, used to turn cone constraints
-restricted to a line into exact (or certified-interval) failure times.
+``int`` or ``fractions.Fraction`` values.  The one nontrivial service is
+certified isolation of the smallest positive root, used to turn cone
+constraints restricted to a line into exact (or certified-interval)
+failure times.
 """
 
 from __future__ import annotations
@@ -90,28 +91,10 @@ def _squarefree(coeffs: Sequence[Rat]) -> list[Rat]:
     return quot
 
 
-def count_roots(coeffs: Sequence[Rat], lo: Rat, hi: Rat) -> int:
-    """Number of distinct real roots in (lo, hi], by Sturm's theorem."""
-    sf = _squarefree(coeffs)
-    chain = _sturm_chain(sf)
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
-
-
 def _cauchy_bound(coeffs: Sequence[Rat]) -> Rat:
     p = trim(coeffs)
     lead = p[-1]
     return 1 + max(abs(c / lead) for c in p[:-1]) if len(p) > 1 else Fraction(1)
-
-
-def rational_sqrt(x: Rat) -> Optional[Rat]:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
 
 
 def first_positive_root(coeffs: Sequence[Rat]) -> tuple[Optional[Rat], Optional[tuple[Rat, Rat]]]:
@@ -123,26 +106,28 @@ def first_positive_root(coeffs: Sequence[Rat]) -> tuple[Optional[Rat], Optional[
     interval of width <= 1e-12 otherwise, and ``(None, None)`` when there is
     no positive root at all.
     """
-    p = trim(coeffs)
+    # a positive multiple has the same roots and the same Sturm interval
+    # (every chain member scales by it and the squarefree part not at all)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    p = trim([c.numerator * (den // c.denominator) for c in coeffs])
     if len(p) <= 1:
         return None, None  # constant (or zero): no isolated positive root
     if len(p) == 2:
-        root = -p[0] / p[1]
-        return (root, None) if root > 0 else (None, None)
+        return (Fraction(-p[0], p[1]), None) if p[0] * p[1] < 0 else (None, None)
     if len(p) == 3:
         c, b, a = p
         disc = b * b - 4 * a * c
         if disc < 0:
             return None, None
-        sq = rational_sqrt(disc)
-        if sq is not None:
-            roots = sorted(((-b - sq) / (2 * a), (-b + sq) / (2 * a)))
-            for r in roots:
-                if r > 0:
-                    return r, None
-            return None, None
+        sq = math.isqrt(disc)
+        if sq * sq == disc:
+            # the roots are (-b -+ sq) / 2a; positive when the numerator has a's sign
+            nums = [m for m in (-b - sq, -b + sq) if m * a > 0]
+            if not nums:
+                return None, None
+            return Fraction(min(nums) if a > 0 else max(nums), 2 * a), None
         # irrational pair: fall through to certified isolation
-    return None, _isolate_first_positive(p)
+    return None, _isolate_first_positive([Fraction(c) for c in p])
 
 
 def _isolate_first_positive(p: list[Rat]) -> Optional[tuple[Rat, Rat]]:
@@ -161,40 +146,3 @@ def _isolate_first_positive(p: list[Rat]) -> Optional[tuple[Rat, Rat]]:
         else:
             lo = mid
     return lo, hi
-
-
-def restrict_to_line(
-    monomials: dict[tuple[int, ...], Rat],
-    start: Sequence[Rat],
-    direction: Sequence[Rat],
-) -> list[Rat]:
-    """Substitute ``x_i = start_i - t*direction_i`` into a polynomial.
-
-    ``monomials`` maps exponent tuples to coefficients; the result is the
-    ascending coefficient list of the univariate polynomial in ``t``.
-    """
-    total: list[Rat] = [Fraction(0)]
-    for expo, coeff in monomials.items():
-        term = [coeff]
-        for i, e in enumerate(expo):
-            linear = [Fraction(start[i]), -Fraction(direction[i])]
-            for _ in range(e):
-                term = _poly_mul(term, linear)
-        total = _poly_add(total, term)
-    return trim(total)
-
-
-def _poly_mul(a: Sequence[Rat], b: Sequence[Rat]) -> list[Rat]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
-
-
-def _poly_add(a: Sequence[Rat], b: Sequence[Rat]) -> list[Rat]:
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]

@@ -5,13 +5,26 @@ solver below is a preconditioned Newton iteration for the stationary
 problem, the RK4 step is a second scheme to hold ``maflow.run`` against,
 the tail fraction is measured on the full complex spectrum, and the
 symbolic Hessian builds derivative fields from sympy expressions.
+
+The class-engine oracles evaluate every polynomial on ``Fraction``
+coordinates and multiply each constraint out along the flow line, apart
+from the integer kernels of ``krflab.cohomology``; the ansatz oracle
+steps RK4 on numpy arrays, the reference for the per-component float
+steps of ``ansatz.integrate``.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 
+import krflab.ansatz as az
+import krflab.cohomology as coh
 import krflab.maflow as mf
+from krflab.cohomology import poly
 from krflab.maflow.background import _hermitian
 from krflab.maflow.solver import _curvature, _metric
 
@@ -163,3 +176,177 @@ def sequential_improve(X, Y, F, G, orders):
         if not improved:
             break
     return F, G, best[0]
+
+
+# -- exact class engine on Fractions ------------------------------------------
+
+
+def restrict_to_line(monomials, start, direction) -> list[Fraction]:
+    """Substitute ``x_i = start_i - t*direction_i`` into a polynomial.
+
+    ``monomials`` maps exponent tuples to coefficients; the result is the
+    ascending coefficient list of the univariate polynomial in ``t``.
+    """
+    total = [Fraction(0)]
+    for expo, coeff in monomials.items():
+        term = [coeff]
+        for i, e in enumerate(expo):
+            linear = [Fraction(start[i]), -Fraction(direction[i])]
+            for _ in range(e):
+                term = _poly_mul(term, linear)
+        total = _poly_add(total, term)
+    return poly.trim(total)
+
+
+def _poly_mul(a, b) -> list[Fraction]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def _poly_add(a, b) -> list[Fraction]:
+    n = max(len(a), len(b))
+    return [
+        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
+        for i in range(n)
+    ]
+
+
+def count_roots(coeffs, lo, hi) -> int:
+    """Number of distinct real roots in (lo, hi], by Sturm's theorem."""
+    chain = poly._sturm_chain(poly._squarefree(coeffs))
+    return poly._sign_changes(chain, lo) - poly._sign_changes(chain, hi)
+
+
+def evaluate(f: coh.PolyFunctional, a: coh.ClassVector) -> Fraction:
+    total = Fraction(0)
+    for expo, coeff in f.monomials.items():
+        term = coeff
+        for i, e in enumerate(expo):
+            if e:
+                term *= a.coords[i] ** e
+        total += term
+    return total
+
+
+def along_line(f: coh.PolyFunctional, start, direction) -> list[Fraction]:
+    """Coefficients of t -> f(start - t*direction)."""
+    return restrict_to_line(f.monomials, start.coords, direction.coords)
+
+
+def violated(model: coh.ManifoldModel, a: coh.ClassVector, strict: bool) -> tuple[str, ...]:
+    bad = []
+    for label, f in model.cone.constraints:
+        v = evaluate(f, a)
+        if (v <= 0) if strict else (v < 0):
+            bad.append(label)
+    return tuple(bad)
+
+
+def volume(model: coh.ManifoldModel, a: coh.ClassVector) -> Fraction:
+    """Multilinear evaluation of the intersection tensor on (a, ..., a)."""
+    total = Fraction(0)
+    for idx in itertools.product(range(len(a)), repeat=model.n):
+        v = model.tensor.value(idx)
+        if v == 0:
+            continue
+        for i in idx:
+            v *= a.coords[i]
+        total += v
+    return total
+
+
+def restrict(entry: coh.SubvarietyEntry, a: coh.ClassVector) -> Fraction:
+    """Integral over the subvariety of a^dim."""
+    total = Fraction(0)
+    for idx, val in entry.pairing.items():
+        term = val
+        for i in idx:
+            term *= a.coords[i]
+        # multiplicity of the symmetric tuple in the multilinear expansion
+        counts = [len(list(g)) for _, g in itertools.groupby(idx)]
+        mult = math.factorial(len(idx))
+        for c in counts:
+            mult //= math.factorial(c)
+        total += term * mult
+    return total
+
+
+def max_existence_time(model: coh.ManifoldModel, a0: coh.ClassVector) -> coh.ExistenceTime:
+    """Each constraint multiplied out along the line, then its first positive root."""
+    bad = violated(model, a0, strict=True)
+    if bad:
+        raise coh.NotKahlerError(f"{a0} is not Kahler", violated=bad)
+    best = None  # (key, exact, value-or-interval, label)
+    for label, f in model.cone.constraints:
+        root, interval = poly.first_positive_root(along_line(f, a0, model.c1twopi))
+        if root is not None:
+            candidate = (root, True, root, label)
+        elif interval is not None:
+            candidate = (interval[0], False, interval, label)
+        else:
+            continue
+        if best is None or candidate[0] < best[0]:
+            best = candidate
+    if best is None:
+        return coh.ExistenceTime(finite=False, exact=True)
+    _, exact, payload, label = best
+    if exact:
+        return coh.ExistenceTime(finite=True, exact=True, value=payload, binding=label)
+    return coh.ExistenceTime(finite=True, exact=False, interval=payload, binding=label)
+
+
+def limiting_class(model: coh.ManifoldModel, a0: coh.ClassVector, T: Fraction) -> coh.ClassVector:
+    return a0 - model.c1twopi.scale(T)
+
+
+def null_locus(model: coh.ManifoldModel, a: coh.ClassVector) -> coh.NullLocus:
+    labels = tuple(e.label for e in model.catalogue if restrict(e, a) == 0)
+    return coh.NullLocus(labels=labels, whole_space=volume(model, a) == 0)
+
+
+# -- ansatz RK4 on numpy arrays -----------------------------------------------
+
+
+def _rk4_step(rhs, t, y, dt):
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = rhs(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def ansatz_integrate(model: az.AnsatzModel, t_end: float, dt: float = 1e-3):
+    """(ts, coeffs, extinct, extinction time) of the array-stepped RK4 loop."""
+    C = np.array(az._REDUCTIONS[model.kind][1], dtype=float)
+    if model.mode == az.NORMALIZED:
+        rhs = lambda t, y: C - y  # noqa: E731
+    else:
+        rhs = lambda t, y: C.copy()  # noqa: E731
+    ts = [0.0]
+    ys = [np.array([float(s) for s in model.scales])]
+    t, y = 0.0, ys[0]
+    extinct = False
+    ext_time = None
+    while t < t_end - 1e-12 * max(1.0, t_end):
+        step_dt = min(dt, t_end - t)
+        y_new = _rk4_step(rhs, t, y, step_dt)
+        if y_new.min() <= 0.0:
+            lo, hi = 0.0, step_dt
+            for _ in range(200):
+                if hi - lo <= 1e-13:
+                    break
+                mid = 0.5 * (lo + hi)
+                if _rk4_step(rhs, t, y, mid).min() <= 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            extinct = True
+            ext_time = t + 0.5 * (lo + hi)
+            break
+        t, y = t + step_dt, y_new
+        ts.append(t)
+        ys.append(y)
+    return np.array(ts), np.stack(ys), extinct, ext_time

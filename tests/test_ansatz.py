@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import krflab.ansatz as az
+import oracles
 from krflab import verify
 
 
@@ -202,3 +203,25 @@ def test_round_p1_volume_tracks_scale_and_collapse():
     # the class engine agrees the extinction is volume-collapsed
     sphere = coh_models.get_model("cp1")
     assert not coh.is_noncollapsed(sphere, coh.ClassVector.of([F(3, 2)]))
+
+
+@pytest.mark.parametrize(
+    "kind, scales",
+    [(az.ROUND_P1, [F(1234, 1000)]), (az.P1XP1, [F(3), F(7, 5)]), (az.PRODUCT_EC, [F(2), F(1, 2)])],
+)
+@pytest.mark.parametrize("mode", [az.UNNORMALIZED, az.NORMALIZED])
+@pytest.mark.parametrize("t_end, dt", [(2.0, 1e-3), (1.2345, 1e-2)])
+def test_float_steps_are_bit_identical_to_the_array_oracle(kind, scales, mode, t_end, dt):
+    model = az.AnsatzModel.of(kind, scales, mode)
+    traj = az.integrate(model, t_end, dt=dt)
+    ts, coeffs, extinct, ext_time = oracles.ansatz_integrate(model, t_end, dt=dt)
+    assert np.array_equal(traj.ts, ts) and np.array_equal(traj.coeffs, coeffs)
+    assert traj.coeffs.shape == coeffs.shape and traj.coeffs.dtype == coeffs.dtype
+    assert traj.extinct == extinct and traj.extinction_numeric == ext_time
+    # the spheres die inside the window, the product never does; 1.2345 is
+    # not a multiple of 1e-2, so that run also ends on a short step
+    assert traj.extinct == (kind != az.PRODUCT_EC)
+    if traj.extinct:
+        assert traj.ts[-1] < traj.extinction_numeric < traj.ts[-1] + dt
+    else:
+        assert traj.ts[-1] == pytest.approx(t_end, abs=1e-12)

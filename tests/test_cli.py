@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -505,3 +508,29 @@ def test_verify_bad_flow_grid_is_a_usage_error(grid, capsys):
     captured = capsys.readouterr()
     assert "power of two" in captured.err and grid in captured.err
     assert "criterion 1" not in captured.out
+
+
+def test_exact_commands_load_no_numpy():
+    # a fresh interpreter: the exact commands need only the class engine
+    code = (
+        "import sys\n"
+        "from krflab import cli\n"
+        "assert cli.main(['maxtime', 'blowup-p2', '4,-1']) == 0\n"
+        "assert cli.main(['models']) == 0\n"
+        "try:\n"
+        "    cli.main(['ansatz', '--help'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "heavy = ('numpy', 'krflab.maflow', 'krflab.ghmetric', 'krflab.verify')\n"
+        "print(sorted(name for name in heavy if name in sys.modules))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src, "PATH": ""},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert "T = 1" in out.stdout
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -6,6 +6,7 @@ import pytest
 
 import krflab.cohomology as C
 from krflab.cohomology import ClassVector, models
+from oracles import restrict
 
 
 CP1 = models.get_model("cp1")
@@ -393,16 +394,16 @@ def test_blowup_catalogue_pairings_are_the_stored_facts():
     # the exceptional curve pairs to -1 with its own class and 0 with the
     # hyperplane pullback; the line pairs to +1 with the hyperplane class
     entries = {e.label: e for e in BLOWUP.catalogue}
-    assert entries["E"].restrict(cv(1, 0)) == 0
-    assert entries["E"].restrict(cv(0, 1)) == -1
-    assert entries["H"].restrict(cv(1, 0)) == 1
-    assert entries["H"].restrict(cv(0, 1)) == 0
+    assert restrict(entries["E"], cv(1, 0)) == 0
+    assert restrict(entries["E"], cv(0, 1)) == -1
+    assert restrict(entries["H"], cv(1, 0)) == 1
+    assert restrict(entries["H"], cv(0, 1)) == 0
 
 
 def test_product_catalogue_pairings():
     entries = {e.label: e for e in P1XP1.catalogue}
-    assert entries["H"].restrict(cv(2, 3)) == 2
-    assert entries["F"].restrict(cv(2, 3)) == 3
+    assert restrict(entries["H"], cv(2, 3)) == 2
+    assert restrict(entries["F"], cv(2, 3)) == 3
 
 
 def _hyperbolic_slice_model():
