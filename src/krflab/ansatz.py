@@ -208,8 +208,8 @@ def integrate(model: AnsatzModel, t_end: float, dt: float = 1e-3) -> AnsatzTraje
     """
     import numpy as np
 
-    if t_end <= 0 or dt <= 0:
-        raise ValueError("t_end and dt must be positive")
+    if not all(math.isfinite(x) and x > 0 for x in (t_end, dt)):
+        raise ValueError(f"t_end and dt must be finite and positive, got {t_end} and {dt}")
     system = reduce(model)
     rates = [float(c) for c in _REDUCTIONS[model.kind][1]]
     normalized = model.mode == NORMALIZED

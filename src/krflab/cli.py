@@ -1,7 +1,12 @@
 """Command-line surface: models, maxtime, flow, ansatz, gh, verify.
 
 Exit codes: 0 success, 2 usage error, 3 domain error (non-Kahler class,
-metric positivity loss), 4 verification failure.
+metric positivity loss), 4 verification failure.  Commands raise, and
+``main`` alone maps errors to codes: ``UsageError`` exits 2, and
+``cohomology.DomainError`` (the class engine's errors and maflow's
+``AdmissibilityError``, ``StepFailure`` and ``SpectralTailError``) exits 3.
+Inputs are built inside ``_reading``, which turns an ``OSError``,
+``ValueError``, ``LookupError`` or ``TypeError`` into a ``UsageError``.
 
 The exact commands (``models``, ``maxtime``) need only the class engine,
 so numpy, ``maflow``, ``ghmetric`` and ``verify`` are imported inside the
@@ -13,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -33,10 +39,31 @@ EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 
 
-def _load_models(args) -> dict:
-    if getattr(args, "catalogue", None):
-        return coh_models.load_catalogue(args.catalogue)
-    return coh_models.builtin_models()
+class UsageError(Exception):
+    """Bad command-line input, or a bad file that it names (exit code 2)."""
+
+
+@contextmanager
+def _reading(prefix: str = ""):
+    """Re-raise a bad-input error as a UsageError; a DomainError passes unchanged."""
+    try:
+        yield
+    except coh.DomainError:
+        raise
+    except (OSError, ValueError, LookupError, TypeError) as err:
+        raise UsageError(f"{prefix}{err}") from err
+
+
+def _load_models(args, name: Optional[str] = None) -> dict:
+    """The --catalogue models, or the built-ins; ``name`` must be one of them."""
+    with _reading():
+        if args.catalogue:
+            models = coh_models.load_catalogue(args.catalogue)
+        else:
+            models = coh_models.builtin_models()
+    if name is not None and name not in models:
+        raise UsageError(f"unknown model {name!r}; built-ins: {', '.join(sorted(models))}")
+    return models
 
 
 def _poly_str(f: coh.PolyFunctional, basis) -> str:
@@ -71,22 +98,8 @@ def _print_model(model: coh.ManifoldModel) -> None:
 
 
 def cmd_models(args) -> int:
-    try:
-        models = _load_models(args)
-    except (OSError, ValueError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.name:
-        if args.name not in models:
-            print(
-                f"error: unknown model {args.name!r}; "
-                f"built-ins: {', '.join(sorted(models))}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        selected = {args.name: models[args.name]}
-    else:
-        selected = models
+    models = _load_models(args, args.name)
+    selected = {args.name: models[args.name]} if args.name else models
     if args.format == "json":
         payload = {
             "schema": coh_models.SCHEMA_VERSION,
@@ -143,31 +156,10 @@ def _maxtime_report(models: dict, name: str, coords) -> dict:
 
 
 def cmd_maxtime(args) -> int:
-    try:
-        models = _load_models(args)
-        if args.model not in models:
-            print(
-                f"error: unknown model {args.model!r}; "
-                f"built-ins: {', '.join(sorted(models))}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+    models = _load_models(args, args.model)
+    with _reading():
         coords = ser.parse_class_coords(args.klass)
-    except (OSError, ValueError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = _maxtime_report(models, args.model, coords)
-    except coh.NotKahlerError as err:
-        print(f"error: {err}", file=sys.stderr)
-        if err.violated:
-            print(
-                f"violated constraints: {', '.join(err.violated)}", file=sys.stderr
-            )
-        return EXIT_DOMAIN
-    except coh.DomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
+    report = _maxtime_report(models, args.model, coords)
     if args.format == "json":
         print(json.dumps(report, indent=2))
         return EXIT_OK
@@ -208,24 +200,19 @@ def cmd_maxtime(args) -> int:
 def _parse_g0(raw, n: int) -> np.ndarray:
     import numpy as np
 
-    arr = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            cell = raw[i][j]
-            if isinstance(cell, (list, tuple)):
-                arr[i, j] = complex(cell[0], cell[1])
-            else:
-                arr[i, j] = complex(float(cell), 0.0)
-    return arr
+    def entry(cell) -> complex:
+        if isinstance(cell, (list, tuple)):
+            return complex(cell[0], cell[1])
+        return complex(float(cell), 0.0)
+
+    return np.array([[entry(raw[i][j]) for j in range(n)] for i in range(n)], dtype=complex)
 
 
 def _modes_from_config(entries) -> list[tuple]:
-    modes = []
-    for item in entries or []:
-        modes.append(
-            (tuple(item["freq"]), float(item.get("cos", 0.0)), float(item.get("sin", 0.0)))
-        )
-    return modes
+    return [
+        (tuple(item["freq"]), float(item.get("cos", 0.0)), float(item.get("sin", 0.0)))
+        for item in entries or []
+    ]
 
 
 #: every key a flow config may carry; anything else is a typo and rejected
@@ -297,11 +284,8 @@ def cmd_flow(args) -> int:
 
     from . import maflow as mf
 
-    try:
+    with _reading("bad flow config: "):
         bg, run_cfg, phi0, cfg_out = load_flow_config(args.config)
-    except (OSError, ValueError, KeyError, TypeError) as err:
-        print(f"error: bad flow config: {err}", file=sys.stderr)
-        return EXIT_USAGE
     # the config may name its own output path; an explicit flag wins
     out = Path(cfg_out) if cfg_out and args.output_dir == "krflab-out" else Path(args.output_dir)
     if run_cfg.mode == mf.UNNORMALIZED and bg.f is not None:
@@ -317,13 +301,9 @@ def cmd_flow(args) -> int:
         final, series = mf.run(bg, run_cfg, phi0=phi0)
     except (mf.StepFailure, mf.SpectralTailError) as err:
         # keep the evidence: the diagnostics recorded up to the failure
-        print(f"error: {err}", file=sys.stderr)
         _write_run_record(out, args, err.series)
         print(f"partial diagnostics written to {out}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except mf.AdmissibilityError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise
     _write_run_record(out, args, series)
     final.phi.astype(np.float64).tofile(out / "phi.bin")
     ser.write_json(
@@ -346,7 +326,6 @@ def cmd_flow(args) -> int:
         eps_pos=run_cfg.eps_pos,
         scalar_floor=(run_cfg.mode == mf.UNNORMALIZED and untwisted),
         normalized_cy=(run_cfg.mode == mf.NORMALIZED and series.converged),
-        oracle_rate=1.0 if series.converged else None,
     )
     print(report)
     print(f"termination: {series.termination} at t = {final.t:.6g}")
@@ -364,13 +343,10 @@ def cmd_flow(args) -> int:
 
 
 def cmd_ansatz(args) -> int:
-    try:
+    with _reading():
         scales = ser.parse_class_coords(args.scales)
         model = az.AnsatzModel.of(args.kind, scales, args.mode)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    traj = az.integrate(model, args.t_end, dt=args.dt)
+        traj = az.integrate(model, args.t_end, dt=args.dt)
     out = Path(args.output_dir)
     header = ["t", *traj.names, "volume", "fiber_diameter"]
     columns = [traj.ts] + [traj.coeffs[:, i] for i in range(traj.coeffs.shape[1])]
@@ -436,23 +412,17 @@ def cmd_gh(args) -> int:
 
     out = Path(args.output_dir)
     if args.gh_command == "sample":
-        try:
+        with _reading():
             space = gh.sample_warped_torus(args.t, args.nb, args.nf)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_USAGE
         out.mkdir(parents=True, exist_ok=True)
         ser.write_json(out / "space.json", gh.space_to_dict(space))
         ser.write_manifest(out, "gh sample", seed=args.seed)
         print(f"wrote {len(space)}-point warped torus sample to {out / 'space.json'}")
         return EXIT_OK
     if args.gh_command == "bound":
-        try:
+        with _reading():
             X = gh.space_from_dict(ser.read_json(args.space_x))
             Y = gh.space_from_dict(ser.read_json(args.space_y))
-        except (OSError, ValueError, KeyError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_USAGE
         bound = gh.gh_upper_bound(X, Y, seed=args.seed)
         ser.write_json(
             out / "bound.json",
@@ -468,12 +438,9 @@ def cmd_gh(args) -> int:
         print(f"epsilon = {bound.epsilon:.12g} ({bound.flag})")
         return EXIT_OK
     # collapse
-    try:
+    with _reading():
         ts = np.linspace(args.t_start, args.t_end, args.steps)
         series = gh.collapse_series(ts, args.nb, args.nf)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     ser.write_csv(out / "collapse.csv", series.header, series.rows())
     ser.write_json(
         out / "collapse.json",
@@ -507,7 +474,6 @@ def cmd_gh(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import maflow as mf
     from . import verify as ver
 
     only = None
@@ -515,24 +481,16 @@ def cmd_verify(args) -> int:
         try:
             only = [int(tok) for tok in args.criteria.split(",")]
         except ValueError:
-            print("error: --criteria takes comma-separated indices", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        models = _load_models(args)
+            raise UsageError("--criteria takes comma-separated indices") from None
+    models = _load_models(args)
+    with _reading():
         # a bad grid or an unknown index is refused before any criterion runs
         opts = ver.VerifyOptions(seed=args.seed, flow_grid=args.flow_grid, models=models)
         ver.check_criteria(only or [])
-    except (OSError, ValueError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         results = ver.run_all(opts, only=only)
     except ver.MissingModel as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (mf.AdmissibilityError, mf.StepFailure, mf.SpectralTailError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise UsageError(err) from err
     print(ver.format_table(results))
     if args.report:
         out = Path(args.output_dir)
@@ -630,8 +588,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     except coh.DomainError as err:
         print(f"error: {err}", file=sys.stderr)
+        if isinstance(err, coh.NotKahlerError) and err.violated:
+            print(f"violated constraints: {', '.join(err.violated)}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
+from ..serialize import read_json
 from . import (
     ClassVector,
     ConeSpec,
@@ -276,6 +277,8 @@ def model_to_dict(model: ManifoldModel) -> dict:
 
 
 def model_from_dict(data: dict) -> ManifoldModel:
+    if not isinstance(data, dict):
+        raise ValueError(f"a model must be a JSON object, got {data!r}")
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema: {data.get('schema')!r}")
     n = int(data["n"])
@@ -337,7 +340,7 @@ def dump_catalogue(path: Union[str, Path], models: dict[str, ManifoldModel] | No
 
 
 def load_catalogue(path: Union[str, Path]) -> dict[str, ManifoldModel]:
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path)
     if payload.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported catalogue schema: {payload.get('schema')!r}")
     models = [model_from_dict(item) for item in payload["models"]]

@@ -9,17 +9,20 @@ a given pair of maps; ``gh_upper_bound`` searches over maps, exhaustively
 only) otherwise.
 
 The local search is coordinate descent on one coordinate of F or G at a
-time, run on a stack of starts at once: every value of one coordinate,
-for every start still descending, is scored in one batch, a block of
-S*|Y|*|X|**2 floats for S starts when F[x] moves.  The starts share
-their pass orders, drawn once after the start maps.  They run in stacks
-whose blocks hold at most ``BLOCK_FLOATS`` (2 MB, one 64-point start's
-block), and the search stops after the first stack that reaches
-epsilon 0.  The result is the first start, in order, with the smallest
-epsilon.  Each start ends bit-for-bit where scoring each of its
-candidates alone ends, which needs two things: every block is
-C-contiguous before its rows are reduced, and the soft score is summed
-in one order, ((d1 + d2) + d3) + d4, whichever map moves.
+time, from anchor-aligned and random start maps (matching distance
+profiles gives no start: on a homogeneous space all profiles are equal,
+so it maps every point to point 0).  It runs on a stack of starts at
+once: every value of one coordinate, for every start still descending,
+is scored in one batch, a block of S*|Y|*|X|**2 floats for S starts when
+F[x] moves.  The starts share their pass orders, drawn once after the
+start maps.  They run in stacks whose blocks hold at most
+``BLOCK_FLOATS`` (2 MB, one 64-point start's block), and the search
+stops after the first stack that reaches epsilon 0.  The result is the
+first start, in order, with the smallest epsilon.  Each start ends
+bit-for-bit where scoring each of its candidates alone ends, which needs
+two things: every block is C-contiguous before its rows are reduced, and
+the soft score is summed in one order, ((d1 + d2) + d3) + d4, whichever
+map moves.
 
 The collapsing demonstration samples a two-torus whose fiber circle
 shrinks like exp(-t/2) and certifies convergence to the base circle with
@@ -127,21 +130,6 @@ class GHBound:
     @property
     def exact(self) -> bool:
         return self.flag == "exact"
-
-
-def _signature_seed(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> np.ndarray:
-    """Map each point of X to the Y point with the closest distance profile."""
-    k = max(len(X), len(Y))
-    grid = np.linspace(0.0, 1.0, k)
-
-    def signatures(space):
-        rows = np.sort(space.D, axis=1)
-        base = np.linspace(0.0, 1.0, rows.shape[1])
-        return np.stack([np.interp(grid, base, row) for row in rows])
-
-    sx, sy = signatures(X), signatures(Y)
-    cost = np.abs(sx[:, None, :] - sy[None, :, :]).sum(axis=2)
-    return cost.argmin(axis=1)
 
 
 def _anchor_seed(
@@ -309,8 +297,8 @@ def _heuristic_bound(
 ) -> tuple[float, CorrespondencePair]:
     """Best pair the local search reaches from its starts, and its epsilon.
 
-    The starts are the profile-matching pair, up to 8 x 8 anchor
-    alignments and ``restarts`` random pairs.  After the start maps, the
+    The starts are up to 8 x 8 anchor alignments and ``restarts`` random
+    pairs.  After the start maps, the
     rng draws ``PASSES`` pass orders (one permutation of X and one of Y
     each), shared by every start.  ``_improve`` runs the starts as stacks
     of at most ``BLOCK_FLOATS // (|X| |Y| max(|X|, |Y|))`` rows, one start
@@ -320,11 +308,9 @@ def _heuristic_bound(
     """
     rng = np.random.default_rng(seed)
     nx, ny = len(X), len(Y)
-    # deterministic starts (profile matching, anchor alignment), then the
-    # requested number of random restarts
-    starts: list[tuple[np.ndarray, np.ndarray]] = [
-        (_signature_seed(X, Y), _signature_seed(Y, X))
-    ]
+    # deterministic starts (anchor alignment), then the requested number of
+    # random restarts
+    starts: list[tuple[np.ndarray, np.ndarray]] = []
     anchors_x = range(nx) if nx <= 8 else rng.choice(nx, size=8, replace=False)
     anchors_y = range(ny) if ny <= 8 else rng.choice(ny, size=8, replace=False)
     for x0 in anchors_x:
@@ -406,8 +392,8 @@ def gh_upper_bound(
     """Minimize gh_epsilon over map pairs.
 
     Exact (full enumeration with sound pruning) when |X|*|Y| is at most
-    36; otherwise a nearest-neighbor/anchor seeded local search with 64
-    random restarts, which only certifies an upper bound and is flagged
+    36; otherwise an anchor-seeded local search with 64 random
+    restarts, which only certifies an upper bound and is flagged
     "heuristic".  The local search runs its starts as stacks that share
     one set of pass orders (see ``_heuristic_bound``), stops after the
     first stack that reaches epsilon 0, and keeps the first start, in

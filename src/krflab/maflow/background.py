@@ -28,8 +28,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..cohomology import DomainError
 
-class AdmissibilityError(ValueError):
+
+class AdmissibilityError(DomainError):
     """The candidate metric lost positivity (min eigenvalue below floor or not finite)."""
 
     def __init__(self, min_eig: float, location: tuple[int, ...], floor: float):

@@ -32,6 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ..cohomology import DomainError
 from .background import (
     AdmissibilityError,
     TorusBackground,
@@ -60,7 +61,7 @@ _CONTOUR = np.exp(1j * np.pi * (np.arange(32) + 0.5) / 32)
 _NEAR_ZERO = 0.5
 
 
-class StepFailure(RuntimeError):
+class StepFailure(DomainError):
     """A step kept losing metric positivity, or the step size collapsed.
 
     ``termination`` names the reason; when ``run`` raises it, ``series``
@@ -80,7 +81,7 @@ class StepFailure(RuntimeError):
         self.termination = termination
 
 
-class SpectralTailError(RuntimeError):
+class SpectralTailError(DomainError):
     """Too much energy reached the top of the spectrum; the run is unresolved.
 
     When ``run`` raises it, ``series`` holds the diagnostics recorded up to
@@ -344,8 +345,6 @@ class RunConfig:
     # nominal step being the diffusive CFL bound at the record (or dt if smaller)
     record_every: int = 100
     eps_pos: float = EPS_POS
-    convergence_tol: float = CONVERGENCE_TOL
-    tail_limit: float = TAIL_LIMIT
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -487,11 +486,11 @@ def run(
     Records fall every record_every nominal steps in simulated time (see
     ``RunConfig``), and the steps land exactly on them and on t_end.
     Normalized runs terminate early (reported via series.converged) once
-    sup|phidot| falls below the convergence tolerance.  The spectral tail
-    is monitored at record times and the run aborts if more than
-    ``tail_limit`` of the fluctuation energy reaches the outer third of
-    the spectrum.  A StepFailure or SpectralTailError raised here carries
-    the series recorded so far as ``err.series``, its termination set.
+    sup|phidot| falls below CONVERGENCE_TOL.  The spectral tail is
+    monitored at record times and the run aborts if more than TAIL_LIMIT
+    of the fluctuation energy reaches the outer third of the spectrum.
+    A StepFailure or SpectralTailError raised here carries the series
+    recorded so far as ``err.series``, its termination set.
     """
     state = initial_state(bg, phi0, config.mode)
     series = DiagnosticsSeries()
@@ -563,7 +562,7 @@ def _integrate(
         state = FlowState(
             t=t_record if landed else state.t + taken, phi=phi, mode=config.mode
         )
-        converged = config.mode == NORMALIZED and speed < config.convergence_tol
+        converged = config.mode == NORMALIZED and speed < CONVERGENCE_TOL
         record = landed or converged
         if record:
             series.append(snapshot(bg, state, config.eps_pos, metric=metric))
@@ -571,10 +570,10 @@ def _integrate(
         if record:
             t_record = None
             tail = bg.tail_energy_fraction(vk)
-            if tail > config.tail_limit:
+            if tail > TAIL_LIMIT:
                 raise SpectralTailError(
                     f"tail energy fraction {tail:.3e} exceeds "
-                    f"{config.tail_limit:.1e} at t={state.t:.6g}"
+                    f"{TAIL_LIMIT:.1e} at t={state.t:.6g}"
                 )
             if converged:
                 series.converged = True

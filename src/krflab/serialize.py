@@ -21,7 +21,10 @@ SCHEMA_VERSION = 1
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or 'p' (also accepts plain integers)."""
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(x: Fraction) -> str:
@@ -40,7 +43,7 @@ def _cell(value) -> str:
     if isinstance(value, Fraction):
         return format_rational(value)
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float's repr is "np.float64(...)"
     return str(value)
 
 
@@ -61,7 +64,11 @@ def write_json(path: Union[str, Path], payload: dict) -> None:
 
 
 def read_json(path: Union[str, Path]) -> dict:
-    return json.loads(Path(path).read_text())
+    """The JSON object in the file; any other JSON value is a ValueError."""
+    payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} holds a JSON {type(payload).__name__}, not an object")
+    return payload
 
 
 def write_manifest(

@@ -218,8 +218,7 @@ def criterion_convergence(opts: VerifyOptions) -> CriterionResult:
         "1e-8",
         residual < 1e-8,
     )
-    # the slowest linearized mode is the mean, damped at exactly rate 1
-    oracle = 1.0
+    oracle = mf.NORMALIZED_DECAY_RATE
     fit = mf.fit_decay_rate(series.column("t"), series.column("sup_phidot"))
     if fit is None:
         res.add("decay rate vs linearized oracle", oracle, "no fit", "10%", False)

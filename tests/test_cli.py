@@ -71,6 +71,15 @@ def test_maxtime_bad_class_usage_error(capsys):
     assert cli.main(["maxtime", "cp1", "one"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["maxtime", "cp1", "1/0"], ["ansatz", "round-p1", "--scales", "1/0"]]
+)
+def test_zero_denominator_is_a_usage_error(tmp_path, capsys, argv):
+    # Fraction("1/0") raised ZeroDivisionError, a traceback with exit 1
+    assert cli.main(["--output-dir", str(tmp_path / "out"), *argv]) == 2
+    assert "zero denominator in '1/0'" in capsys.readouterr().err
+
+
 def test_maxtime_json(capsys):
     assert cli.main(["--format", "json", "maxtime", "blowup-p2", "4,-1"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -183,6 +192,23 @@ def test_flow_config_with_a_bad_value_is_a_usage_error(tmp_path, capsys, overrid
     assert not out.exists()
 
 
+def test_flow_config_with_a_short_g0_is_a_usage_error(tmp_path, capsys):
+    # an IndexError from a 1x1 g0 at n = 2 used to end in a traceback
+    cfg = stationary_config(tmp_path, n=2, N=8)
+    assert cli.main(["--output-dir", str(tmp_path / "run"), "flow", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad flow config: ") and "out of range" in err
+
+
+def test_flow_failures_map_to_the_domain_exit_code():
+    # main maps every DomainError to exit 3, the flow's failures included
+    import krflab.cohomology as coh
+    import krflab.maflow as mf
+
+    for cls in (mf.AdmissibilityError, mf.StepFailure, mf.SpectralTailError):
+        assert issubclass(cls, coh.DomainError)
+
+
 def test_flow_config_names_its_output(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = stationary_config(tmp_path, output=str(tmp_path / "named"))
@@ -266,6 +292,29 @@ def test_ansatz_product_ec_residual_series(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["final_einstein_residual"] == pytest.approx(3 * np.exp(-10.0), rel=1e-6)
     assert summary["collapse"]["fiber_scale_adjusted"] == 1.0
+
+
+def test_ansatz_trajectory_cells_are_plain_floats(tmp_path, capsys):
+    # numpy floats used to reach the csv as "np.float64(0.001)"
+    out = tmp_path / "a"
+    argv = ["--output-dir", str(out), "ansatz", "round-p1", "--scales", "1", "--t-end", "1"]
+    assert cli.main(argv) == 0
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert rows[0] == "t,lambda,volume,fiber_diameter" and len(rows) > 2
+    for row in rows[1:]:
+        assert all(math.isfinite(float(cell)) for cell in row.split(","))
+
+
+@pytest.mark.parametrize("flag", ["--t-end", "--dt"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_ansatz_non_positive_or_non_finite_time_is_a_usage_error(tmp_path, capsys, flag, value):
+    # -1 and 0 used to end in a traceback, and nan or inf ran and exited 0
+    out = tmp_path / "a"
+    argv = ["--output-dir", str(out), "ansatz", "round-p1", "--scales", "1", flag, value]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite and positive" in err
+    assert not out.exists()
 
 
 def test_ansatz_bad_kind_usage_error(capsys):
@@ -411,6 +460,26 @@ def test_verify_catalogue_without_a_criterion_model_is_a_usage_error(tmp_path, c
     assert cli.main(["verify", "--catalogue", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'torus1'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["flow", "{}"], "[1]", "not an object"),
+        (["models", "--catalogue", "{}"], "[1]", "not an object"),
+        (["gh", "bound", "{}", "{}"], "[1]", "not an object"),
+        (["models", "--catalogue", "{}"], '{"schema": 1, "models": [1]}', "JSON object"),
+    ],
+    ids=["flow-config", "catalogue", "space", "catalogue-model"],
+)
+def test_json_input_that_is_not_an_object_is_a_usage_error(tmp_path, capsys, argv, text, message):
+    # a JSON value other than an object used to end in an AttributeError traceback
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = [arg.format(path) for arg in argv]
+    assert cli.main(["--output-dir", str(tmp_path / "out"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_maxtime_reports_flagged_approximation(tmp_path, capsys):

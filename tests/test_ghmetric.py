@@ -240,7 +240,7 @@ def test_heuristic_bound_keeps_the_first_best_start_in_any_stacks(case, monkeypa
     with monkeypatch.context() as patch:
         patch.setattr(gh, "_improve", record)
         gh._heuristic_bound(X, Y, seed)
-    assert len(starts) == 1 + min(len(X), 8) * min(len(Y), 8) + gh.RESTARTS
+    assert len(starts) == min(len(X), 8) * min(len(Y), 8) + gh.RESTARTS
     # one start after another: keep each strictly better one, stop at zero
     best_eps, best = math.inf, None
     for F0, G0 in starts:

@@ -71,10 +71,12 @@ def test_normalized_decay_verdict_with_oracle():
     ts = np.linspace(0, 20, 300)
     mu = 1.0
     series = synthetic_series(ts, sup_phidot=0.01 * np.exp(-mu * ts))
-    report = mf.estimate_report(series, normalized_cy=True, oracle_rate=1.0)
+    report = mf.estimate_report(series, normalized_cy=True)
     verdicts = {v.name: v.passed for v in report.verdicts}
     assert verdicts["normalized-decay"]
-    report = mf.estimate_report(series, normalized_cy=True, oracle_rate=2.0)
+    # a decay at rate 2 misses the oracle rate 1
+    fast = synthetic_series(ts, sup_phidot=0.01 * np.exp(-2.0 * ts))
+    report = mf.estimate_report(fast, normalized_cy=True)
     verdicts = {v.name: v.passed for v in report.verdicts}
     assert not verdicts["normalized-decay"]
 

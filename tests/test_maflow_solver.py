@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import krflab.maflow as mf
+import krflab.maflow.solver as solver
 from krflab.maflow.solver import _cfl_bound
 from oracles import ricci_and_scalar, rk4_step, solve_stationary_normalized
 
@@ -219,12 +220,13 @@ def test_non_finite_potential_is_not_admissible():
         mf.ma_rhs(bg, mf.initial_state(bg, phi0))
 
 
-def test_run_reports_step_failure_when_twist_drives_degeneracy():
+def test_run_reports_step_failure_when_twist_drives_degeneracy(monkeypatch):
     # a strong negative twist inflates the potential until positivity dies
     bg0 = background(N=16)
     f = bg0.field_from_modes([((1, 0), -60.0, 0.0)])
     bg = mf.TorusBackground(n=1, N=16, g0=np.eye(1), f=f)
-    cfg = mf.RunConfig(t_end=5.0, record_every=10, tail_limit=1.0)
+    monkeypatch.setattr(solver, "TAIL_LIMIT", 1.0)
+    cfg = mf.RunConfig(t_end=5.0, record_every=10)
     with pytest.raises((mf.StepFailure, mf.AdmissibilityError)):
         mf.run(bg, cfg)
 
@@ -289,8 +291,9 @@ def strong_twist_background():
     return mf.TorusBackground(n=1, N=16, g0=np.eye(1), f=f)
 
 
-def test_strong_twist_fails_fast_and_keeps_its_series():
-    cfg = mf.RunConfig(t_end=5.0, record_every=10, tail_limit=1.0)
+def test_strong_twist_fails_fast_and_keeps_its_series(monkeypatch):
+    monkeypatch.setattr(solver, "TAIL_LIMIT", 1.0)
+    cfg = mf.RunConfig(t_end=5.0, record_every=10)
     with pytest.raises(mf.StepFailure) as info:
         mf.run(strong_twist_background(), cfg)
     series = info.value.series
