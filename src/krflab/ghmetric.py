@@ -13,16 +13,19 @@ time, from anchor-aligned and random start maps (matching distance
 profiles gives no start: on a homogeneous space all profiles are equal,
 so it maps every point to point 0).  It runs on a stack of starts at
 once: every value of one coordinate, for every start still descending,
-is scored in one batch, a block of S*|Y|*|X|**2 floats for S starts when
-F[x] moves.  The starts share their pass orders, drawn once after the
-start maps.  They run in stacks whose blocks hold at most
-``BLOCK_FLOATS`` (2 MB, one 64-point start's block), and the search
-stops after the first stack that reaches epsilon 0.  The result is the
-first start, in order, with the smallest epsilon.  Each start ends
-bit-for-bit where scoring each of its candidates alone ends, which needs
-two things: every block is C-contiguous before its rows are reduced, and
-the soft score is summed in one order, ((d1 + d2) + d3) + d4, whichever
-map moves.
+is scored in one batch.  Only one row and one column of a distortion
+depend on the moving coordinate, so a batch costs O(S*(|X| + |Y|)**2)
+for S starts, not O(S*|Y|*|X|**2) when F[x] moves.  The starts share
+their pass orders, drawn once after the start maps.  They run in stacks
+whose largest temporary holds at most ``BLOCK_FLOATS`` entries, and the
+search stops after the first stack that reaches epsilon 0.  The result
+is the first start, in order, with the smallest epsilon.  A batch's
+worst defects are exact and its soft scores are summed in their own
+order, so a move counts only when it lowers the worst defect or lowers
+the soft score by more than ``SOFT_RTOL`` of it.
+
+The exhaustive search scores the map pairs that can beat its local-search
+seed in blocks of at most ``PAIR_BLOCK`` entries.
 
 The collapsing demonstration samples a two-torus whose fiber circle
 shrinks like exp(-t/2) and certifies convergence to the base circle with
@@ -43,9 +46,14 @@ EXHAUSTIVE_LIMIT = 36
 RESTARTS = 64
 #: coordinate-descent passes of the heuristic search
 PASSES = 12
-#: largest candidate block of the heuristic search, in floats: one
-#: 64-point start's |Y|*|X|**2, so a stack of starts needs no more memory
+#: largest temporary of the heuristic search, in entries: a stack of S
+#: starts needs S * max(|X|, |Y|)**2, so its memory does not grow with size
 BLOCK_FLOATS = 64**3
+#: a move that keeps the max defect must lower the soft score by more than
+#: this share of it, which is far above the rounding of its sums
+SOFT_RTOL = 1e-12
+#: largest block of the exhaustive search, in round-trip entries
+PAIR_BLOCK = 2**15
 #: slack used when validating the triangle inequality
 TRIANGLE_TOL = 1e-12
 #: largest temporary of the triangle-inequality check, in floats
@@ -161,39 +169,52 @@ def _moves(
     the round trip DB[j, A[B[j]]] (nb).  Returns (max, sum of squares) per
     family, each S x nb.  Only row and column a of the distortion, entry a
     of the first round trip and the entries j with B[j] = a of the second
-    depend on c, so each family is the current pair's values broadcast
-    over the candidates and patched there; the maxima of the distortion
-    are taken from the unchanged part and the patch.  Every block is
-    C-contiguous, so numpy sums each of its rows pairwise, exactly as it
-    sums the family of one candidate.
+    depend on c.  So each family is the current pair's entries that stay,
+    reduced once per row, combined with the new entries of every candidate,
+    which are laid out with the reduced axis first.  The maxima are exact;
+    the sums are summed in another order than one candidate's family alone.
+    No temporary holds more than S * max(na, nb)**2 entries.
     """
     S, na = A.shape
     nb = len(DB)
-    c = np.arange(nb)
-    cands = np.repeat(A[:, None, :], nb, axis=1)
-    cands[:, :, a] = c
-    line = DA[a] - DB[c[:, None], cands]  # row a: DA[a, j] - DB[c, A[j]]
-    column = DA[:, a] - DB[cands, c[:, None]]  # column a: DA[i, a] - DB[A[i], c]
-    base = np.abs(DA - DB[A[:, :, None], A[:, None, :]])
-    block = np.empty((S, nb, na, na))
-    block[...] = np.square(base)[:, None]
-    block[:, :, a, :] = np.square(line)
-    block[:, :, :, a] = np.square(column)
-    base[:, a, :] = 0.0
-    base[:, :, a] = 0.0
-    edge = np.maximum(np.abs(line).max(axis=2), np.abs(column).max(axis=2))
+    # the current distortion without row and column a
+    kept = np.abs(DA - DB.take(A[:, :, None] * nb + A[:, None, :]))
+    kept[:, a, :] = 0.0
+    kept[:, :, a] = 0.0
+    kept = kept.reshape(S, na * na)
+    kept_max = kept.max(axis=1)
+    kept_sum = np.square(kept, out=kept).sum(axis=1)
+    # row a, DA[a, j] - DB[c, A[j]], and column a, DA[i, a] - DB[A[i], c],
+    # for every candidate, (na, S, nb); their entry a is DA[a, a] - DB[c, c] = 0
+    At = A.T
+    line = np.abs(DA[a, :, None, None] - np.ascontiguousarray(DB.T).take(At, axis=0))
+    column = np.abs(DA[:, a, None, None] - DB.take(At, axis=0))
+    line[a] = column[a] = 0.0
+    worst = np.maximum(line.max(axis=0), column.max(axis=0))
+    line *= line
+    column *= column
+    line += column
     distortion = (
-        np.maximum(base.max(axis=(1, 2))[:, None], edge),
-        block.reshape(S, nb, na * na).sum(axis=2),
+        np.maximum(kept_max[:, None], worst),
+        kept_sum[:, None] + line.sum(axis=0),
     )
-    there = DA[np.arange(na), np.take_along_axis(B, A, axis=1)]
-    there = np.repeat(there[:, None, :], nb, axis=1)
-    there[:, :, a] = DA[a, B]
-    back = DB[np.arange(nb), np.take_along_axis(A, B, axis=1)]
-    back = np.repeat(back[:, None, :], nb, axis=1)
-    np.copyto(back, DB.T, where=(B == a)[:, None, :])  # DB[j, c] where B[j] = a
-    trips = tuple((t.max(axis=2), np.square(t, out=t).sum(axis=2)) for t in (there, back))
-    return (distortion, *trips)
+    # the round trip from DA: entry a becomes DA[a, B[c]]
+    rows = np.arange(S)[:, None]
+    there = DA.take(np.arange(0, na * na, na) + B.take(rows * nb + A))
+    there[:, a] = 0.0
+    new = DA[a, B]
+    there_max = np.maximum(there.max(axis=1)[:, None], new)
+    there_sum = np.square(there, out=there).sum(axis=1)[:, None] + np.square(new)
+    # the round trip from DB: entry j with B[j] = a becomes DB[j, c]
+    back = DB.take(np.arange(0, nb * nb, nb) + A.take(rows * na + B))
+    hit = B.T == a  # (nb, S)
+    back[hit.T] = 0.0
+    # (nb, S, nb): row j of DB where B[j] = a, else a row of zeros
+    new = np.vstack([DB, np.zeros(nb)]).take(np.where(hit, np.arange(nb)[:, None], nb), axis=0)
+    back_max = np.maximum(back.max(axis=1)[:, None], new.max(axis=0))
+    new *= new
+    back_sum = np.square(back, out=back).sum(axis=1)[:, None] + new.sum(axis=0)
+    return distortion, (there_max, there_sum), (back_max, back_sum)
 
 
 def _candidate_scores(
@@ -211,8 +232,7 @@ def _candidate_scores(
     S x |Y| (or S x |X|).  ``fixed`` is ``_distortion`` of the map that
     does not move.  The soft score is summed as ((d1 + d2) + d3) + d4 for
     either move, d1/d2 being the X/Y distortions and d3/d4 the round trips
-    starting in X/Y, which is the order a single candidate's score is
-    summed in.
+    starting in X/Y.
     """
     wf, sf = (v[:, None] for v in fixed)
     if y is None:
@@ -242,14 +262,16 @@ def _improve(
     are scored together, and the distortion of the map that does not move
     is scored once per phase.  A row takes the first lexicographic minimum
     of (worst, soft) over its values other than the current one (masked
-    to inf; scores are finite because distances are), if it beats that
-    row's best so far.  That is the move a scan over the values in index
-    order makes when it keeps each one that beats the running best.  A row
-    that makes no move in a full pass is at a local minimum of every
-    single-coordinate move and drops out.  Rows never mix, so each row
-    ends bit-for-bit where the search from that start alone ends, which
-    is where scoring each candidate alone ends: the blocks are reduced as
-    C-contiguous rows and the soft sum keeps one order for both maps.
+    to inf; scores are finite because distances are).  It moves there if
+    that lowers its best worst defect so far, or keeps it and lowers its
+    best soft score by more than ``SOFT_RTOL`` of it: the worst defects
+    are exact, but a soft score summed in a batch can differ from the same
+    pair's score in another batch in its last bits, and a move to a pair
+    that only ties the current one must not count.  A row that makes no
+    move in a full pass is at a local minimum of every single-coordinate
+    move and drops out.  Rows never mix and each row's scores are reduced
+    on their own, so a row ends where the search from that start alone
+    ends.
     """
     F, G = np.array(F), np.array(G)
     eps = np.empty(len(F))
@@ -266,7 +288,7 @@ def _improve(
         worst[rows, maps[:, k]] = np.inf
         c = np.lexsort((soft, worst))[:, 0]
         w, s = worst[rows, c], soft[rows, c]
-        moved = (w < best_w) | ((w == best_w) & (s < best_s))
+        moved = (w < best_w) | ((w == best_w) & (s < best_s * (1.0 - SOFT_RTOL)))
         maps[moved, k] = c[moved]
         best_w[moved], best_s[moved] = w[moved], s[moved]
         improved |= moved
@@ -298,13 +320,14 @@ def _heuristic_bound(
     """Best pair the local search reaches from its starts, and its epsilon.
 
     The starts are up to 8 x 8 anchor alignments and ``restarts`` random
-    pairs.  After the start maps, the
-    rng draws ``PASSES`` pass orders (one permutation of X and one of Y
-    each), shared by every start.  ``_improve`` runs the starts as stacks
-    of at most ``BLOCK_FLOATS // (|X| |Y| max(|X|, |Y|))`` rows, one start
-    at the least, so no candidate block is larger than one 64-point
-    start's.  The search stops after the first stack that reaches epsilon
-    0.  The result is the first start, in order, with the smallest epsilon.
+    pairs.  After the start maps, the rng draws ``PASSES`` pass orders
+    (one permutation of X and one of Y each), shared by every start.
+    ``_improve`` runs the starts as stacks of at most
+    ``BLOCK_FLOATS // max(|X|, |Y|)**2`` rows, one start at the least, so
+    no temporary of a batch holds more than ``BLOCK_FLOATS`` entries up to
+    512 points.  The search stops after the first stack that reaches
+    epsilon 0.  The result is the first start, in order, with the smallest
+    epsilon.
     """
     rng = np.random.default_rng(seed)
     nx, ny = len(X), len(Y)
@@ -323,7 +346,7 @@ def _heuristic_bound(
     orders = [(rng.permutation(nx), rng.permutation(ny)) for _ in range(PASSES)]
     Fs = np.array([F for F, _ in starts], dtype=int)
     Gs = np.array([G for _, G in starts], dtype=int)
-    chunk = max(1, BLOCK_FLOATS // (nx * ny * max(nx, ny)))
+    chunk = max(1, BLOCK_FLOATS // max(nx, ny) ** 2)
     best_eps = math.inf
     best_pair = None
     for lo in range(0, len(starts), chunk):
@@ -347,9 +370,20 @@ def _all_maps(src: int, dst: int) -> np.ndarray:
 def _exhaustive_bound(
     X: FiniteMetricSpace, Y: FiniteMetricSpace, seed: int
 ) -> tuple[float, CorrespondencePair]:
+    """Smallest epsilon over all map pairs, and the first pair that reaches it.
+
+    The local search with 8 random restarts gives a seed pair and its
+    epsilon eps0.  Only an F whose distortion d1 is below eps0 and a G whose
+    d2 is below eps0 can beat it; each set is sorted stably by its
+    distortion, and pairs are scored in blocks of at most ``PAIR_BLOCK``
+    round-trip entries, in (F, G) order.  A block scores only the G whose
+    d2 is below the best epsilon so far, and no block starts at an F whose
+    d1 is not; a pair replaces the best only when it is strictly smaller.
+    So the result is the first pair, in (F, G) order, with the smallest
+    epsilon, or the seed pair when no pair beats it.
+    """
     nx, ny = len(X), len(Y)
-    eps0, pair0 = _heuristic_bound(X, Y, seed, restarts=8)
-    best_eps, best_pair = eps0, pair0
+    best_eps, best_pair = _heuristic_bound(X, Y, seed, restarts=8)
 
     Fs = _all_maps(nx, ny)
     Gs = _all_maps(ny, nx)
@@ -363,26 +397,37 @@ def _exhaustive_bound(
         for y2 in range(y1 + 1, ny):
             np.maximum(d2, np.abs(Y.D[y1, y2] - X.D[Gs[:, y1], Gs[:, y2]]), out=d2)
     order_f = np.argsort(d1, kind="stable")
+    order_f = order_f[d1[order_f] < best_eps]
     order_g = np.argsort(d2, kind="stable")
-    Gs_sorted = Gs[order_g]
-    d2_sorted = d2[order_g]
-    xs = np.arange(nx)
-    ys = np.arange(ny)
-    for fi in order_f:
-        if d1[fi] >= best_eps:
-            break  # every later F is at least this distorted
-        F = Fs[fi]
-        limit = int(np.searchsorted(d2_sorted, best_eps, side="left"))
-        if limit == 0:
-            continue
-        Gsub = Gs_sorted[:limit]
-        d3 = X.D[xs[None, :], Gsub[:, F]].max(axis=1) if nx else np.zeros(limit)
-        d4 = Y.D[ys[None, :], F[Gsub]].max(axis=1) if ny else np.zeros(limit)
-        eps_all = np.maximum(np.maximum(d1[fi], d2_sorted[:limit]), np.maximum(d3, d4))
-        gi = int(eps_all.argmin())
-        if eps_all[gi] < best_eps:
-            best_eps = float(eps_all[gi])
-            best_pair = CorrespondencePair(F.copy(), Gsub[gi].copy())
+    order_g = order_g[d2[order_g] < best_eps]
+    Fs, d1 = Fs[order_f], d1[order_f]
+    Gs, d2 = Gs[order_g], d2[order_g]
+    # round trips D[i, G[F[i]]] as flat indices, the point i along the first axis
+    there = (np.arange(nx) * nx)[:, None, None]
+    back = (np.arange(ny) * ny)[:, None, None]
+    m = max(nx, ny)
+    lo = 0
+    while lo < len(Fs) and d1[lo] < best_eps:
+        ng = int(np.searchsorted(d2, best_eps, side="left"))
+        if ng == 0:
+            break
+        # several F against all ng G, or one F against ng G in pieces
+        rows = max(1, PAIR_BLOCK // (ng * m))
+        cols = max(1, PAIR_BLOCK // (rows * m))
+        F = Fs[lo : lo + rows]
+        for g0 in range(0, ng, cols):
+            G = Gs[g0 : min(g0 + cols, ng)]
+            d3 = X.D.take(there + G.T[F.T]).max(axis=0)  # (F, G)
+            d4 = Y.D.take(back + F.T[G.T]).max(axis=0).T
+            eps = np.maximum(
+                np.maximum(d1[lo : lo + len(F), None], d2[None, g0 : g0 + len(G)]),
+                np.maximum(d3, d4),
+            )
+            f, g = np.unravel_index(eps.argmin(), eps.shape)
+            if eps[f, g] < best_eps:
+                best_eps = float(eps[f, g])
+                best_pair = CorrespondencePair(F[f].copy(), G[g].copy())
+        lo += len(F)
     return best_eps, best_pair
 
 
@@ -398,7 +443,8 @@ def gh_upper_bound(
     one set of pass orders (see ``_heuristic_bound``), stops after the
     first stack that reaches epsilon 0, and keeps the first start, in
     order, with the smallest epsilon.  The enumeration starts from the
-    local search with 8 random restarts, whose epsilon prunes it.
+    local search with 8 random restarts, whose epsilon prunes it, and
+    scores the remaining map pairs in blocks (see ``_exhaustive_bound``).
     """
     if len(X) * len(Y) <= EXHAUSTIVE_LIMIT:
         eps, pair = _exhaustive_bound(X, Y, seed)

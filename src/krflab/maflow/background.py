@@ -211,12 +211,12 @@ class TorusBackground:
     ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
         """(components, det, min eigenvalue) of g0 + H(phi), phi = irfftn(vk).
 
-        The components are [a] or [a, d, p, q], see ``_det_and_eigs``.
+        The components are [a] or [a, d, p, q], see ``_det_and_min_eig``.
         """
         g = self._hessian_parts(vk)
         for part, base in zip(g, self._g0_parts):
             part += base
-        det, eig_min, _ = _det_and_eigs(g)
+        det, eig_min = _det_and_min_eig(g)
         return g, det, eig_min
 
     def complex_hessian(self, phi: np.ndarray) -> np.ndarray:
@@ -262,16 +262,22 @@ class TorusBackground:
 # n = 1, and [a, d, p, q] for n = 2, meaning [[a, p + i q], [p - i q, d]].
 
 
-def _det_and_eigs(g: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """det, min and max eigenvalue of the pointwise metric g (closed forms)."""
+def _det_and_min_eig(g: list) -> tuple[np.ndarray, np.ndarray]:
+    """det and min eigenvalue of the pointwise metric g (closed forms)."""
     if len(g) == 1:
         (a,) = g
-        return a, a, a
+        return a, a
     a, d, p, q = g
     det = a * d - (p * p + q * q)
-    half_tr = 0.5 * (a + d)
     gap = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + p * p + q * q, 0.0))
-    return det, half_tr - gap, half_tr + gap
+    return det, 0.5 * (a + d) - gap
+
+
+def _det_and_eigs(g: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """det, min and max eigenvalue of the pointwise metric g (closed forms)."""
+    det, lo = _det_and_min_eig(g)
+    # the two eigenvalues of an n = 2 metric sum to its trace
+    return det, lo, lo if len(g) == 1 else (g[0] + g[1]) - lo
 
 
 def _trace_ratio(g: list, det, h: list) -> np.ndarray:

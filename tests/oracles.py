@@ -126,31 +126,33 @@ def brute_force_gh_bound(X, Y) -> float:
     return best
 
 
+def gh_scores(X, Y, F, G) -> tuple[float, float]:
+    """(max defect, sum of squared defects) of one map pair, from scratch."""
+    d1 = X.D - Y.D[np.ix_(F, F)]
+    d2 = Y.D - X.D[np.ix_(G, G)]
+    d3 = X.D[np.arange(len(X)), G[F]]
+    d4 = Y.D[np.arange(len(Y)), F[G]]
+    worst = max(
+        np.abs(d1).max(initial=0.0),
+        np.abs(d2).max(initial=0.0),
+        d3.max(initial=0.0),
+        d4.max(initial=0.0),
+    )
+    soft = (d1**2).sum() + (d2**2).sum() + (d3**2).sum() + (d4**2).sum()
+    return float(worst), float(soft)
+
+
 def sequential_improve(X, Y, F, G, orders):
     """The GH local search from one start, scoring one candidate move at a time.
 
     Reference for ``krflab.ghmetric._improve``, which runs a stack of
-    starts and scores each coordinate's candidates in one batch, and must
-    return, row by row, the same maps.  ``orders`` holds one pass's
-    permutation of X and of Y per pass.
+    starts and scores each coordinate's candidates in one batch; it must
+    reach the same epsilon.  ``orders`` holds one pass's permutation of X
+    and of Y per pass.
     """
 
-    def score(Fc, Gc):
-        d1 = X.D - Y.D[np.ix_(Fc, Fc)]
-        d2 = Y.D - X.D[np.ix_(Gc, Gc)]
-        d3 = X.D[np.arange(len(X)), Gc[Fc]]
-        d4 = Y.D[np.arange(len(Y)), Fc[Gc]]
-        worst = max(
-            np.abs(d1).max(initial=0.0),
-            np.abs(d2).max(initial=0.0),
-            d3.max(initial=0.0),
-            d4.max(initial=0.0),
-        )
-        soft = (d1**2).sum() + (d2**2).sum() + (d3**2).sum() + (d4**2).sum()
-        return float(worst), float(soft)
-
     F, G = np.array(F), np.array(G)
-    best = score(F, G)
+    best = gh_scores(X, Y, F, G)
     for order_x, order_y in orders:
         improved = False
         for x in order_x:
@@ -159,7 +161,7 @@ def sequential_improve(X, Y, F, G, orders):
                 if cand == current:
                     continue
                 F[x] = cand
-                trial = score(F, G)
+                trial = gh_scores(X, Y, F, G)
                 if trial < best:
                     best, current, improved = trial, cand, True
             F[x] = current
@@ -169,13 +171,58 @@ def sequential_improve(X, Y, F, G, orders):
                 if cand == current:
                     continue
                 G[y] = cand
-                trial = score(F, G)
+                trial = gh_scores(X, Y, F, G)
                 if trial < best:
                     best, current, improved = trial, cand, True
             G[y] = current
         if not improved:
             break
     return F, G, best[0]
+
+
+def exhaustive_loop(X, Y, seed):
+    """The exhaustive GH search as a loop over F, one block of G per F.
+
+    Reference for ``krflab.ghmetric._exhaustive_bound``, which scores the
+    pairs in blocks and must return the same epsilon and maps.  It starts
+    from the same local-search seed and prunes as it goes: F in stable
+    order of its distortion d1 until d1 reaches the best epsilon, and for
+    each F the G with d2 below it, keeping a pair only when it is strictly
+    better.
+    """
+    from krflab.ghmetric import CorrespondencePair, _all_maps, _heuristic_bound
+
+    nx, ny = len(X), len(Y)
+    best_eps, best_pair = _heuristic_bound(X, Y, seed, restarts=8)
+    Fs = _all_maps(nx, ny)
+    Gs = _all_maps(ny, nx)
+    d1 = np.zeros(len(Fs))
+    for x1 in range(nx):
+        for x2 in range(x1 + 1, nx):
+            np.maximum(d1, np.abs(X.D[x1, x2] - Y.D[Fs[:, x1], Fs[:, x2]]), out=d1)
+    d2 = np.zeros(len(Gs))
+    for y1 in range(ny):
+        for y2 in range(y1 + 1, ny):
+            np.maximum(d2, np.abs(Y.D[y1, y2] - X.D[Gs[:, y1], Gs[:, y2]]), out=d2)
+    order_g = np.argsort(d2, kind="stable")
+    Gs_sorted, d2_sorted = Gs[order_g], d2[order_g]
+    xs, ys = np.arange(nx), np.arange(ny)
+    for fi in np.argsort(d1, kind="stable"):
+        if d1[fi] >= best_eps:
+            break
+        F = Fs[fi]
+        limit = int(np.searchsorted(d2_sorted, best_eps, side="left"))
+        if limit == 0:
+            continue
+        Gsub = Gs_sorted[:limit]
+        d3 = X.D[xs[None, :], Gsub[:, F]].max(axis=1)
+        d4 = Y.D[ys[None, :], F[Gsub]].max(axis=1)
+        eps_all = np.maximum(np.maximum(d1[fi], d2_sorted[:limit]), np.maximum(d3, d4))
+        gi = int(eps_all.argmin())
+        if eps_all[gi] < best_eps:
+            best_eps = float(eps_all[gi])
+            best_pair = CorrespondencePair(F.copy(), Gsub[gi].copy())
+    return best_eps, best_pair
 
 
 # -- exact class engine on Fractions ------------------------------------------

@@ -1,11 +1,14 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import krflab.ghmetric as gh
-from oracles import brute_force_gh_bound, sequential_improve
+from oracles import brute_force_gh_bound, exhaustive_loop, gh_scores, sequential_improve
 
 
 def test_identity_maps_give_zero():
@@ -164,7 +167,7 @@ def _search_cases():
 
 
 def test_candidate_scores_equal_single_candidate_scores():
-    # a score off in its last bit can flip a symmetric tie between two moves
+    # the worst defect is exact; the soft score is summed in another order
     X, Y = gh.sample_warped_torus(1.3, 4, 3), _euclidean(np.random.default_rng(5), 9)
     rng = np.random.default_rng(6)
 
@@ -187,14 +190,43 @@ def test_candidate_scores_equal_single_candidate_scores():
             for s, c in itertools.product(range(rows), range(len(Y))):
                 Fc = F[s].copy()
                 Fc[x] = c
-                assert (worst[s, c], soft[s, c]) == single(Fc, G[s])
+                want_worst, want_soft = single(Fc, G[s])
+                assert worst[s, c] == want_worst
+                assert soft[s, c] == pytest.approx(want_soft, rel=1e-13, abs=0.0)
         for y in range(len(Y)):
             worst, soft = gh._candidate_scores(X, Y, F, G, gh._distortion(X.D, Y.D, F), y=y)
             assert worst.shape == soft.shape == (rows, len(X))
             for s, c in itertools.product(range(rows), range(len(X))):
                 Gc = G[s].copy()
                 Gc[y] = c
-                assert (worst[s, c], soft[s, c]) == single(F[s], Gc)
+                want_worst, want_soft = single(F[s], Gc)
+                assert worst[s, c] == want_worst
+                assert soft[s, c] == pytest.approx(want_soft, rel=1e-13, abs=0.0)
+
+
+def test_moves_score_each_family_of_each_candidate():
+    # distances may be asymmetric within the tolerance, so that row a and
+    # column a of a distortion differ; the maxima must still be exact
+    rng = np.random.default_rng(8)
+    DX, DY = _euclidean(rng, 6).D, _euclidean(rng, 5).D
+    DX[np.triu_indices(6, 1)] += 9e-13
+    F = rng.integers(0, 5, size=(3, 6))
+    G = rng.integers(0, 6, size=(3, 5))
+    for DA, DB, A, B in ((DX, DY, F, G), (DY, DX, G, F)):
+        na, nb = len(DA), len(DB)
+        for a in range(na):
+            families = gh._moves(DA, DB, A, B, a)
+            for s, c in itertools.product(range(3), range(nb)):
+                Ac = A[s].copy()
+                Ac[a] = c
+                entries = (
+                    np.abs(DA - DB[np.ix_(Ac, Ac)]),
+                    DA[np.arange(na), B[s][Ac]],
+                    DB[np.arange(nb), Ac[B[s]]],
+                )
+                for (worst, soft), v in zip(families, entries):
+                    assert worst[s, c] == v.max()
+                    assert soft[s, c] == pytest.approx(np.square(v).sum(), rel=1e-13, abs=0.0)
 
 
 def _one_by_one(X, Y, F, G, orders):
@@ -212,18 +244,59 @@ def _searches(X, Y, seed):
     return found
 
 
+def _accepted_moves(X, Y, seed):
+    """(before, after) map pairs of every move the local search accepts.
+
+    The search runs with each start alone, so the maps of consecutive
+    candidate batches differ exactly by the moves accepted in between.
+    """
+    improve, scores = gh._improve, gh._candidate_scores
+    states, moves = [], []
+
+    def record(X, Y, F, G, fixed, x=None, y=None):
+        states.append((F[0].copy(), G[0].copy()))
+        return scores(X, Y, F, G, fixed, x=x, y=y)
+
+    def one_at_a_time(X, Y, F, G, orders):
+        found = []
+        for f, g in zip(F, G):
+            states.clear()
+            F1, G1, eps = improve(X, Y, f[None], g[None], orders)
+            states.append((F1[0], G1[0]))
+            moves.extend(
+                (a, b)
+                for a, b in zip(states, states[1:])
+                if not (np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]))
+            )
+            found.append((F1[0], G1[0], eps[0]))
+        return tuple(np.array(column) for column in zip(*found))
+
+    with mock.patch.object(gh, "_improve", one_at_a_time), mock.patch.object(
+        gh, "_candidate_scores", record
+    ):
+        gh._heuristic_bound(X, Y, seed)
+    return moves
+
+
 @pytest.mark.parametrize("case", list(_search_cases()))
 def test_batched_search_matches_sequential_oracle(case, monkeypatch):
     X, Y, seed = _search_cases()[case]
     batched = _searches(X, Y, seed)
-    monkeypatch.setattr(gh, "_improve", _one_by_one)
-    sequential = _searches(X, Y, seed)
+    with monkeypatch.context() as patch:
+        patch.setattr(gh, "_improve", _one_by_one)
+        sequential = _searches(X, Y, seed)
     assert len(batched) == len(sequential)
-    for (flag, eps, pair), (ref_flag, ref_eps, ref_pair) in zip(batched, sequential):
+    for (flag, eps, pair), (ref_flag, ref_eps, _) in zip(batched, sequential):
         assert flag == ref_flag
         assert eps.hex() == ref_eps.hex()
-        assert np.array_equal(pair.F, ref_pair.F)
-        assert np.array_equal(pair.G, ref_pair.G)
+        assert eps == gh.gh_epsilon(X, Y, pair)
+    # each accepted move changes one coordinate and strictly improves
+    # (worst, soft), scored from scratch
+    moves = _accepted_moves(X, Y, seed)
+    assert moves
+    for (F0, G0), (F1, G1) in moves:
+        assert (F0 != F1).sum() + (G0 != G1).sum() == 1
+        assert gh_scores(X, Y, F1, G1) < gh_scores(X, Y, F0, G0)
 
 
 @pytest.mark.parametrize("case", list(_search_cases()))
@@ -249,7 +322,7 @@ def test_heuristic_bound_keeps_the_first_best_start_in_any_stacks(case, monkeypa
             best_eps, best = eps[0], (F[0], G[0])
             if best_eps == 0.0:
                 break
-    start_block = len(X) * len(Y) * max(len(X), len(Y))
+    start_block = max(len(X), len(Y)) ** 2
     for rows in (7, gh.BLOCK_FLOATS // start_block):
         monkeypatch.setattr(gh, "BLOCK_FLOATS", rows * start_block)
         eps, pair = gh._heuristic_bound(X, Y, seed)
@@ -273,6 +346,113 @@ def test_stacked_descent_rows_match_each_start_alone(case):
         assert eps[s].hex() == eps1[0].hex()
         assert np.array_equal(Fs[s], F1[0]) and np.array_equal(Gs[s], G1[0])
         assert eps[s] == gh.gh_epsilon(X, Y, gh.CorrespondencePair(Fs[s], Gs[s]))
+
+
+def _exhaustive_cases():
+    cases = {
+        name: case
+        for name, case in _search_cases().items()
+        if len(case[0]) * len(case[1]) <= gh.EXHAUSTIVE_LIMIT
+    }
+    torus = gh.sample_warped_torus
+    rng = np.random.default_rng(43)
+    cases.update(
+        {
+            # the gh-search workload's second exact pair: no G beats the seed
+            "torus 4 vs 6": (torus(1.1, 2, 2), torus(1.4, 3, 2), 17),
+            "simplex 6 vs circle 6": (_simplex(6), gh.circle_space(6), 4),
+            "point vs hexagon": (gh.catalogue()["point"], gh.circle_space(6), 2),
+            "euclidean 4 vs 5": (_euclidean(rng, 4), _euclidean(rng, 5), 9),
+            "euclidean 3 vs 3": (_euclidean(rng, 3), _euclidean(rng, 3), 10),
+        }
+    )
+    return cases
+
+
+def _assert_same_bound(found, want):
+    (eps, pair), (ref_eps, ref_pair) = found, want
+    assert eps.hex() == ref_eps.hex()
+    assert np.array_equal(pair.F, ref_pair.F) and np.array_equal(pair.G, ref_pair.G)
+
+
+@pytest.mark.parametrize("case", list(_exhaustive_cases()))
+def test_exhaustive_blocks_match_the_loop_oracle(case, monkeypatch):
+    X, Y, seed = _exhaustive_cases()[case]
+    want = exhaustive_loop(X, Y, seed)
+    _assert_same_bound(gh._exhaustive_bound(X, Y, seed), want)
+    # a few pairs per block: one F against G in pieces, or a few F at once
+    monkeypatch.setattr(gh, "PAIR_BLOCK", 5 * max(len(X), len(Y)))
+    _assert_same_bound(gh._exhaustive_bound(X, Y, seed), want)
+
+
+def _constant_seed(X, Y, seed, restarts=gh.RESTARTS):
+    # a poor seed, so that the enumeration has pairs to find and ties to break
+    pair = gh.CorrespondencePair(np.zeros(len(X), int), np.zeros(len(Y), int))
+    return gh.gh_epsilon(X, Y, pair), pair
+
+
+def _line(*points):
+    pts = np.array(points, dtype=float)
+    D = np.abs(pts[:, None] - pts[None])
+    return gh.FiniteMetricSpace.of([f"{i}" for i in range(len(pts))], D)
+
+
+@pytest.mark.parametrize(
+    "X, Y",
+    [
+        (_line(0, 2), _line(0, 2, 1)),
+        (_line(0, 3, 2), _line(0, 3)),
+        (_line(0, 1, 3), _line(0, 2, 3, 3)),
+    ],
+)
+def test_exhaustive_blocks_break_ties_like_the_loop(X, Y, monkeypatch):
+    # from the constant maps, many pairs beat the seed and tie at the minimum
+    monkeypatch.setattr(gh, "_heuristic_bound", _constant_seed)
+    want = exhaustive_loop(X, Y, 0)
+    assert want[0] < _constant_seed(X, Y, 0)[0]
+    for block in (gh.PAIR_BLOCK, 3 * max(len(X), len(Y)), 1):
+        monkeypatch.setattr(gh, "PAIR_BLOCK", block)
+        _assert_same_bound(gh._exhaustive_bound(X, Y, 0), want)
+
+
+@st.composite
+def _small_spaces(draw, n):
+    kind = draw(st.sampled_from(["plane", "equal", "line"]))
+    if kind == "plane":
+        coordinates = st.tuples(st.floats(0, 1), st.floats(0, 1))
+        pts = np.array(draw(st.lists(coordinates, min_size=n, max_size=n)))
+        D = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    elif kind == "equal":
+        D = np.full((n, n), draw(st.floats(0.125, 4.0)))
+    else:  # integer points on a line: many exact ties
+        pts = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
+        D = np.abs(pts[:, None] - pts[None])
+    np.fill_diagonal(D, 0.0)
+    return gh.FiniteMetricSpace.of([f"{i}" for i in range(n)], D)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exhaustive_blocks_match_the_loop_on_random_spaces(data):
+    # at most 10**6 map pairs, so that even a seed that prunes nothing is
+    # quick (6 vs 6 has 46656**2; the cases above cover it)
+    nx = data.draw(st.integers(1, 6), label="nx")
+    sizes = [n for n in range(1, 7) if n**nx * nx**n <= 10**6]
+    ny = data.draw(st.sampled_from(sizes), label="ny")
+    X, Y = data.draw(_small_spaces(nx), label="X"), data.draw(_small_spaces(ny), label="Y")
+    seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+    # the constant seed and small blocks only where there are few pairs
+    few = ny**nx * nx**ny <= 10_000
+    weak = few and data.draw(st.booleans(), label="constant seed")
+    blocks = [gh.PAIR_BLOCK, 3 * max(nx, ny)] if few else [gh.PAIR_BLOCK]
+    block = data.draw(st.sampled_from(blocks), label="block")
+    seeding = _constant_seed if weak else gh._heuristic_bound
+    with mock.patch.object(gh, "PAIR_BLOCK", block):
+        with mock.patch.object(gh, "_heuristic_bound", seeding):
+            found = gh._exhaustive_bound(X, Y, seed)
+            want = exhaustive_loop(X, Y, seed)
+    _assert_same_bound(found, want)
+    assert found[0] == gh.gh_epsilon(X, Y, found[1])
 
 
 # ---------------------------------------------------------------------------
