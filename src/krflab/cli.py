@@ -522,7 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="report format for query commands",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized search")
+    parser.add_argument(
+        "--seed", type=int, default=0, help="seed for randomized checks; steers the heuristic search only"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("models", help="list the manifold model catalogue")

@@ -5,8 +5,8 @@ continuous maps F: X -> Y and G: Y -> X witness distance <= eps when the
 four defect families (distance distortion under each map and the two
 round-trip displacements) are all bounded by eps.  ``gh_epsilon`` scores
 a given pair of maps; ``gh_upper_bound`` searches over maps, exhaustively
-(exact) when |X|*|Y| <= 36 and by a seeded local search (upper bound
-only) otherwise.
+(exact, whatever the seed) when |X|*|Y| <= 36 and by a seeded local
+search (upper bound only) otherwise.
 
 The local search is coordinate descent on one coordinate of F or G at a
 time, from anchor-aligned and random start maps (matching distance
@@ -24,12 +24,13 @@ worst defects are exact and its soft scores are summed in their own
 order, so a move counts only when it lowers the worst defect or lowers
 the soft score by more than ``SOFT_RTOL`` of it.
 
-The exhaustive search scores the map pairs that can beat its local-search
-seed in blocks of at most ``PAIR_BLOCK`` entries.
+The exhaustive search scores the first pair in distortion order, then the
+map pairs that can beat it in blocks of at most ``PAIR_BLOCK`` entries; no
+seed enters it.
 
 The collapsing demonstration samples a two-torus whose fiber circle
 shrinks like exp(-t/2) and certifies convergence to the base circle with
-the explicit projection/section maps.
+the explicit projection/section maps, at every sampled time at once.
 """
 
 from __future__ import annotations
@@ -122,11 +123,16 @@ def gh_epsilon(X: FiniteMetricSpace, Y: FiniteMetricSpace, maps: CorrespondenceP
         raise ValueError("F maps outside Y")
     if G.size and not (0 <= G.min() and G.max() < nx):
         raise ValueError("G maps outside X")
-    d1 = np.abs(X.D - Y.D[np.ix_(F, F)]).max(initial=0.0)
-    d2 = np.abs(Y.D - X.D[np.ix_(G, G)]).max(initial=0.0)
-    d3 = X.D[np.arange(nx), G[F]].max(initial=0.0)
-    d4 = Y.D[np.arange(ny), F[G]].max(initial=0.0)
-    return float(max(d1, d2, d3, d4))
+    return float(_epsilon(X.D, Y.D, F, G))
+
+
+def _epsilon(DX: np.ndarray, DY: np.ndarray, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The max of the four defects of (F, G), for each DX of a stack (..., |X|, |X|)."""
+    d1 = np.abs(DX - DY[np.ix_(F, F)]).max(axis=(-2, -1), initial=0.0)
+    d2 = np.abs(DY - DX[..., G[:, None], G]).max(axis=(-2, -1), initial=0.0)
+    d3 = DX[..., np.arange(len(F)), G[F]].max(axis=-1, initial=0.0)
+    d4 = DY[np.arange(len(G)), F[G]].max(initial=0.0)
+    return np.maximum(np.maximum(d1, d2), np.maximum(d3, d4))
 
 
 @dataclass(frozen=True)
@@ -140,9 +146,7 @@ class GHBound:
         return self.flag == "exact"
 
 
-def _anchor_seed(
-    X: FiniteMetricSpace, Y: FiniteMetricSpace, x0: int, y0: int
-) -> np.ndarray:
+def _anchor_seed(X: FiniteMetricSpace, Y: FiniteMetricSpace, x0: int, y0: int) -> np.ndarray:
     """Greedy profile matching after anchoring x0 -> y0."""
     cost = np.abs(X.D[:, x0][:, None] - Y.D[:, y0][None, :])
     F = cost.argmin(axis=1)
@@ -150,9 +154,7 @@ def _anchor_seed(
     return F
 
 
-def _distortion(
-    DA: np.ndarray, DB: np.ndarray, A: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _distortion(DA: np.ndarray, DB: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(max |defect|, sum of squared defects) of the distortion of each row of A: DA -> DB."""
     d = np.ascontiguousarray(DA - DB[A[:, :, None], A[:, None, :]]).reshape(len(A), -1)
     return np.abs(d).max(axis=1, initial=0.0), np.square(d).sum(axis=1)
@@ -360,63 +362,65 @@ def _heuristic_bound(
     return best_eps, best_pair
 
 
-def _all_maps(src: int, dst: int) -> np.ndarray:
-    """All maps {0..src-1} -> {0..dst-1} as rows, in itertools.product order."""
-    if src == 0:
-        return np.zeros((1, 0), dtype=int)
-    return np.indices((dst,) * src).reshape(src, -1).T
+def _map_rows(idx, src: int, dst: int) -> np.ndarray:
+    """Maps {0..src-1} -> {0..dst-1} with the given indices in itertools.product order."""
+    return np.asarray(idx)[..., None] // dst ** np.arange(src - 1, -1, -1) % dst
+
+
+def _distortions(DA: np.ndarray, DB: np.ndarray) -> np.ndarray:
+    """Distortion of every map DA -> DB, flat in itertools.product order.
+
+    On the (|B|,)*|A| grid of maps, point pair (a, b) adds |DA[a, b] - DB| along axes a, b.
+    """
+    na, nb = len(DA), len(DB)
+    d = np.zeros((nb,) * na)
+    for a in range(na):
+        for b in range(a + 1, na):
+            shape = [1] * na
+            shape[a] = shape[b] = nb
+            np.maximum(d, np.abs(DA[a, b] - DB).reshape(shape), out=d)
+    return d.ravel()
 
 
 def _exhaustive_bound(
-    X: FiniteMetricSpace, Y: FiniteMetricSpace, seed: int
+    X: FiniteMetricSpace, Y: FiniteMetricSpace
 ) -> tuple[float, CorrespondencePair]:
     """Smallest epsilon over all map pairs, and the first pair that reaches it.
 
-    The local search with 8 random restarts gives a seed pair and its
-    epsilon eps0.  Only an F whose distortion d1 is below eps0 and a G whose
-    d2 is below eps0 can beat it; each set is sorted stably by its
-    distortion, and pairs are scored in blocks of at most ``PAIR_BLOCK``
-    round-trip entries, in (F, G) order.  A block scores only the G whose
-    d2 is below the best epsilon so far, and no block starts at an F whose
-    d1 is not; a pair replaces the best only when it is strictly smaller.
-    So the result is the first pair, in (F, G) order, with the smallest
-    epsilon, or the seed pair when no pair beats it.
+    F and G are sorted stably by their distortions d1 and d2, and the first
+    pair in that order is scored first.  Only an F whose d1 and a G whose
+    d2 is below the best epsilon so far can beat it.  Pairs are scored in
+    (F, G) order, in blocks of at most ``PAIR_BLOCK`` round-trip entries
+    built from the maps' indices, and replace the best only when strictly
+    smaller: the result is the first pair with the smallest epsilon.
     """
     nx, ny = len(X), len(Y)
-    best_eps, best_pair = _heuristic_bound(X, Y, seed, restarts=8)
-
-    Fs = _all_maps(nx, ny)
-    Gs = _all_maps(ny, nx)
-    # distortion of every candidate map, vectorized over the stacks
-    d1 = np.zeros(len(Fs))
-    for x1 in range(nx):
-        for x2 in range(x1 + 1, nx):
-            np.maximum(d1, np.abs(X.D[x1, x2] - Y.D[Fs[:, x1], Fs[:, x2]]), out=d1)
-    d2 = np.zeros(len(Gs))
-    for y1 in range(ny):
-        for y2 in range(y1 + 1, ny):
-            np.maximum(d2, np.abs(Y.D[y1, y2] - X.D[Gs[:, y1], Gs[:, y2]]), out=d2)
-    order_f = np.argsort(d1, kind="stable")
-    order_f = order_f[d1[order_f] < best_eps]
-    order_g = np.argsort(d2, kind="stable")
-    order_g = order_g[d2[order_g] < best_eps]
-    Fs, d1 = Fs[order_f], d1[order_f]
-    Gs, d2 = Gs[order_g], d2[order_g]
+    d1, d2 = _distortions(X.D, Y.D), _distortions(Y.D, X.D)
+    # argmin takes the first of equal minima: the first pair in order
+    best_pair = CorrespondencePair(_map_rows(d1.argmin(), nx, ny), _map_rows(d2.argmin(), ny, nx))
+    best_eps = gh_epsilon(X, Y, best_pair)
+    # only the maps below it, in stable order: their indices ascend, so ties keep index order
+    order_f, order_g = np.flatnonzero(d1 < best_eps), np.flatnonzero(d2 < best_eps)
+    order_f = order_f[np.argsort(d1[order_f], kind="stable")]
+    order_g = order_g[np.argsort(d2[order_g], kind="stable")]
+    d1, d2 = d1[order_f], d2[order_g]
     # round trips D[i, G[F[i]]] as flat indices, the point i along the first axis
     there = (np.arange(nx) * nx)[:, None, None]
     back = (np.arange(ny) * ny)[:, None, None]
     m = max(nx, ny)
     lo = 0
-    while lo < len(Fs) and d1[lo] < best_eps:
+    while lo < len(order_f) and d1[lo] < best_eps:
         ng = int(np.searchsorted(d2, best_eps, side="left"))
         if ng == 0:
             break
         # several F against all ng G, or one F against ng G in pieces
         rows = max(1, PAIR_BLOCK // (ng * m))
         cols = max(1, PAIR_BLOCK // (rows * m))
-        F = Fs[lo : lo + rows]
+        F = _map_rows(order_f[lo : lo + rows], nx, ny)
         for g0 in range(0, ng, cols):
-            G = Gs[g0 : min(g0 + cols, ng)]
+            if d2[g0] >= best_eps:
+                break
+            G = _map_rows(order_g[g0 : min(g0 + cols, ng)], ny, nx)
             d3 = X.D.take(there + G.T[F.T]).max(axis=0)  # (F, G)
             d4 = Y.D.take(back + F.T[G.T]).max(axis=0).T
             eps = np.maximum(
@@ -431,23 +435,18 @@ def _exhaustive_bound(
     return best_eps, best_pair
 
 
-def gh_upper_bound(
-    X: FiniteMetricSpace, Y: FiniteMetricSpace, seed: int = 0
-) -> GHBound:
+def gh_upper_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace, seed: int = 0) -> GHBound:
     """Minimize gh_epsilon over map pairs.
 
     Exact (full enumeration with sound pruning) when |X|*|Y| is at most
     36; otherwise an anchor-seeded local search with 64 random
     restarts, which only certifies an upper bound and is flagged
-    "heuristic".  The local search runs its starts as stacks that share
-    one set of pass orders (see ``_heuristic_bound``), stops after the
-    first stack that reaches epsilon 0, and keeps the first start, in
-    order, with the smallest epsilon.  The enumeration starts from the
-    local search with 8 random restarts, whose epsilon prunes it, and
-    scores the remaining map pairs in blocks (see ``_exhaustive_bound``).
+    "heuristic" (see ``_heuristic_bound``).  The seed steers the local
+    search only: the enumeration returns the first pair in distortion
+    order with the smallest epsilon (see ``_exhaustive_bound``).
     """
     if len(X) * len(Y) <= EXHAUSTIVE_LIMIT:
-        eps, pair = _exhaustive_bound(X, Y, seed)
+        eps, pair = _exhaustive_bound(X, Y)
         return GHBound(epsilon=eps, flag="exact", maps=pair)
     eps, pair = _heuristic_bound(X, Y, seed)
     return GHBound(epsilon=eps, flag="heuristic", maps=pair)
@@ -458,16 +457,14 @@ def gh_upper_bound(
 # ---------------------------------------------------------------------------
 
 
-def sample_warped_torus(t: float, n_base: int, n_fiber: int) -> FiniteMetricSpace:
-    """Grid sample of the unit two-torus with fiber metric shrunk by exp(-t).
+def _warped_torus_distances(ts: Sequence[float], n_base: int, n_fiber: int) -> np.ndarray:
+    """Distance matrices of ``sample_warped_torus`` at each t, stacked (T, n, n).
 
-    The metric is dx^2 + exp(-t) dy^2 with unit periods; geodesics of a
-    flat torus lift to straight lines, and since both side lengths are at
-    most 1 the minimum over integer shifts in {-1, 0, 1}^2 is exact.
+    Not validated here; a test pins that they pass over a grid of (t, n_base, n_fiber).
     """
     if n_base < 1 or n_fiber < 1:
         raise ValueError("need at least one sample per direction")
-    if t < 0:
+    if not all(t >= 0 for t in ts):
         raise ValueError("t must be nonnegative")
     xs = np.arange(n_base) / n_base
     ys = np.arange(n_fiber) / n_fiber
@@ -475,14 +472,27 @@ def sample_warped_torus(t: float, n_base: int, n_fiber: int) -> FiniteMetricSpac
     px, py = gx.ravel(), gy.ravel()
     dx = px[:, None] - px[None, :]
     dy = py[:, None] - py[None, :]
-    warp = math.exp(-t)
+    warp = np.array([math.exp(-t) for t in ts])[:, None, None]
     best = None
     for k in (-1.0, 0.0, 1.0):
+        across = (dx + k) ** 2
         for l in (-1.0, 0.0, 1.0):
-            cand = (dx + k) ** 2 + warp * (dy + l) ** 2
+            cand = across + warp * (dy + l) ** 2
             best = cand if best is None else np.minimum(best, cand)
     D = np.sqrt(best)
-    np.fill_diagonal(D, 0.0)
+    n = len(px)
+    D[:, np.arange(n), np.arange(n)] = 0.0
+    return D
+
+
+def sample_warped_torus(t: float, n_base: int, n_fiber: int) -> FiniteMetricSpace:
+    """Grid sample of the unit two-torus with fiber metric shrunk by exp(-t).
+
+    The metric is dx^2 + exp(-t) dy^2 with unit periods; geodesics of a
+    flat torus lift to straight lines, and since both side lengths are at
+    most 1 the minimum over integer shifts in {-1, 0, 1}^2 is exact.
+    """
+    D = _warped_torus_distances([t], n_base, n_fiber)[0]
     labels = [f"({i},{j})" for i in range(n_base) for j in range(n_fiber)]
     return FiniteMetricSpace.of(labels, D)
 
@@ -516,21 +526,18 @@ class CollapseSeries:
     rate_coefficient: float = 0.0
 
     def rows(self):
-        return [
-            [float(t), float(e), self.flag] for t, e in zip(self.ts, self.epsilons)
-        ]
+        return [[float(t), float(e), self.flag] for t, e in zip(self.ts, self.epsilons)]
 
     header = ("t", "epsilon", "flag")
 
 
-def collapse_series(
-    ts: Sequence[float], n_base: int, n_fiber: int
-) -> CollapseSeries:
+def collapse_series(ts: Sequence[float], n_base: int, n_fiber: int) -> CollapseSeries:
     """Certified distance bounds from the warped torus to its base circle.
 
     Uses the explicit projection/section maps at each time, so every value
     is a genuine witness of distance <= eps; the series decreases to a
-    discretization floor as the fiber collapses.
+    discretization floor as the fiber collapses.  All times are scored at
+    once, bit for bit as ``gh_epsilon`` on each ``sample_warped_torus``.
     """
     ts = np.asarray(list(ts), dtype=float)
     if len(ts) == 0:
@@ -539,12 +546,7 @@ def collapse_series(
         raise ValueError("t values must be strictly increasing")
     base = circle_space(n_base)
     maps = fibration_maps(n_base, n_fiber)
-    eps = np.array(
-        [
-            gh_epsilon(sample_warped_torus(t, n_base, n_fiber), base, maps)
-            for t in ts
-        ]
-    )
+    eps = _epsilon(_warped_torus_distances(ts, n_base, n_fiber), base.D, maps.F, maps.G)
     floor = float(eps[-1])
     envelope = np.exp(-ts / 2.0)
     rate_coeff = float(np.max((eps - floor) / envelope))
@@ -564,9 +566,7 @@ def collapse_series(
 
 
 def _triangle(a: float, b: float, c: float) -> FiniteMetricSpace:
-    return FiniteMetricSpace.of(
-        ["p", "q", "r"], [[0, a, b], [a, 0, c], [b, c, 0]]
-    )
+    return FiniteMetricSpace.of(["p", "q", "r"], [[0, a, b], [a, 0, c], [b, c, 0]])
 
 
 def catalogue() -> dict[str, FiniteMetricSpace]:

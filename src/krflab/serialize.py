@@ -89,8 +89,33 @@ def write_manifest(
         "seed": seed,
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "environment": _environment(),
     }
     if extra:
         manifest.update(extra)
     write_json(out_dir / "manifest.json", manifest)
     return manifest
+
+
+def _environment() -> dict:
+    """Python, numpy and scipy versions and core counts, keyed as in BENCH_krflab.json.
+
+    The versions come from package metadata, so no command imports numpy for them.
+    """
+    import os
+    import platform
+    from importlib import metadata
+
+    versions = {}
+    for name in ("numpy", "scipy"):
+        try:
+            versions[name] = metadata.version(name)
+        except metadata.PackageNotFoundError:
+            versions[name] = None
+    affinity = getattr(os, "sched_getaffinity", None)
+    return {
+        "python": platform.python_version(),
+        **versions,
+        "nproc": len(affinity(0)) if affinity else os.cpu_count(),
+        "cpu_count": os.cpu_count(),
+    }

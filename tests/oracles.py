@@ -180,30 +180,40 @@ def sequential_improve(X, Y, F, G, orders):
     return F, G, best[0]
 
 
-def exhaustive_loop(X, Y, seed):
+def all_maps(src: int, dst: int) -> np.ndarray:
+    """All maps {0..src-1} -> {0..dst-1} as rows, in itertools.product order."""
+    if src == 0:
+        return np.zeros((1, 0), dtype=int)
+    return np.indices((dst,) * src).reshape(src, -1).T
+
+
+def map_distortions(DA, DB, maps) -> np.ndarray:
+    """Distortion of each row of ``maps``: DA -> DB, one gather per point pair."""
+    d = np.zeros(len(maps))
+    for a1 in range(len(DA)):
+        for a2 in range(a1 + 1, len(DA)):
+            np.maximum(d, np.abs(DA[a1, a2] - DB[maps[:, a1], maps[:, a2]]), out=d)
+    return d
+
+
+def exhaustive_loop(X, Y):
     """The exhaustive GH search as a loop over F, one block of G per F.
 
     Reference for ``krflab.ghmetric._exhaustive_bound``, which scores the
     pairs in blocks and must return the same epsilon and maps.  It starts
-    from the same local-search seed and prunes as it goes: F in stable
+    from epsilon = inf with no pair and prunes as it goes: F in stable
     order of its distortion d1 until d1 reaches the best epsilon, and for
     each F the G with d2 below it, keeping a pair only when it is strictly
     better.
     """
-    from krflab.ghmetric import CorrespondencePair, _all_maps, _heuristic_bound
+    from krflab.ghmetric import CorrespondencePair
 
     nx, ny = len(X), len(Y)
-    best_eps, best_pair = _heuristic_bound(X, Y, seed, restarts=8)
-    Fs = _all_maps(nx, ny)
-    Gs = _all_maps(ny, nx)
-    d1 = np.zeros(len(Fs))
-    for x1 in range(nx):
-        for x2 in range(x1 + 1, nx):
-            np.maximum(d1, np.abs(X.D[x1, x2] - Y.D[Fs[:, x1], Fs[:, x2]]), out=d1)
-    d2 = np.zeros(len(Gs))
-    for y1 in range(ny):
-        for y2 in range(y1 + 1, ny):
-            np.maximum(d2, np.abs(Y.D[y1, y2] - X.D[Gs[:, y1], Gs[:, y2]]), out=d2)
+    best_eps, best_pair = math.inf, None
+    Fs = all_maps(nx, ny)
+    Gs = all_maps(ny, nx)
+    d1 = map_distortions(X.D, Y.D, Fs)
+    d2 = map_distortions(Y.D, X.D, Gs)
     order_g = np.argsort(d2, kind="stable")
     Gs_sorted, d2_sorted = Gs[order_g], d2[order_g]
     xs, ys = np.arange(nx), np.arange(ny)
@@ -223,6 +233,33 @@ def exhaustive_loop(X, Y, seed):
             best_eps = float(eps_all[gi])
             best_pair = CorrespondencePair(F.copy(), Gsub[gi].copy())
     return best_eps, best_pair
+
+
+def all_pair_epsilons(X, Y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(epsilon of every map pair, the F, the G), both in stable distortion order.
+
+    Entry [f, g] is the max of the four defects of (F[f], G[g]), each from
+    its full matrix; for few pairs only.
+    """
+    Fs, Gs = all_maps(len(X), len(Y)), all_maps(len(Y), len(X))
+    Fs = Fs[np.argsort(map_distortions(X.D, Y.D, Fs), kind="stable")]
+    Gs = Gs[np.argsort(map_distortions(Y.D, X.D, Gs), kind="stable")]
+    d1 = np.abs(X.D - Y.D[Fs[:, :, None], Fs[:, None, :]]).max(axis=(1, 2))
+    d2 = np.abs(Y.D - X.D[Gs[:, :, None], Gs[:, None, :]]).max(axis=(1, 2))
+    d3 = X.D[np.arange(len(X))[:, None], Gs.T[Fs]].max(axis=1)  # (F, G)
+    d4 = Y.D[np.arange(len(Y))[:, None], Fs.T[Gs]].max(axis=1).T
+    eps = np.maximum(np.maximum(d1[:, None], d2[None, :]), np.maximum(d3, d4))
+    return eps, Fs, Gs
+
+
+def collapse_epsilons(ts, n_base: int, n_fiber: int) -> list[float]:
+    """The fibration maps' epsilon at each t, from one validated sample per t."""
+    from krflab.ghmetric import circle_space, fibration_maps, sample_warped_torus
+
+    base, maps = circle_space(n_base), fibration_maps(n_base, n_fiber)
+    return [
+        gh_scores(sample_warped_torus(t, n_base, n_fiber), base, maps.F, maps.G)[0] for t in ts
+    ]
 
 
 # -- exact class engine on Fractions ------------------------------------------

@@ -376,6 +376,44 @@ def test_gh_collapse_rejects_bad_values(tmp_path, capsys, flags, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_gh_bound_manifest_records_the_environment(tmp_path, capsys):
+    import os
+    import platform
+    from importlib import metadata
+
+    sample = tmp_path / "sample"
+    assert cli.main(["--output-dir", str(sample), "gh", "sample", "--nb", "2", "--nf", "2"]) == 0
+    space = str(sample / "space.json")
+    out = tmp_path / "bound"
+    assert cli.main(["--output-dir", str(out), "gh", "bound", space, space]) == 0
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    try:
+        scipy = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        scipy = None
+    assert env == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy,
+        "nproc": len(os.sched_getaffinity(0)),
+        "cpu_count": os.cpu_count(),
+    }
+
+
+def test_gh_bound_exact_output_does_not_depend_on_the_seed(tmp_path, capsys):
+    sample = tmp_path / "sample"
+    argv = ["gh", "sample", "--t", "1.2", "--nb", "2", "--nf", "3"]
+    assert cli.main(["--output-dir", str(sample), *argv]) == 0
+    space = str(sample / "space.json")
+    bounds = []
+    for seed in ("0", "7"):
+        out = tmp_path / f"seed{seed}"
+        assert cli.main(["--output-dir", str(out), "--seed", seed, "gh", "bound", space, space]) == 0
+        bounds.append((out / "bound.json").read_bytes())
+    assert bounds[0] == bounds[1]
+    assert json.loads(bounds[0])["flag"] == "exact"
+
+
 def test_gh_collapse_series(tmp_path, capsys):
     out = tmp_path / "ghc"
     code = cli.main(

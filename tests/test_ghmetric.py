@@ -8,7 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import krflab.ghmetric as gh
-from oracles import brute_force_gh_bound, exhaustive_loop, gh_scores, sequential_improve
+from oracles import (
+    all_maps,
+    all_pair_epsilons,
+    brute_force_gh_bound,
+    collapse_epsilons,
+    exhaustive_loop,
+    gh_scores,
+    map_distortions,
+    sequential_improve,
+)
 
 
 def test_identity_maps_give_zero():
@@ -129,11 +138,21 @@ def test_heuristic_deterministic_given_seed():
 
 @pytest.mark.parametrize("src, dst", [(6, 6), (4, 6), (6, 4), (1, 3), (3, 1), (0, 2)])
 def test_all_maps_rows_follow_itertools_product(src, dst):
-    # the exhaustive search's stable tie-breaks depend on this row order
+    # the exhaustive search's stable tie-breaks depend on this row order,
+    # in the oracle's table and in the rows the search builds from indices
     expected = np.array(list(itertools.product(range(dst), repeat=src)), dtype=int)
-    rows = gh._all_maps(src, dst)
-    assert rows.shape == expected.shape
-    assert (rows == expected).all()
+    for rows in (all_maps(src, dst), gh._map_rows(np.arange(dst**src), src, dst)):
+        assert rows.shape == expected.shape
+        assert (rows == expected).all()
+
+
+@pytest.mark.parametrize("na, nb", [(6, 6), (4, 6), (6, 4), (1, 3), (3, 1), (2, 5)])
+def test_distortions_match_one_gather_per_point_pair(na, nb):
+    # bit for bit: the same differences, and a max is exact in any order
+    rng = np.random.default_rng(na * 10 + nb)
+    DA, DB = _euclidean(rng, na).D, _euclidean(rng, nb).D
+    want = map_distortions(DA, DB, all_maps(na, nb))
+    assert gh._distortions(DA, DB).tobytes() == want.tobytes()
 
 
 def _euclidean(rng, n):
@@ -377,18 +396,28 @@ def _assert_same_bound(found, want):
 
 @pytest.mark.parametrize("case", list(_exhaustive_cases()))
 def test_exhaustive_blocks_match_the_loop_oracle(case, monkeypatch):
-    X, Y, seed = _exhaustive_cases()[case]
-    want = exhaustive_loop(X, Y, seed)
-    _assert_same_bound(gh._exhaustive_bound(X, Y, seed), want)
+    X, Y, _ = _exhaustive_cases()[case]
+    want = exhaustive_loop(X, Y)
+    _assert_same_bound(gh._exhaustive_bound(X, Y), want)
     # a few pairs per block: one F against G in pieces, or a few F at once
     monkeypatch.setattr(gh, "PAIR_BLOCK", 5 * max(len(X), len(Y)))
-    _assert_same_bound(gh._exhaustive_bound(X, Y, seed), want)
+    _assert_same_bound(gh._exhaustive_bound(X, Y), want)
 
 
-def _constant_seed(X, Y, seed, restarts=gh.RESTARTS):
-    # a poor seed, so that the enumeration has pairs to find and ties to break
-    pair = gh.CorrespondencePair(np.zeros(len(X), int), np.zeros(len(Y), int))
-    return gh.gh_epsilon(X, Y, pair), pair
+@pytest.mark.parametrize("case", list(_exhaustive_cases()))
+def test_exact_bound_does_not_depend_on_the_seed(case):
+    X, Y, _ = _exhaustive_cases()[case]
+    bounds = [gh.gh_upper_bound(X, Y, seed=seed) for seed in range(5)]
+    assert all(bound.exact for bound in bounds)
+    for bound in bounds[1:]:
+        _assert_same_bound((bound.epsilon, bound.maps), (bounds[0].epsilon, bounds[0].maps))
+
+
+def _first_best_pair(X, Y):
+    """The first pair in (F, G) distortion order with the smallest epsilon, from every pair."""
+    eps, Fs, Gs = all_pair_epsilons(X, Y)
+    f, g = np.unravel_index(eps.argmin(), eps.shape)
+    return float(eps[f, g]), gh.CorrespondencePair(Fs[f], Gs[g])
 
 
 def _line(*points):
@@ -400,19 +429,21 @@ def _line(*points):
 @pytest.mark.parametrize(
     "X, Y",
     [
-        (_line(0, 2), _line(0, 2, 1)),
-        (_line(0, 3, 2), _line(0, 3)),
-        (_line(0, 1, 3), _line(0, 2, 3, 3)),
+        (_line(0, 1), _line(1, 2, 0)),
+        (_line(0, 3, 2), _line(0, 1)),
+        (_line(0, 3, 2), _line(0, 0, 1, 1)),
     ],
 )
 def test_exhaustive_blocks_break_ties_like_the_loop(X, Y, monkeypatch):
-    # from the constant maps, many pairs beat the seed and tie at the minimum
-    monkeypatch.setattr(gh, "_heuristic_bound", _constant_seed)
-    want = exhaustive_loop(X, Y, 0)
-    assert want[0] < _constant_seed(X, Y, 0)[0]
+    # the first pair in order is not the best, and several pairs tie at the
+    # minimum: the search must find the first of them
+    eps, _, _ = all_pair_epsilons(X, Y)
+    assert eps.min() < eps[0, 0] and (eps == eps.min()).sum() > 1
+    want = exhaustive_loop(X, Y)
+    _assert_same_bound(want, _first_best_pair(X, Y))
     for block in (gh.PAIR_BLOCK, 3 * max(len(X), len(Y)), 1):
         monkeypatch.setattr(gh, "PAIR_BLOCK", block)
-        _assert_same_bound(gh._exhaustive_bound(X, Y, 0), want)
+        _assert_same_bound(gh._exhaustive_bound(X, Y), want)
 
 
 @st.composite
@@ -434,25 +465,22 @@ def _small_spaces(draw, n):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_exhaustive_blocks_match_the_loop_on_random_spaces(data):
-    # at most 10**6 map pairs, so that even a seed that prunes nothing is
-    # quick (6 vs 6 has 46656**2; the cases above cover it)
+    # at most 10**6 map pairs, so that even a first pair that prunes nothing
+    # is quick (6 vs 6 has 46656**2; the cases above cover it)
     nx = data.draw(st.integers(1, 6), label="nx")
     sizes = [n for n in range(1, 7) if n**nx * nx**n <= 10**6]
     ny = data.draw(st.sampled_from(sizes), label="ny")
     X, Y = data.draw(_small_spaces(nx), label="X"), data.draw(_small_spaces(ny), label="Y")
-    seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
-    # the constant seed and small blocks only where there are few pairs
+    # small blocks, and the check against every pair, only where there are few pairs
     few = ny**nx * nx**ny <= 10_000
-    weak = few and data.draw(st.booleans(), label="constant seed")
     blocks = [gh.PAIR_BLOCK, 3 * max(nx, ny)] if few else [gh.PAIR_BLOCK]
     block = data.draw(st.sampled_from(blocks), label="block")
-    seeding = _constant_seed if weak else gh._heuristic_bound
     with mock.patch.object(gh, "PAIR_BLOCK", block):
-        with mock.patch.object(gh, "_heuristic_bound", seeding):
-            found = gh._exhaustive_bound(X, Y, seed)
-            want = exhaustive_loop(X, Y, seed)
-    _assert_same_bound(found, want)
+        found = gh._exhaustive_bound(X, Y)
+    _assert_same_bound(found, exhaustive_loop(X, Y))
     assert found[0] == gh.gh_epsilon(X, Y, found[1])
+    if few:  # ties at the minimum go to the first pair in order
+        _assert_same_bound(found, _first_best_pair(X, Y))
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +530,26 @@ def test_collapse_series_trivial_fiber_hits_floor_only():
     series = gh.collapse_series([0.0, 1.0, 2.0], 8, 1)
     # the sample is already the base circle: only round-trip defects remain
     assert np.abs(series.epsilons).max() < 1e-15
+
+
+@pytest.mark.parametrize("nb, nf", list(itertools.product((1, 2, 3, 8), repeat=2)))
+def test_collapse_series_trusts_samples_that_pass_validation(nb, nf):
+    # the series takes its samples unvalidated: each one passes the checks,
+    # is the validated sample bit for bit, and scores like gh_epsilon on it
+    ts = [0.0, 0.5, 3.0, 10.0]
+    D = gh._warped_torus_distances(ts, nb, nf)
+    assert D.shape == (len(ts), nb * nf, nb * nf)
+    for t, Dt in zip(ts, D):
+        gh.FiniteMetricSpace.of([f"{i}" for i in range(nb * nf)], Dt)
+        assert Dt.tobytes() == gh.sample_warped_torus(t, nb, nf).D.tobytes()
+    eps = gh.collapse_series(ts, nb, nf).epsilons
+    assert [e.hex() for e in eps] == [e.hex() for e in collapse_epsilons(ts, nb, nf)]
+
+
+@pytest.mark.parametrize("ts", [[0.0, math.nan], [-1.0, 0.0]])
+def test_collapse_series_rejects_times_without_a_sample(ts):
+    with pytest.raises(ValueError, match="nonnegative"):
+        gh.collapse_series(ts, 2, 2)
 
 
 def test_space_json_round_trip():
