@@ -298,13 +298,22 @@ def collapse_profile(model: AnsatzModel, traj: AnsatzTrajectory) -> CollapseProf
     )
 
 
-def cohomology_counterpart(model: AnsatzModel) -> tuple:
-    """(manifold model, initial class) matching the ansatz in the class engine."""
-    if model.kind == ROUND_P1:
-        return coh_models.get_model("cp1"), coh.ClassVector(model.scales)
-    if model.kind == P1XP1:
-        return coh_models.get_model("p1xp1"), coh.ClassVector(model.scales)
-    return coh_models.get_model("product-ec"), coh.ClassVector(model.scales)
+#: the built-in manifold model whose class engine matches each kind
+_COUNTERPARTS = {ROUND_P1: "cp1", P1XP1: "p1xp1", PRODUCT_EC: "product-ec"}
+
+#: name -> manifold model, such as ``cohomology.models.get_model``
+ModelLookup = Callable[[str], coh.ManifoldModel]
+
+
+def cohomology_counterpart(
+    model: AnsatzModel, lookup: Optional[ModelLookup] = None
+) -> tuple:
+    """(manifold model, initial class) matching the ansatz in the class engine.
+
+    ``lookup`` maps a model name to a manifold model; the built-ins by default.
+    """
+    manifold = (lookup or coh_models.get_model)(_COUNTERPARTS[model.kind])
+    return manifold, coh.ClassVector(model.scales)
 
 
 @dataclass(frozen=True)
@@ -314,25 +323,24 @@ class CrossCheck:
     equal: bool
 
 
-def crosscheck_T(model: AnsatzModel) -> CrossCheck:
-    """Extinction time of the reduced ODE vs the class-line computation.
+def crosscheck_T(
+    model: AnsatzModel, lookup: Optional[ModelLookup] = None
+) -> CrossCheck:
+    """Closed-form extinction time of the reduced ODE vs the class engine's T.
 
     Only meaningful in unnormalized mode, where both sides are exact
-    rationals; the ODE answer is additionally confirmed numerically to
-    1e-12 before being reported.
+    rationals.  Both are exact, so nothing is integrated: ``equal`` holds
+    when the two times are the same rational or both infinite.  An
+    approximate class-engine T never counts as equal.  ``lookup`` picks
+    the manifold models, as in :func:`cohomology_counterpart`.
     """
     if model.mode != UNNORMALIZED:
         raise ValueError("cross-check compares unnormalized extinction times")
-    system = reduce(model)
-    ansatz_time = system.extinction_time  # Fraction or None
-    manifold, a0 = cohomology_counterpart(model)
-    T = coh.max_existence_time(manifold, a0)
+    ansatz_time = reduce(model).extinction_time  # Fraction or None
+    T = coh.max_existence_time(*cohomology_counterpart(model, lookup))
     coho_time = T.value if T.finite else None
-    if ansatz_time is not None:
-        traj = integrate(model, float(ansatz_time) * 1.25, dt=1e-3)
-        if not traj.extinct or abs(traj.extinction_numeric - float(ansatz_time)) > 1e-11:
-            raise AssertionError("numeric extinction disagrees with the closed form")
-    equal = (ansatz_time is None and coho_time is None) or (
-        ansatz_time is not None and coho_time is not None and ansatz_time == coho_time
+    return CrossCheck(
+        ansatz_time=ansatz_time,
+        cohomology_time=coho_time,
+        equal=T.exact and ansatz_time == coho_time,
     )
-    return CrossCheck(ansatz_time=ansatz_time, cohomology_time=coho_time, equal=equal)

@@ -64,9 +64,17 @@ def as_fraction(x: RatLike) -> Fraction:
 
 @dataclass(frozen=True)
 class ClassVector:
-    """Rational coordinates of a real (1,1)-class in a model's basis."""
+    """Rational coordinates of a real (1,1)-class in a model's basis.
+
+    ``cleared`` is the integer form (A, q) of the coordinates, computed on
+    first use and kept on the instance; equality, hash and repr read
+    ``coords`` only.
+    """
 
     coords: tuple[Fraction, ...]
+    _cleared: Optional[tuple[tuple[int, ...], int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def of(values: Iterable[RatLike]) -> "ClassVector":
@@ -92,6 +100,15 @@ class ClassVector:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
+
+    @property
+    def cleared(self) -> tuple[tuple[int, ...], int]:
+        """(A, q) with coords = A/q, A integer and q the least common denominator."""
+        if self._cleared is None:
+            q = math.lcm(*(x.denominator for x in self.coords))
+            A = tuple(x.numerator * (q // x.denominator) for x in self.coords)
+            object.__setattr__(self, "_cleared", (A, q))
+        return self._cleared
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -199,12 +216,6 @@ class SubvarietyEntry:
 IntPoly = tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _cleared(coords: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """(A, q) with coords = A/q, A integer and q the least common denominator."""
-    q = math.lcm(*(x.denominator for x in coords))
-    return tuple(x.numerator * (q // x.denominator) for x in coords), q
-
-
 def _int_poly(monomials: dict[tuple[int, ...], Fraction]) -> tuple[IntPoly, int]:
     """(P, D) with P = D * monomials over the integers and D > 0."""
     den = math.lcm(*(c.denominator for c in monomials.values()))
@@ -250,6 +261,11 @@ class IntegerKernel:
     2 pi c1 = C/c, ``lines[k] = (G_0, ..., G_d)`` are the integer
     polynomials with F(A - s*C) = sum_j G_j(A) s^j, so that along the flow
     line D*f(A/q - t*C/c) = q^-d * sum_j G_j(A) (q*t/c)^j.
+
+    The kernel also keeps the :class:`ExistenceTime` of the last Kahler
+    class it answered, keyed by that class's (A, q): one entry, so a
+    query that asks for T again right after (the limiting class does)
+    reads it back instead of solving the cone lines twice.
     """
 
     cone: tuple[tuple[str, IntPoly], ...]
@@ -259,10 +275,13 @@ class IntegerKernel:
     catalogue: tuple[tuple[str, IntPoly], ...]
     c1: tuple[int, ...]
     c1_den: int
+    _last_time: Optional[tuple[tuple[tuple[int, ...], int], "ExistenceTime"]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def of(model: "ManifoldModel") -> "IntegerKernel":
-        C, c = _cleared(model.c1twopi.coords)
+        C, c = model.c1twopi.cleared
         cone = tuple((label, _int_poly(f.monomials)[0]) for label, f in model.cone.constraints)
         volume, volume_den = _int_poly(_expand_symmetric(model.tensor.entries, model.tensor.dim))
         catalogue = tuple(
@@ -330,7 +349,7 @@ def evolve_class(model: ManifoldModel, a0: ClassVector, t: RatLike) -> ClassVect
     model.check_class(a0)
     t = as_fraction(t)
     kernel = model.kernel
-    A, q = _cleared(a0.coords)
+    A, q = a0.cleared
     # A/q - (tn/td) * C/c over the one denominator q*td*c
     tn, scale = t.numerator, t.denominator * kernel.c1_den
     return ClassVector(
@@ -340,19 +359,19 @@ def evolve_class(model: ManifoldModel, a0: ClassVector, t: RatLike) -> ClassVect
 
 def is_kahler(model: ManifoldModel, a: ClassVector) -> bool:
     model.check_class(a)
-    return not model.kernel.violated(_cleared(a.coords)[0], strict=True)
+    return not model.kernel.violated(a.cleared[0], strict=True)
 
 
 def is_nef(model: ManifoldModel, a: ClassVector) -> bool:
     model.check_class(a)
-    return not model.kernel.violated(_cleared(a.coords)[0], strict=False)
+    return not model.kernel.violated(a.cleared[0], strict=False)
 
 
 def volume(model: ManifoldModel, a: ClassVector) -> Fraction:
     """Top self-intersection of the class, exact."""
     model.check_class(a)
     kernel = model.kernel
-    A, q = _cleared(a.coords)
+    A, q = a.cleared
     return Fraction(_value(kernel.volume, A), kernel.volume_den * q**model.n)
 
 
@@ -392,11 +411,15 @@ def max_existence_time(model: ManifoldModel, a0: ClassVector) -> ExistenceTime:
     failure time and T is the minimum over constraints.  Linear
     constraints and quadratics with square discriminant give exact
     rational answers; anything else is isolated to a 1e-12 interval and
-    flagged approximate.
+    flagged approximate.  Asked twice in a row for one class, the model's
+    kernel answers the second time from its last result.
     """
     model.check_class(a0)
     kernel = model.kernel
-    A, q = _cleared(a0.coords)
+    key = a0.cleared
+    if kernel._last_time is not None and kernel._last_time[0] == key:
+        return kernel._last_time[1]
+    A, q = key
     bad = kernel.violated(A, strict=True)
     if bad:
         raise NotKahlerError(
@@ -404,7 +427,13 @@ def max_existence_time(model: ManifoldModel, a0: ClassVector) -> ExistenceTime:
             f"violated: {', '.join(bad)}",
             violated=bad,
         )
+    T = _existence_time(model.name, kernel, A, q)
+    object.__setattr__(kernel, "_last_time", (key, T))
+    return T
 
+
+def _existence_time(name: str, kernel: IntegerKernel, A: Sequence[int], q: int) -> ExistenceTime:
+    """T for the Kahler class A/q: the first failure time over the cone lines."""
     c = kernel.c1_den
     best: Optional[tuple] = None  # (key, exact, value-or-interval, label)
     for (label, _), line in zip(kernel.cone, kernel.lines):
@@ -424,7 +453,7 @@ def max_existence_time(model: ManifoldModel, a0: ClassVector) -> ExistenceTime:
     if best is None:
         if kernel.violated(tuple(-k for k in kernel.c1), strict=False):
             raise ValueError(
-                f"inconsistent cone spec on {model.name}: every constraint "
+                f"inconsistent cone spec on {name}: every constraint "
                 "survives all t >= 0 but the anticanonical direction is not nef"
             )
         return ExistenceTime(finite=False, exact=True)
@@ -474,7 +503,7 @@ class NullLocus:
 def null_locus(model: ManifoldModel, a: ClassVector) -> NullLocus:
     model.check_class(a)
     kernel = model.kernel
-    A, _ = _cleared(a.coords)
+    A, _ = a.cleared
     if kernel.violated(A, strict=False):
         raise NotNefError(f"class {a} on {model.name} is not nef")
     labels = tuple(label for label, p in kernel.catalogue if _value(p, A) == 0)
@@ -486,7 +515,8 @@ def singularity_seed(model: ManifoldModel, a: ClassVector, lam: RatLike) -> Clas
 
     ``a`` must be nef but not Kahler and ``a + lam * (2 pi c1)`` must be
     Kahler; then the line back to ``a`` stays Kahler until exactly ``lam``.
-    The postcondition is cross-checked before returning.
+    The postcondition is cross-checked before returning; a cone spec that
+    fails it (a cone that is not convex, say) raises DomainError.
     """
     model.check_class(a)
     lam = as_fraction(lam)
@@ -504,7 +534,7 @@ def singularity_seed(model: ManifoldModel, a: ClassVector, lam: RatLike) -> Clas
         )
     T = max_existence_time(model, seed)
     if not (T.finite and T.exact and T.value == lam and limiting_class(model, seed) == a):
-        raise AssertionError("seed postcondition failed; cone spec inconsistent")
+        raise DomainError(f"seed postcondition failed on {model.name}; cone spec inconsistent")
     return seed
 
 

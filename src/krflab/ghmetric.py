@@ -370,7 +370,10 @@ def _map_rows(idx, src: int, dst: int) -> np.ndarray:
 def _distortions(DA: np.ndarray, DB: np.ndarray) -> np.ndarray:
     """Distortion of every map DA -> DB, flat in itertools.product order.
 
-    On the (|B|,)*|A| grid of maps, point pair (a, b) adds |DA[a, b] - DB| along axes a, b.
+    On the (|B|,)*|A| grid of maps, point pair a < b adds, along axes a and
+    b, the larger of |DA[a, b] - DB| and |DA[b, a] - DB.T|: both
+    orientations, as ``gh_epsilon`` reads them, so a space that is
+    symmetric only within ``TRIANGLE_TOL`` gets the same distortion.
     """
     na, nb = len(DA), len(DB)
     d = np.zeros((nb,) * na)
@@ -378,7 +381,8 @@ def _distortions(DA: np.ndarray, DB: np.ndarray) -> np.ndarray:
         for b in range(a + 1, na):
             shape = [1] * na
             shape[a] = shape[b] = nb
-            np.maximum(d, np.abs(DA[a, b] - DB).reshape(shape), out=d)
+            pair = np.maximum(np.abs(DA[a, b] - DB), np.abs(DA[b, a] - DB.T))
+            np.maximum(d, pair.reshape(shape), out=d)
     return d.ravel()
 
 

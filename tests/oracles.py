@@ -188,11 +188,12 @@ def all_maps(src: int, dst: int) -> np.ndarray:
 
 
 def map_distortions(DA, DB, maps) -> np.ndarray:
-    """Distortion of each row of ``maps``: DA -> DB, one gather per point pair."""
+    """Distortion of each row of ``maps``: DA -> DB, one gather per ordered point pair."""
     d = np.zeros(len(maps))
     for a1 in range(len(DA)):
-        for a2 in range(a1 + 1, len(DA)):
-            np.maximum(d, np.abs(DA[a1, a2] - DB[maps[:, a1], maps[:, a2]]), out=d)
+        for a2 in range(len(DA)):
+            if a1 != a2:
+                np.maximum(d, np.abs(DA[a1, a2] - DB[maps[:, a1], maps[:, a2]]), out=d)
     return d
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -181,6 +182,73 @@ def test_crosscheck_random_rational_scales():
         assert az.crosscheck_T(az.AnsatzModel.of(az.ROUND_P1, [lam])).equal
         l2 = F(rng.randint(1, 40), rng.randint(1, 12))
         assert az.crosscheck_T(az.AnsatzModel.of(az.P1XP1, [lam, l2])).equal
+
+
+def test_crosscheck_integrates_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("crosscheck_T integrated")
+
+    monkeypatch.setattr(az, "integrate", refuse)
+    for model in (
+        az.AnsatzModel.of(az.ROUND_P1, [F(7, 3)]),
+        az.AnsatzModel.of(az.P1XP1, [2, F(5, 4)]),
+        az.AnsatzModel.of(az.PRODUCT_EC, [1, 3]),
+    ):
+        assert az.crosscheck_T(model).equal
+
+
+def test_crosscheck_reads_the_models_it_is_given():
+    from krflab.cohomology import models as coh_models
+
+    asked = []
+
+    def lookup(name):
+        asked.append(name)
+        return coh_models.get_model("torus1")  # c1 = 0: the flow never ends
+
+    chk = az.crosscheck_T(az.AnsatzModel.of(az.ROUND_P1, [3]), lookup)
+    assert asked == ["cp1"]
+    assert chk.ansatz_time == F(3, 2) and chk.cohomology_time is None and not chk.equal
+
+
+def test_cross_time_rows_fail_on_a_corrupted_sphere():
+    from krflab.cohomology import models as coh_models
+
+    cat = coh_models.builtin_models()
+    cat["cp1"] = dataclasses.replace(cat["cp1"], c1twopi=coh_models.ClassVector.of([3]))
+    rows = verify.run_criterion(7, verify.VerifyOptions(models=cat)).rows
+    assert [r.passed for r in rows] == [False, True, True]
+
+
+def test_cross_time_numeric_row_fails_on_a_shifted_extinction(monkeypatch):
+    real = az.integrate
+
+    def shifted(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        traj.extinction_numeric += 1e-6
+        return traj
+
+    monkeypatch.setattr(verify.az, "integrate", shifted)
+    rows = verify.run_criterion(7, verify.VerifyOptions()).rows
+    assert [r.passed for r in rows] == [True, True, False]
+    assert rows[2].check == "RK4 extinction within 1e-11 of the closed form"
+    assert float(rows[2].got) == pytest.approx(1e-6, rel=1e-3)
+
+
+def test_cross_time_numeric_row_fails_on_nan_and_on_no_extinction(monkeypatch):
+    real = az.integrate
+    for corrupt in (float("nan"), None):
+
+        def broken(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            if corrupt is None:
+                traj.extinct, traj.extinction_numeric = False, None
+            else:
+                traj.extinction_numeric = corrupt
+            return traj
+
+        monkeypatch.setattr(verify.az, "integrate", broken)
+        assert not verify.run_criterion(7, verify.VerifyOptions()).rows[2].passed
 
 
 def test_model_validation():

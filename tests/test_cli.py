@@ -476,6 +476,22 @@ def test_verify_detects_corrupted_catalogue(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_criterion_7_reads_the_catalogue(tmp_path, capsys):
+    # a sphere with 2 pi c1 = 3 dies at scale/3, not at the ansatz's scale/2
+    path = tmp_path / "catalogue.json"
+    coh_models.dump_catalogue(path)
+    payload = json.loads(path.read_text())
+    for model in payload["models"]:
+        if model["name"] == "cp1":
+            model["c1twopi"] = ["3"]
+    path.write_text(json.dumps(payload))
+    code = cli.main(["verify", "--criteria", "7", "--catalogue", str(path)])
+    assert code == 4
+    out = capsys.readouterr().out
+    assert "[FAIL] sphere: closed form vs class engine" in out
+    assert "[pass] RK4 extinction within 1e-11 of the closed form" in out
+
+
 def test_catalogue_entry_without_basis_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "catalogue.json"
     coh_models.dump_catalogue(path)

@@ -281,6 +281,30 @@ def test_seed_rejects_kahler_target():
         C.singularity_seed(BLOWUP, cv(4, -1), 1)
 
 
+def test_seed_postcondition_failure_is_a_domain_error():
+    # the "gap" constraint (x - y)^2 vanishes on the diagonal, so the cone is
+    # not convex: the line from (3, 1) back to (0, 4) leaves it at t = 1, not 3
+    pinched = C.ManifoldModel(
+        name="pinched",
+        n=2,
+        basis=("x", "y"),
+        tensor=C.IntersectionTensor(n=2, dim=2, entries={(0, 1): F(1)}),
+        c1twopi=cv(1, -1),
+        cone=C.ConeSpec(
+            (
+                ("x", C.PolyFunctional({(1, 0): F(1)})),
+                ("y", C.PolyFunctional({(0, 1): F(1)})),
+                ("gap", C.PolyFunctional({(2, 0): F(1), (1, 1): F(-2), (0, 2): F(1)})),
+            )
+        ),
+        catalogue=(),
+        kodaira=None,
+    )
+    assert C.max_existence_time(pinched, cv(3, 1)).value == 1
+    with pytest.raises(C.DomainError, match="postcondition"):
+        C.singularity_seed(pinched, cv(0, 4), 3)
+
+
 # ---------------------------------------------------------------------------
 # long-time regime
 # ---------------------------------------------------------------------------

@@ -229,6 +229,89 @@ def test_models_built_and_dropped_in_a_loop_answer_from_their_own_cone():
         del model
 
 
+# -- one integer form per class, one existence time per kernel ---------------
+
+
+def time_answers(model, a, limit_first):
+    """T, limiting class and null locus of the nef end, as the engine gives them."""
+    if limit_first:  # the limiting class asks for T itself, with no T before it
+        try:
+            C.limiting_class(model, a)
+        except C.InfiniteTimeError:
+            pass
+        except C.NotKahlerError as err:
+            return ("not kahler", err.violated)
+    try:
+        T = C.max_existence_time(model, a)
+    except C.NotKahlerError as err:
+        return ("not kahler", err.violated)
+    nef = C.limiting_class(model, a) if T.finite else a
+    return (T.finite, T.exact, T.value, T.binding), nef, locus(C.null_locus(model, nef))
+
+
+def oracle_time_answers(model, a):
+    bad = oracles.violated(model, a, strict=True)
+    if bad:
+        return ("not kahler", bad)
+    T = oracles.max_existence_time(model, a)
+    nef = oracles.limiting_class(model, a, T.value) if T.finite else a
+    return (T.finite, T.exact, T.value, T.binding), nef, locus(oracles.null_locus(model, nef))
+
+
+BUILTINS = models.builtin_models()  # shared, so each kernel keeps its last answer
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_interleaved_queries_answer_for_their_own_class_and_model(data):
+    # classes of all six models queried as A, B, A, ...: the kernel's last
+    # answer must never stand in for another class or another model
+    names = data.draw(st.lists(st.sampled_from(sorted(BUILTINS)), min_size=2, max_size=5))
+    pool = [(name, data.draw(classes(BUILTINS[name]))) for name in names]
+    order = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=3, max_size=12))
+    for i in order:
+        name, a = pool[i]
+        model = BUILTINS[name]
+        limit_first = data.draw(st.booleans())
+        assert time_answers(model, a, limit_first) == oracle_time_answers(model, a), (name, a)
+
+
+def test_one_class_on_two_models_and_two_classes_on_one_model():
+    cp1, torus1, blowup = BUILTINS["cp1"], BUILTINS["torus1"], BUILTINS["blowup-p2"]
+    a = C.ClassVector.of([3])
+    assert C.max_existence_time(cp1, a).value == F(3, 2)
+    assert not C.max_existence_time(torus1, a).finite  # same (A, q), other kernel
+    assert C.max_existence_time(cp1, C.ClassVector.of(["3/1"])).value == F(3, 2)
+    b, c = C.ClassVector.of([4, -1]), C.ClassVector.of([7, -2])
+    for x, want in ((b, F(1)), (c, F(2)), (b, F(1)), (c, F(2))):
+        assert C.max_existence_time(blowup, x).value == want
+        assert C.limiting_class(blowup, x) == oracles.limiting_class(blowup, x, want)
+    with pytest.raises(C.NotKahlerError):  # a rejected class leaves no answer behind
+        C.max_existence_time(blowup, C.ClassVector.of([1, 4]))
+    assert C.max_existence_time(blowup, c).value == F(2)
+
+
+def test_limiting_class_reads_the_time_just_computed(monkeypatch):
+    model = models.get_model("blowup-p2")
+    a = C.ClassVector.of([4, -1])
+    T = C.max_existence_time(model, a)
+    monkeypatch.setattr(C, "_existence_time", None)  # a second solve would raise
+    assert C.max_existence_time(model, a) is T
+    assert C.limiting_class(model, a) == C.ClassVector.of([1, 0])
+    assert C.is_noncollapsed(model, a)
+
+
+def test_class_vector_identity_ignores_its_integers():
+    a, b = C.ClassVector.of(["1/2", "-3/4", 5]), C.ClassVector.of(["1/2", "-3/4", 5])
+    before = (repr(a), hash(a), str(a), a == b)
+    assert a.cleared == ((2, -3, 20), 4)
+    assert b._cleared is None
+    assert (repr(a), hash(a), str(a), a == b) == before
+    assert repr(a) == repr(b) and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert "cleared" not in repr(a)
+    assert C.ClassVector.of([]).cleared == ((), 1)
+
+
 def test_get_model_builds_only_the_named_model(monkeypatch):
     def refuse():
         raise AssertionError("built a model nobody asked for")

@@ -155,6 +155,22 @@ def test_distortions_match_one_gather_per_point_pair(na, nb):
     assert gh._distortions(DA, DB).tobytes() == want.tobytes()
 
 
+def test_exact_bound_reads_both_orientations_of_a_nearly_symmetric_space():
+    # X is symmetric only within TRIANGLE_TOL: the exact search must report
+    # the epsilon that gh_epsilon gives its own maps, to the bit
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        X, Y = _euclidean(rng, 3), _euclidean(rng, 4)
+        D = X.D + np.triu(np.full(X.D.shape, 9e-13), 1)
+        X = gh.FiniteMetricSpace.of(list(X.labels), D)
+        for A, B in ((X, Y), (Y, X)):
+            bound = gh.gh_upper_bound(A, B)
+            assert bound.exact
+            assert bound.epsilon == gh.gh_epsilon(A, B, bound.maps)
+            want = map_distortions(A.D, B.D, all_maps(len(A), len(B)))
+            assert gh._distortions(A.D, B.D).tobytes() == want.tobytes()
+
+
 def _euclidean(rng, n):
     pts = rng.uniform(0, 1, size=(n, 2))
     D = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
