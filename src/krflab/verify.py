@@ -1,18 +1,26 @@
 """One-shot verification suite: every headline number, checked end to end.
 
-Each criterion runs at its stated tolerance and produces rows
-(check, expected, got, tolerance, pass); the CLI `verify` subcommand
-prints the table and exits nonzero on any failure, and the pytest
-acceptance module asserts the same results.
+Each criterion runs at its stated tolerance and produces rows (check,
+expected, got, tolerance, pass).  A yes/no row carries its verdict.  A
+numeric row carries a value and a bound, and its got text, its verdict
+and its margin (bound - value) all come from those two; a non-finite
+value or margin fails.  A criterion that raises ends in one FAIL row
+naming the exception, and the other criteria still run; only
+``MissingModel`` propagates.  The CLI `verify` subcommand prints the
+table and exits nonzero on any failure, and the pytest acceptance module
+asserts the same results.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 import time
-from dataclasses import dataclass, field
+import traceback
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction as F
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -22,6 +30,8 @@ from . import ghmetric as gh
 from . import maflow as mf
 from .cohomology import models as coh_models
 
+_COMPARE = {"<": operator.lt, "<=": operator.le}
+
 
 @dataclass
 class CheckRow:
@@ -30,6 +40,13 @@ class CheckRow:
     got: str
     tolerance: str
     passed: bool
+    value: Optional[float] = None  # None on yes/no rows
+    bound: Optional[float] = None
+
+    @property
+    def margin(self) -> Optional[float]:
+        """How far the value sits inside its bound; None on yes/no rows."""
+        return None if self.value is None else self.bound - self.value
 
 
 @dataclass
@@ -43,9 +60,26 @@ class CriterionResult:
     def passed(self) -> bool:
         return all(r.passed for r in self.rows)
 
-    def add(self, check: str, expected, got, tolerance: str, passed: bool) -> None:
-        # bool() so that a numpy verdict stays JSON-encodable in verify.json
-        self.rows.append(CheckRow(check, str(expected), str(got), tolerance, bool(passed)))
+    def holds(self, check: str, passed, expected, got: Optional[str] = None, tol="exact"):
+        """Add a yes/no row; its got text defaults to the verdict's."""
+        passed = bool(passed)  # a numpy verdict stays JSON-encodable in verify.json
+        got = str(passed) if got is None else got
+        self.rows.append(CheckRow(check, str(expected), got, tol, passed))
+
+    def within(
+        self, check: str, value, op: str, bound: Union[str, float], expected: str,
+        got: str = "{:.3e}", tol: Optional[str] = None,
+    ):
+        """Add a numeric row that passes iff ``value op bound`` and its margin is finite.
+
+        A bound given as its literal (``"1e-4"``) is also the tolerance
+        text; ``got`` is the template the value is printed with.
+        """
+        value, limit = float(value), float(bound)
+        passed = _COMPARE[op](value, limit) and math.isfinite(limit - value)
+        self.rows.append(
+            CheckRow(check, expected, got.format(value), tol or bound, passed, value, limit)
+        )
 
 
 class MissingModel(LookupError):
@@ -56,25 +90,54 @@ class MissingModel(LookupError):
 class VerifyOptions:
     seed: int = 0
     flow_grid: int = 64  # grid for the n = 1 flow criteria
-    models: Optional[dict] = None  # override the built-in catalogue
+    models: Optional[dict] = None  # the catalogue; the built-ins when None
 
     def __post_init__(self):
         mf.check_grid(self.flow_grid)
+        if self.models is None:
+            self.models = coh_models.builtin_models()
 
     def model(self, name: str):
-        cat = self.models if self.models is not None else coh_models.builtin_models()
-        if name not in cat:
+        if name not in self.models:
             raise MissingModel(f"the catalogue has no model {name!r}, which the criteria read")
-        return cat[name]
+        return self.models[name]
 
 
-# ---------------------------------------------------------------------------
-# criterion 1: cohomology exactness
-# ---------------------------------------------------------------------------
+CRITERIA: list[tuple[int, str, Callable[[VerifyOptions], CriterionResult]]] = []
 
 
-def criterion_cohomology(opts: VerifyOptions) -> CriterionResult:
-    res = CriterionResult(1, "cohomology exactness")
+def criterion(index: int, slug: str, title: str):
+    """Register ``body(opts, res)`` as criterion ``index``.
+
+    The registered function takes the options and returns the timed
+    result.  An exception from ``body`` other than ``MissingModel``
+    becomes one more FAIL row, after the rows already added, and its
+    traceback goes to stderr.
+    """
+
+    def register(body):
+        def run(opts: VerifyOptions) -> CriterionResult:
+            res = CriterionResult(index, title)
+            start = time.perf_counter()
+            try:
+                body(opts, res)
+            except MissingModel:
+                raise
+            except Exception as err:
+                traceback.print_exc()
+                res.holds("criterion runs to the end", False, "no exception",
+                          f"{type(err).__name__}: {err}")
+            res.elapsed = time.perf_counter() - start
+            return res
+
+        CRITERIA.append((index, slug, run))
+        return run
+
+    return register
+
+
+@criterion(1, "cohomology-exactness", "cohomology exactness")
+def criterion_cohomology(opts: VerifyOptions, res: CriterionResult) -> None:
     rng = random.Random(opts.seed + 1)
 
     def rand_pos():
@@ -86,7 +149,7 @@ def criterion_cohomology(opts: VerifyOptions) -> CriterionResult:
         lam = rand_pos()
         T = coh.max_existence_time(sphere, coh.ClassVector((lam,)))
         ok &= T.finite and T.exact and T.value == lam / 2
-    res.add("sphere: T = scale/2", True, ok, "exact", bool(ok))
+    res.holds("sphere: T = scale/2", ok, True)
 
     ok = True
     for name in ("torus1", "genus2"):
@@ -94,7 +157,7 @@ def criterion_cohomology(opts: VerifyOptions) -> CriterionResult:
         for _ in range(10):
             T = coh.max_existence_time(model, coh.ClassVector((rand_pos(),)))
             ok &= (not T.finite) and T.exact
-    res.add("flat/hyperbolic curves: T infinite", True, ok, "exact", bool(ok))
+    res.holds("flat/hyperbolic curves: T infinite", ok, True)
 
     p1p1 = opts.model("p1xp1")
     ok = True
@@ -102,7 +165,7 @@ def criterion_cohomology(opts: VerifyOptions) -> CriterionResult:
         l1, l2 = rand_pos(), rand_pos()
         T = coh.max_existence_time(p1p1, coh.ClassVector((l1, l2)))
         ok &= T.exact and T.value == min(l1, l2) / 2
-    res.add("sphere product: T = min(scales)/2", True, ok, "exact", bool(ok))
+    res.holds("sphere product: T = min(scales)/2", ok, True)
 
     blow = opts.model("blowup-p2")
     ok = True
@@ -110,7 +173,7 @@ def criterion_cohomology(opts: VerifyOptions) -> CriterionResult:
         m1 = F(rng.randint(-60, 60), rng.randint(1, 8))
         m2 = F(rng.randint(-60, 60), rng.randint(1, 8))
         ok &= coh.is_kahler(blow, coh.ClassVector((m1, m2))) == (0 < -m2 < m1)
-    res.add("blowup: cone decision equals 0 < -m2 < m1", True, ok, "exact", bool(ok))
+    res.holds("blowup: cone decision equals 0 < -m2 < m1", ok, True)
 
     ok = True
     for _ in range(50):
@@ -118,13 +181,7 @@ def criterion_cohomology(opts: VerifyOptions) -> CriterionResult:
         m2 = F(rng.randint(-60, 60), rng.randint(1, 8))
         ok &= coh.volume(blow, coh.ClassVector((m1, m2))) == m1 * m1 - m2 * m2
         ok &= coh.volume(p1p1, coh.ClassVector((m1, m2))) == 2 * m1 * m2
-    res.add(
-        "surface volume forms: m1^2 - m2^2 (blowup), 2*m1*m2 (product)",
-        True,
-        ok,
-        "exact",
-        bool(ok),
-    )
+    res.holds("surface volume forms: m1^2 - m2^2 (blowup), 2*m1*m2 (product)", ok, True)
 
     ok = True
     for _ in range(50):
@@ -132,9 +189,7 @@ def criterion_cohomology(opts: VerifyOptions) -> CriterionResult:
         m1 = -m2 + rand_pos()
         T = coh.max_existence_time(blow, coh.ClassVector((m1, m2)))
         ok &= T.exact and T.value == min(-m2, (m1 + m2) / 2)
-    res.add(
-        "blowup: T = min(-m2, (m1+m2)/2) (scaled basis)", True, ok, "exact", bool(ok)
-    )
+    res.holds("blowup: T = min(-m2, (m1+m2)/2) (scaled basis)", ok, True)
 
     ok = True
     for _ in range(50):
@@ -144,103 +199,54 @@ def criterion_cohomology(opts: VerifyOptions) -> CriterionResult:
         lim = coh.limiting_class(blow, a0)
         ok &= coh.volume(blow, lim) == (m1 + 3 * m2) ** 2
         ok &= coh.is_noncollapsed(blow, a0)
-    res.add(
-        "blowup noncollapsed: limit volume = (m1+3m2)^2", True, ok, "exact", bool(ok)
-    )
+    res.holds("blowup noncollapsed: limit volume = (m1+3m2)^2", ok, True)
 
     lim = coh.limiting_class(blow, coh.ClassVector.of([4, -1]))
-    locus = coh.null_locus(blow, lim)
-    res.add(
-        "blowup: null locus of the limit class",
-        "('E',)",
-        locus.all_labels(),
-        "exact",
-        locus.all_labels() == ("E",),
-    )
-    return res
+    labels = coh.null_locus(blow, lim).all_labels()
+    res.holds("blowup: null locus of the limit class", labels == ("E",), "('E',)", str(labels))
 
 
-# ---------------------------------------------------------------------------
-# criterion 2: flow stationarity and volume conservation
-# ---------------------------------------------------------------------------
-
-
-def criterion_stationarity(opts: VerifyOptions) -> CriterionResult:
-    res = CriterionResult(2, "flow stationarity and conservation")
+@criterion(2, "flow-stationarity-conservation", "flow stationarity and conservation")
+def criterion_stationarity(opts: VerifyOptions, res: CriterionResult) -> None:
     N = opts.flow_grid
     bg = mf.TorusBackground(n=1, N=N, g0=[[1.0]])
     dt = mf.current_cfl_bound(bg, mf.initial_state(bg))
     state, _ = mf.run(bg, mf.RunConfig(dt=dt, t_end=1000 * dt, record_every=1000))
-    drift = float(np.abs(state.phi).max())
-    res.add("zero potential fixed over 1000 steps", "sup|phi| < 1e-12", f"{drift:.3e}", "1e-12", drift < 1e-12)
+    drift = np.abs(state.phi).max()
+    res.within("zero potential fixed over 1000 steps", drift, "<", "1e-12", "sup|phi| < 1e-12")
 
     x, y = bg.coordinates()
     phi0 = 0.02 * np.cos(2 * np.pi * x) + 0.01 * np.sin(2 * np.pi * y)
     cfg = mf.RunConfig(mode=mf.UNNORMALIZED, t_end=1.0, record_every=200)
     _, series = mf.run(bg, cfg, phi0=phi0)
     vol = series.column("volume")
-    rel_rate = float(np.abs(vol - vol[0]).max() / vol[0] / cfg.t_end)
-    res.add(
-        "grid volume conserved (perturbed run)",
-        "relative drift < 1e-6 per unit time",
-        f"{rel_rate:.3e}",
-        "1e-6",
-        rel_rate < 1e-6,
-    )
-    return res
+    rel_rate = np.abs(vol - vol[0]).max() / vol[0] / cfg.t_end
+    res.within("grid volume conserved (perturbed run)", rel_rate, "<", "1e-6",
+               "relative drift < 1e-6 per unit time")
 
 
-# ---------------------------------------------------------------------------
-# criterion 3: convergence of the normalized twisted flow
-# ---------------------------------------------------------------------------
-
-
-def criterion_convergence(opts: VerifyOptions) -> CriterionResult:
-    res = CriterionResult(3, "normalized flow converges to the twisted stationary solution")
+@criterion(3, "normalized-flow-convergence",
+           "normalized flow converges to the twisted stationary solution")
+def criterion_convergence(opts: VerifyOptions, res: CriterionResult) -> None:
     N = opts.flow_grid
     base = mf.TorusBackground(n=1, N=N, g0=[[2.0]])
     f = base.field_from_modes([((1, 0), 0.08, 0.0), ((0, 1), 0.0, 0.05)])
     bg = mf.TorusBackground(n=1, N=N, g0=[[2.0]], f=f)
     cfg = mf.RunConfig(mode=mf.NORMALIZED, t_end=30.0, record_every=200)
     final, series = mf.run(bg, cfg)
-    res.add(
-        "run reports convergence",
-        "sup|phidot| < 1e-10",
-        f"{series.termination} at t={final.t:.3f}",
-        "1e-10",
-        series.converged,
-    )
-    residual = float(np.abs(mf.ma_rhs(bg, final)).max())
-    res.add(
-        "stationary-equation residual at the final state",
-        "< 1e-8",
-        f"{residual:.3e}",
-        "1e-8",
-        residual < 1e-8,
-    )
+    res.holds("run reports convergence", series.converged, "sup|phidot| < 1e-10",
+              f"{series.termination} at t={final.t:.3f}", "1e-10")
+    residual = np.abs(mf.ma_rhs(bg, final)).max()
+    res.within("stationary-equation residual at the final state", residual, "<", "1e-8", "< 1e-8")
     oracle = mf.NORMALIZED_DECAY_RATE
     fit = mf.fit_decay_rate(series.column("t"), series.column("sup_phidot"))
-    if fit is None:
-        res.add("decay rate vs linearized oracle", oracle, "no fit", "10%", False)
-    else:
-        rate, _ = fit
-        res.add(
-            "decay rate vs linearized oracle",
-            f"{oracle:.3f}",
-            f"{rate:.4f}",
-            "10%",
-            abs(rate - oracle) <= 0.10 * oracle,
-        )
-    return res
+    rate = fit[0] if fit is not None else math.nan  # no fit fails the row
+    res.within("decay rate vs linearized oracle", abs(rate - oracle), "<=", 0.10 * oracle,
+               f"{oracle:.3f}", "no fit" if fit is None else f"{rate:.4f}", "10%")
 
 
-# ---------------------------------------------------------------------------
-# criterion 4: scalar curvature floor across the run matrix
-# ---------------------------------------------------------------------------
-
-
-def criterion_scalar_floor(opts: VerifyOptions) -> CriterionResult:
-    res = CriterionResult(4, "min scalar curvature never drops below its start")
+@criterion(4, "scalar-curvature-floor", "min scalar curvature never drops below its start")
+def criterion_scalar_floor(opts: VerifyOptions, res: CriterionResult) -> None:
     matrix = []
     bg1 = mf.TorusBackground(n=1, N=opts.flow_grid, g0=[[1.0]])
     x, y = bg1.coordinates()
@@ -264,20 +270,8 @@ def criterion_scalar_floor(opts: VerifyOptions) -> CriterionResult:
         cfg = mf.RunConfig(mode=mf.UNNORMALIZED, t_end=t_end, record_every=40)
         _, series = mf.run(bg, cfg, phi0=phi0)
         inf_r = series.column("inf_R")
-        drop = float(inf_r[0] - inf_r.min())
-        res.add(
-            f"run {i + 1} (n={bg.n}, N={bg.N}): inf R floor",
-            "drop <= 1e-4",
-            f"{drop:.3e}",
-            "1e-4",
-            inf_r.min() >= inf_r[0] - 1e-4,
-        )
-    return res
-
-
-# ---------------------------------------------------------------------------
-# criterion 5: near-identity matrix gap suite
-# ---------------------------------------------------------------------------
+        res.within(f"run {i + 1} (n={bg.n}, N={bg.N}): inf R floor", inf_r[0] - inf_r.min(),
+                   "<=", "1e-4", "drop <= 1e-4")
 
 
 def _random_unitaries(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
@@ -301,79 +295,47 @@ def sample_gap_matrices(rng: np.random.Generator, count: int, n: int):
     return A, eps
 
 
-def criterion_matrix_gap(opts: VerifyOptions) -> CriterionResult:
-    res = CriterionResult(5, "near-identity gap bound and symmetric-means chain")
+@criterion(5, "matrix-gap-suite", "near-identity gap bound and symmetric-means chain")
+def criterion_matrix_gap(opts: VerifyOptions, res: CriterionResult) -> None:
     rng = np.random.default_rng(opts.seed + 5)
     count = 10**5
     for n in (1, 2, 3):
         A, eps = sample_gap_matrices(rng, count, n)
         chk = mf.matrix_gap_check(A, eps)
-        violations = int(np.sum(chk.lhs > chk.bound + 1e-12))
-        res.add(
-            f"n={n}: ||A-Id||^2 <= {mf.gap_constant(n):g}*eps over {count} samples",
-            "0 violations",
-            f"{violations} violations",
-            "exact bound, 1e-12 slack",
-            violations == 0 and chk.passed,
-        )
-        res.add(
-            f"n={n}: normalized symmetric-means chain",
-            "holds",
-            "holds" if chk.chain_ok else "violated",
-            "1e-11 relative",
-            chk.chain_ok,
-        )
-    return res
+        # a sample violates when it fails the 1e-12 slack or matrix_gap_check's own
+        # relative one; NaN violates
+        slack = np.minimum(1e-12, chk.bound * mf.estimates.CHAIN_TOL + 1e-15)
+        violations = np.count_nonzero(~(chk.lhs <= chk.bound + slack))
+        res.within(f"n={n}: ||A-Id||^2 <= {mf.gap_constant(n):g}*eps over {count} samples",
+                   violations, "<=", 0, "0 violations", "{:.0f} violations",
+                   "exact bound, 1e-12 slack")
+        res.holds(f"n={n}: normalized symmetric-means chain", chk.chain_ok, "holds",
+                  "holds" if chk.chain_ok else "violated", "1e-11 relative")
 
 
-# ---------------------------------------------------------------------------
-# criterion 6: product collapsing closed forms
-# ---------------------------------------------------------------------------
-
-
-def criterion_product_collapse(opts: VerifyOptions) -> CriterionResult:
-    res = CriterionResult(6, "normalized product flow: collapsing closed forms")
+@criterion(6, "product-collapsing", "normalized product flow: collapsing closed forms")
+def criterion_product_collapse(opts: VerifyOptions, res: CriterionResult) -> None:
     for scales in ((F(1), F(2)), (F(3), F(4)), (F(2), F(1, 2))):
         model = az.AnsatzModel.of(az.PRODUCT_EC, scales, mode=az.NORMALIZED)
         traj = az.integrate(model, 10.0, dt=1e-3)
-        dev = float(np.abs(traj.coeffs - traj.closed()).max())
+        dev = np.abs(traj.coeffs - traj.closed()).max()
         label = f"scales ({scales[0]}, {scales[1]})"
-        res.add(
-            f"{label}: trajectory matches a=a0*exp(-t), b=2+(b0-2)exp(-t)",
-            "<= 1e-10",
-            f"{dev:.3e}",
-            "1e-10",
-            dev <= 1e-10,
-        )
+        res.within(f"{label}: trajectory matches a=a0*exp(-t), b=2+(b0-2)exp(-t)", dev,
+                   "<=", "1e-10", "<= 1e-10")
         resid = az.einstein_residual(model, traj)
         envelope = abs(float(scales[1]) - 2.0) * np.exp(-traj.ts / 8.0)
         dominated = bool(np.all(resid <= envelope + 1e-12))
-        res.add(
-            f"{label}: residual |b-2| under |b0-2|*exp(-t/8)",
-            "dominated",
-            "dominated" if dominated else "exceeded",
-            "1e-12 slack",
-            dominated,
-        )
+        res.holds(f"{label}: residual |b-2| under |b0-2|*exp(-t/8)", dominated, "dominated",
+                  "dominated" if dominated else "exceeded", "1e-12 slack")
         adjusted = az.collapse_profile(model, traj).fiber_scale_adjusted
-        err = float(np.abs(adjusted - float(scales[0])).max())
-        res.add(
-            f"{label}: exp(t) * fiber scale constant",
-            f"= {scales[0]} within 1e-10",
-            f"range [{adjusted.min():.15g}, {adjusted.max():.15g}], max error {err:.3e}",
-            "1e-10",
-            err <= 1e-10,
-        )
-    return res
+        err = np.abs(adjusted - float(scales[0])).max()
+        res.within(f"{label}: exp(t) * fiber scale constant", err, "<=", "1e-10",
+                   f"= {scales[0]} within 1e-10",
+                   f"range [{adjusted.min():.15g}, {adjusted.max():.15g}], max error {{:.3e}}")
 
 
-# ---------------------------------------------------------------------------
-# criterion 7: ansatz vs cohomology extinction times
-# ---------------------------------------------------------------------------
-
-
-def criterion_cross_time(opts: VerifyOptions) -> CriterionResult:
-    res = CriterionResult(7, "closed-form extinction equals the class-line maximal time")
+@criterion(7, "cross-module-times", "closed-form extinction equals the class-line maximal time")
+def criterion_cross_time(opts: VerifyOptions, res: CriterionResult) -> None:
     rng = random.Random(opts.seed + 7)
 
     def rand_scale():
@@ -386,84 +348,39 @@ def criterion_cross_time(opts: VerifyOptions) -> CriterionResult:
         ("sphere product: closed form vs class engine, 20 random rational scale pairs", products),
     ):
         checks = [az.crosscheck_T(model, opts.model) for model in models]
-        ok = all(chk.equal and isinstance(chk.ansatz_time, F) for chk in checks)
-        res.add(label, True, ok, "exact", ok)
+        res.holds(label, all(chk.equal and isinstance(chk.ansatz_time, F) for chk in checks), True)
 
     devs = []
     for model in spheres + products:
         closed = float(az.reduce(model).extinction_time)
         traj = az.integrate(model, 1.25 * closed, dt=1e-3)
         devs.append(abs(traj.extinction_numeric - closed) if traj.extinct else np.inf)
-    worst = float(np.max(devs))  # NaN propagates, and fails the row
-    res.add(
-        "RK4 extinction within 1e-11 of the closed form",
-        "<= 1e-11 over the 40 models",
-        f"{worst:.3e}",
-        "1e-11",
-        worst <= 1e-11,
-    )
-    return res
+    # NaN propagates through max, and fails the row, as does no extinction
+    res.within("RK4 extinction within 1e-11 of the closed form", np.max(devs), "<=", "1e-11",
+               "<= 1e-11 over the 40 models")
 
 
-# ---------------------------------------------------------------------------
-# criterion 8: Gromov-Hausdorff collapsing
-# ---------------------------------------------------------------------------
-
-
-def criterion_gh_collapse(opts: VerifyOptions) -> CriterionResult:
-    res = CriterionResult(8, "warped torus collapses to its base circle")
+@criterion(8, "gh-collapsing", "warped torus collapses to its base circle")
+def criterion_gh_collapse(opts: VerifyOptions, res: CriterionResult) -> None:
     ts = np.linspace(0.0, 10.0, 21)
-    series = gh.collapse_series(ts, 8, 8)
-    eps = series.epsilons
+    eps = gh.collapse_series(ts, 8, 8).epsilons
     monotone = bool(np.all(np.diff(eps) <= 1e-9))
-    res.add(
-        "distance bound nonincreasing in t",
-        "monotone",
-        "monotone" if monotone else "increases",
-        "1e-9",
-        monotone,
-    )
-    res.add(
-        "tenfold decay by t = 10",
-        f"<= eps(0)/10 = {eps[0] / 10:.4e}",
-        f"{eps[-1]:.4e}",
-        "factor 10",
-        bool(eps[-1] <= eps[0] / 10.0),
-    )
+    res.holds("distance bound nonincreasing in t", monotone, "monotone",
+              "monotone" if monotone else "increases", "1e-9")
+    res.within("tenfold decay by t = 10", eps[-1], "<=", eps[0] / 10.0,
+               f"<= eps(0)/10 = {eps[0] / 10:.4e}", "{:.4e}", "factor 10")
     ok = True
     for name, space in gh.catalogue().items():
         bound = gh.gh_upper_bound(space, space, seed=opts.seed)
         ok &= bound.exact and bound.epsilon == 0.0
-    res.add(
-        "catalogued spaces (size <= 6): self distance",
-        "0 (exact search)",
-        "all zero" if ok else "nonzero",
-        "exact",
-        bool(ok),
-    )
-    return res
-
-
-CRITERIA: list[tuple[int, str, Callable[[VerifyOptions], CriterionResult]]] = [
-    (1, "cohomology-exactness", criterion_cohomology),
-    (2, "flow-stationarity-conservation", criterion_stationarity),
-    (3, "normalized-flow-convergence", criterion_convergence),
-    (4, "scalar-curvature-floor", criterion_scalar_floor),
-    (5, "matrix-gap-suite", criterion_matrix_gap),
-    (6, "product-collapsing", criterion_product_collapse),
-    (7, "cross-module-times", criterion_cross_time),
-    (8, "gh-collapsing", criterion_gh_collapse),
-]
+    res.holds("catalogued spaces (size <= 6): self distance", ok, "0 (exact search)",
+              "all zero" if ok else "nonzero")
 
 
 def run_criterion(index: int, opts: Optional[VerifyOptions] = None) -> CriterionResult:
-    opts = opts or VerifyOptions()
-    for idx, _, fn in CRITERIA:
+    for idx, _, run in CRITERIA:
         if idx == index:
-            start = time.perf_counter()
-            result = fn(opts)
-            result.elapsed = time.perf_counter() - start
-            return result
+            return run(opts or VerifyOptions())
     raise KeyError(f"no criterion {index}")
 
 
@@ -483,12 +400,7 @@ def run_all(
 ) -> list[CriterionResult]:
     opts = opts or VerifyOptions()
     check_criteria(only or [])
-    results = []
-    for idx, _, _ in CRITERIA:
-        if only is not None and idx not in only:
-            continue
-        results.append(run_criterion(idx, opts))
-    return results
+    return [run(opts) for idx, _, run in CRITERIA if only is None or idx in only]
 
 
 def format_table(results: list[CriterionResult]) -> str:
@@ -512,6 +424,10 @@ def format_table(results: list[CriterionResult]) -> str:
     return "\n".join(lines)
 
 
+def _finite_or_none(x: Optional[float]) -> Optional[float]:
+    return x if x is not None and math.isfinite(x) else None  # JSON has no NaN or inf
+
+
 def results_payload(results: list[CriterionResult]) -> dict:
     return {
         "schema": 1,
@@ -523,11 +439,10 @@ def results_payload(results: list[CriterionResult]) -> dict:
                 "elapsed_seconds": r.elapsed,
                 "checks": [
                     {
-                        "check": row.check,
-                        "expected": row.expected,
-                        "got": row.got,
-                        "tolerance": row.tolerance,
-                        "passed": row.passed,
+                        **asdict(row),
+                        "value": _finite_or_none(row.value),
+                        "bound": _finite_or_none(row.bound),
+                        "margin": _finite_or_none(row.margin),
                     }
                     for row in r.rows
                 ],

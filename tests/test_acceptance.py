@@ -5,6 +5,8 @@ per criterion (the whole gate takes a few minutes; criteria 3 and 4 carry
 real flow integrations).  The same checks back `krflab verify`.
 """
 
+import types
+
 import numpy as np
 import pytest
 
@@ -56,3 +58,53 @@ def test_criterion_2_zero_row_fails_on_a_biased_density(monkeypatch):
     row = V.run_criterion(2, V.VerifyOptions()).rows[0]
     assert not row.passed
     assert np.isclose(float(row.got), 1000 * 0.25 / 64**2 * 1e-9, rtol=1e-2)
+
+
+def test_criterion_3_decay_row_fails_on_a_wrong_rate_or_no_fit(monkeypatch):
+    for fit, got in (((0.5, 0.0), "0.5000"), (None, "no fit")):
+        monkeypatch.setattr(V.mf, "fit_decay_rate", lambda ts, values, fit=fit: fit)
+        rows = V.run_criterion(3, V.VerifyOptions(flow_grid=16)).rows
+        assert [r.passed for r in rows] == [True, True, False]
+        assert rows[2].check == "decay rate vs linearized oracle" and rows[2].got == got
+
+
+def test_criterion_4_floor_row_fails_on_a_drop_of_2e_4(monkeypatch):
+    # run 2's inf R drops by 2e-4 and run 5's by 5e-5; the flow itself never runs
+    drops = iter([0.0, 2e-4, 0.0, 0.0, 5e-5, 0.0])
+
+    def run(bg, cfg, phi0=None):
+        inf_r = np.array([1.0, 1.0 - next(drops)])
+        return None, types.SimpleNamespace(column=lambda name: inf_r)
+
+    monkeypatch.setattr(V.mf, "run", run)
+    rows = V.run_criterion(4, V.VerifyOptions()).rows
+    assert [r.passed for r in rows] == [True, False, True, True, True, True]
+    assert rows[1].check == "run 2 (n=1, N=64): inf R floor" and rows[1].got == "2.000e-04"
+
+
+def test_criterion_5_gap_row_fails_on_a_smaller_constant(monkeypatch):
+    # matrix_gap_check reads gap_constant from its own module
+    real = mf.estimates.gap_constant
+    monkeypatch.setattr(mf.estimates, "gap_constant", lambda n: real(n) * (0.5 if n == 2 else 1))
+    rows = V.run_criterion(5, V.VerifyOptions()).rows
+    assert [r.passed for r in rows] == [True, True, False, True, True, True]
+    assert rows[2].check == "n=2: ||A-Id||^2 <= 5*eps over 100000 samples"
+    assert rows[2].got != "0 violations" and rows[2].value > 0
+
+
+def test_criterion_8_monotone_row_fails_on_an_increasing_series(monkeypatch):
+    eps = np.linspace(0.5, 0.01, 21)
+    eps[8] = eps[7] + 2e-9  # over the 1e-9 slack
+    monkeypatch.setattr(
+        V.gh, "collapse_series", lambda ts, nb, nf: types.SimpleNamespace(epsilons=eps)
+    )
+    rows = V.run_criterion(8, V.VerifyOptions()).rows
+    assert [r.passed for r in rows] == [False, True, True]
+    assert rows[0].check == "distance bound nonincreasing in t" and rows[0].got == "increases"
+
+
+def test_options_build_the_builtin_catalogue_once(monkeypatch):
+    calls, real = [], V.coh_models.builtin_models
+    monkeypatch.setattr(V.coh_models, "builtin_models", lambda: calls.append(1) or real())
+    V.run_all(V.VerifyOptions(), only=[1, 7])
+    assert len(calls) == 1

@@ -456,10 +456,72 @@ def test_verify_fast_criteria(tmp_path, capsys):
 
 def test_verify_report_encodes_numpy_bool_rows(tmp_path):
     res = V.CriterionResult(4, "numpy verdict")
-    res.add("floor", "drop <= 1e-4", "0", "1e-4", np.bool_(True))
+    res.holds("floor", np.bool_(True), "drop <= 1e-4", "0", "1e-4")
     ser.write_json(tmp_path / "verify.json", V.results_payload([res]))
     report = json.loads((tmp_path / "verify.json").read_text())
     assert report["criteria"][0]["checks"][0]["passed"] is True
+
+
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"{path.name} holds the non-JSON number {constant}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_verify_report_rows_carry_value_bound_and_margin(tmp_path):
+    out = tmp_path / "v"
+    assert cli.main(["--output-dir", str(out), "verify", "--criteria", "1,6,7,8", "--report"]) == 0
+    rows = [row for c in _strict_json(out / "verify.json")["criteria"] for row in c["checks"]]
+    numeric = [row for row in rows if row["margin"] is not None]
+    assert len(rows) == 23 and len(numeric) == 8
+    for row in rows:
+        if row["margin"] is None:  # a yes/no row
+            assert row["value"] is None and row["bound"] is None
+        else:
+            assert row["margin"] == row["bound"] - row["value"]
+            assert row["passed"] == (row["margin"] >= 0)
+
+
+def test_verify_report_writes_a_nan_value_as_null(tmp_path, monkeypatch, capsys):
+    real = V.az.integrate
+
+    def nan_extinction(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        traj.extinction_numeric = float("nan")
+        return traj
+
+    monkeypatch.setattr(V.az, "integrate", nan_extinction)
+    out = tmp_path / "v"
+    assert cli.main(["--output-dir", str(out), "verify", "--criteria", "7", "--report"]) == 4
+    rk4 = _strict_json(out / "verify.json")["criteria"][0]["checks"][2]
+    assert rk4["check"] == "RK4 extinction within 1e-11 of the closed form"
+    assert rk4["got"] == "nan" and rk4["passed"] is False
+    assert rk4["value"] is None and rk4["margin"] is None and rk4["bound"] == 1e-11
+
+
+def test_verify_crashing_criterion_is_a_fail_row(tmp_path, monkeypatch, capsys):
+    # a flow failure inside criterion 4 used to end the whole gate with exit 3,
+    # hiding criterion 1's result, skipping criterion 7 and writing no report
+    def failing_run(*args, **kwargs):
+        raise V.mf.StepFailure("injected")
+
+    monkeypatch.setattr(V.mf, "run", failing_run)
+    out = tmp_path / "v"
+    code = cli.main(["--output-dir", str(out), "verify", "--criteria", "1,4,7", "--report"])
+    assert code == 4
+    printed = capsys.readouterr().out
+    assert "criterion 1: cohomology exactness [PASS]" in printed
+    assert (
+        "  [FAIL] criterion runs to the end | expected no exception | "
+        "got StepFailure: injected | tol exact"
+    ) in printed
+    assert "criterion 7: closed-form extinction equals the class-line maximal time [PASS]" in printed
+    report = _strict_json(out / "verify.json")
+    assert [(c["index"], c["passed"]) for c in report["criteria"]] == [
+        (1, True), (4, False), (7, True)
+    ]
+    assert len(report["criteria"][1]["checks"]) == 1
 
 
 def test_verify_detects_corrupted_catalogue(tmp_path, capsys):
