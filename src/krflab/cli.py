@@ -254,22 +254,24 @@ def load_flow_config(
     return bg, run_cfg, phi0, cfg.get("output")
 
 
-def _write_run_record(out: Path, args, series: mf.DiagnosticsSeries) -> None:
-    """diagnostics.csv, diagnostics.json and the manifest, with the termination."""
+def _write_run_record(
+    out: Path, args, series: mf.DiagnosticsSeries, failure: Optional[dict] = None
+) -> None:
+    """diagnostics.csv, diagnostics.json (with any ``failure``) and the manifest."""
     ser.write_csv(out / "diagnostics.csv", series.header, series.rows())
-    ser.write_json(
-        out / "diagnostics.json",
-        {
-            "schema": 1,
-            "columns": list(series.header),
-            "rows": series.rows(),
-            "converged": series.converged,
-            "termination": series.termination,
-            "steps": series.steps,
-            "rejected": series.rejected,
-            "rhs_evals": series.rhs_evals,
-        },
-    )
+    record = {
+        "schema": 1,
+        "columns": list(series.header),
+        "rows": series.rows(),
+        "converged": series.converged,
+        "termination": series.termination,
+        "steps": series.steps,
+        "rejected": series.rejected,
+        "rhs_evals": series.rhs_evals,
+    }
+    if failure is not None:
+        record["failure"] = ser.strict_json(failure)
+    ser.write_json(out / "diagnostics.json", record)
     ser.write_manifest(
         out,
         "flow",
@@ -300,8 +302,8 @@ def cmd_flow(args) -> int:
     try:
         final, series = mf.run(bg, run_cfg, phi0=phi0)
     except (mf.StepFailure, mf.SpectralTailError) as err:
-        # keep the evidence: the diagnostics recorded up to the failure
-        _write_run_record(out, args, err.series)
+        # keep the evidence: the diagnostics recorded up to the failure, and its own
+        _write_run_record(out, args, err.series, err.diagnostics)
         print(f"partial diagnostics written to {out}", file=sys.stderr)
         raise
     _write_run_record(out, args, series)

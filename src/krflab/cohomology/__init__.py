@@ -159,10 +159,6 @@ class PolyFunctional:
         if len(degrees) > 1:
             raise ValueError(f"functional is not homogeneous: degrees {degrees}")
 
-    @property
-    def degree(self) -> int:
-        return sum(next(iter(self.monomials))) if self.monomials else 0
-
 
 def volume_functional(tensor: IntersectionTensor) -> PolyFunctional:
     """The degree-n form a -> a^n as an explicit polynomial."""

@@ -314,14 +314,11 @@ def _improve(
 
 
 def _heuristic_bound(
-    X: FiniteMetricSpace,
-    Y: FiniteMetricSpace,
-    seed: int,
-    restarts: int = RESTARTS,
+    X: FiniteMetricSpace, Y: FiniteMetricSpace, seed: int
 ) -> tuple[float, CorrespondencePair]:
     """Best pair the local search reaches from its starts, and its epsilon.
 
-    The starts are up to 8 x 8 anchor alignments and ``restarts`` random
+    The starts are up to 8 x 8 anchor alignments and ``RESTARTS`` random
     pairs.  After the start maps, the rng draws ``PASSES`` pass orders
     (one permutation of X and one of Y each), shared by every start.
     ``_improve`` runs the starts as stacks of at most
@@ -333,8 +330,7 @@ def _heuristic_bound(
     """
     rng = np.random.default_rng(seed)
     nx, ny = len(X), len(Y)
-    # deterministic starts (anchor alignment), then the requested number of
-    # random restarts
+    # deterministic starts (anchor alignment), then RESTARTS random ones
     starts: list[tuple[np.ndarray, np.ndarray]] = []
     anchors_x = range(nx) if nx <= 8 else rng.choice(nx, size=8, replace=False)
     anchors_y = range(ny) if ny <= 8 else rng.choice(ny, size=8, replace=False)
@@ -343,7 +339,7 @@ def _heuristic_bound(
             starts.append(
                 (_anchor_seed(X, Y, int(x0), int(y0)), _anchor_seed(Y, X, int(y0), int(x0)))
             )
-    for _ in range(restarts):
+    for _ in range(RESTARTS):
         starts.append((rng.integers(0, ny, size=nx), rng.integers(0, nx, size=ny)))
     orders = [(rng.permutation(nx), rng.permutation(ny)) for _ in range(PASSES)]
     Fs = np.array([F for F, _ in starts], dtype=int)

@@ -21,14 +21,13 @@ stage, so its snapshot adds only the Ricci transforms, and the spectral
 tail is read off the same half spectrum.
 Every quantity derives from the background's one metric kernel; one
 check (``_positivity_floor``) guards positivity at every stage, and the
-accept/shrink loop ``_advance`` serves ``run`` alone.
+accept/shrink rule sits in ``run``'s one stepping loop, ``_integrate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Optional
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
 import numpy as np
 
@@ -71,10 +70,7 @@ class StepFailure(DomainError):
     series: Optional["DiagnosticsSeries"] = None
 
     def __init__(
-        self,
-        message: str,
-        diagnostics: Optional[dict] = None,
-        termination: str = "step-failure",
+        self, message: str, diagnostics: Optional[dict] = None, termination: str = "step-failure"
     ):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
@@ -84,6 +80,7 @@ class StepFailure(DomainError):
 class SpectralTailError(DomainError):
     """Too much energy reached the top of the spectrum; the run is unresolved.
 
+    ``diagnostics`` holds the record time, the tail fraction and the limit.
     When ``run`` raises it, ``series`` holds the diagnostics recorded up to
     and including the offending record.
     """
@@ -91,15 +88,14 @@ class SpectralTailError(DomainError):
     termination = "spectral-tail"
     series: Optional["DiagnosticsSeries"] = None
 
+    def __init__(self, message: str, diagnostics: Optional[dict] = None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
+
 
 @dataclass(frozen=True)
 class FlowState:
-    """Snapshot of the flow: time, potential, mode.
-
-    Instances are immutable; derived fields (metric, time derivative,
-    diagnostics) are recomputed from phi on demand so they can never go
-    stale.
-    """
+    """Immutable snapshot of the flow: time, potential, mode."""
 
     t: float
     phi: np.ndarray
@@ -170,61 +166,6 @@ def current_cfl_bound(bg: TorusBackground, state: FlowState) -> float:
     return _cfl_bound(bg, _metric(bg, bg.spectrum(state.phi), EPS_POS)[2])
 
 
-def _advance(
-    attempt: Callable[[float], tuple],
-    state: FlowState,
-    h: float,
-    stall_dt: float,
-) -> tuple[object, float, int, float]:
-    """The accept/shrink loop of ``run``.
-
-    ``attempt(h)`` takes one step of size h from the state and returns
-    (result, err), err being the step's error estimate.  A stage or result
-    that loses metric positivity halves h, and after MAX_HALVINGS halvings
-    a StepFailure carrying diagnostics is raised.  An error above ETD_TOL
-    shrinks h by the controller to 0.9 * h * (ETD_TOL / err)^(1/3) (half h
-    for a non-finite error), and a step it shrinks below stall_dt fails as
-    a stall.  An accepted step proposes the next by the same rule, capped
-    at 2h, which an error of exactly 0 reaches.
-    Returns (result, h taken, attempts rejected, next step proposed).
-    """
-    requested, halvings, rejected = h, 0, 0
-    while True:
-        try:
-            result, err = attempt(h)
-        except AdmissibilityError as exc:
-            if halvings == MAX_HALVINGS:
-                raise StepFailure(
-                    f"step at t={state.t:.6g} failed after {MAX_HALVINGS} halvings "
-                    f"(min eigenvalue {exc.min_eig:.3e})",
-                    diagnostics={
-                        "t": state.t,
-                        "sup_phi": float(np.abs(state.phi).max()),
-                        "requested_dt": requested,
-                        "final_dt": h,
-                        "min_eig": exc.min_eig,
-                        "location": exc.location,
-                    },
-                ) from exc
-            halvings += 1
-            rejected += 1
-            h *= 0.5
-            continue
-        # the embedded pair differs by O(h^3), hence the cube root
-        if err <= ETD_TOL:
-            grow = min(2.0, 0.9 * (ETD_TOL / err) ** (1 / 3)) if err else 2.0
-            return result, h, rejected, h * grow
-        rejected += 1
-        h *= 0.9 * (ETD_TOL / err) ** (1 / 3) if np.isfinite(err) else 0.5
-        if h < stall_dt:
-            raise StepFailure(
-                f"error control shrank the step to {h:.3e} at t={state.t:.6g}, "
-                f"below the stall step {stall_dt:.3e}",
-                diagnostics={"t": state.t, "dt": h, "error": err},
-                termination="stalled",
-            )
-
-
 # ---------------------------------------------------------------------------
 # curvature diagnostics
 # ---------------------------------------------------------------------------
@@ -245,19 +186,6 @@ def _curvature(bg: TorusBackground, metric: tuple) -> tuple:
 # runs and diagnostics series
 # ---------------------------------------------------------------------------
 
-DIAGNOSTIC_COLUMNS = (
-    "t",
-    "sup_phi",
-    "sup_phidot",
-    "min_eig",
-    "inf_R",
-    "sup_R",
-    "sup_trace",
-    "volume",
-    "energy",
-)
-
-
 @dataclass
 class DiagnosticsRecord:
     t: float
@@ -272,6 +200,9 @@ class DiagnosticsRecord:
 
     def row(self) -> list[float]:
         return [getattr(self, name) for name in DIAGNOSTIC_COLUMNS]
+
+
+DIAGNOSTIC_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 @dataclass
@@ -515,9 +446,14 @@ def _integrate(
 ) -> FlowState:
     """The stepping loop of ``run``, the first record included; returns the final state.
 
-    Each record's snapshot reuses the metric of the stage that produced
-    the state, and that metric is dropped right after, so that no stage's
-    full-grid fields live on through the next step.
+    A step retries from its state until an attempt is accepted, counting
+    each rejection in ``series.rejected``.  Lost positivity halves h, and
+    fails the step after MAX_HALVINGS halvings.  An error above ETD_TOL
+    shrinks h to 0.9 * h * (ETD_TOL / err)^(1/3) (half h if err is not
+    finite), and fails as a stall below the stall step.  An accepted step
+    proposes the next by the same rule, capped at 2h.  A record's snapshot
+    reuses the accepted stage's metric, dropped right after, so that no
+    stage's full-grid fields live on through the next step.
     """
     # a collapsing CFL step means the metric is pinned against the
     # positivity floor; bail out instead of crawling forever
@@ -549,31 +485,63 @@ def _integrate(
             h = min(h, config.dt)
         if h >= remaining - 1e-14:
             h = remaining  # leave no sliver before the record
-        # a step clipped to the record or to dt keeps the controller's proposal
-        clipped = proposal is not None and h < proposal
-        (vk, phi, nv, metric, speed), taken, rejected, next_h = _advance(
-            partial(etd.attempt, vk, nv), state, h, stall_dt
-        )
+        requested, halvings = h, 0
+        while True:
+            try:
+                result, err = etd.attempt(vk, nv, h)
+            except AdmissibilityError as exc:
+                series.rejected += 1
+                if halvings == MAX_HALVINGS:
+                    raise StepFailure(
+                        f"step at t={state.t:.6g} failed after {MAX_HALVINGS} halvings "
+                        f"(min eigenvalue {exc.min_eig:.3e})",
+                        diagnostics={
+                            "t": state.t,
+                            "sup_phi": float(np.abs(state.phi).max()),
+                            "requested_dt": requested,
+                            "final_dt": h,
+                            "min_eig": exc.min_eig,
+                            "location": exc.location,
+                        },
+                    ) from exc
+                halvings += 1
+                h *= 0.5
+                continue
+            if err <= ETD_TOL:
+                break
+            series.rejected += 1
+            # the embedded pair differs by O(h^3), hence the cube root
+            h *= 0.9 * (ETD_TOL / err) ** (1 / 3) if np.isfinite(err) else 0.5
+            if h < stall_dt:
+                raise StepFailure(
+                    f"error control shrank the step to {h:.3e} at t={state.t:.6g}, "
+                    f"below the stall step {stall_dt:.3e}",
+                    diagnostics={"t": state.t, "dt": h, "error": err},
+                    termination="stalled",
+                )
+        vk, phi, nv, metric, speed = result
         floor = metric[2]
         series.steps += 1
-        series.rejected += rejected
-        proposal = max(proposal, next_h) if clipped and taken == h else next_h
-        landed = taken == remaining
-        state = FlowState(
-            t=t_record if landed else state.t + taken, phi=phi, mode=config.mode
-        )
+        grown = h * (min(2.0, 0.9 * (ETD_TOL / err) ** (1 / 3)) if err else 2.0)
+        # a step clipped to the record or to dt, and taken whole, keeps the
+        # controller's proposal
+        clipped = proposal is not None and requested < proposal and h == requested
+        proposal = max(proposal, grown) if clipped else grown
+        landed = h == remaining
+        state = FlowState(t=t_record if landed else state.t + h, phi=phi, mode=config.mode)
         converged = config.mode == NORMALIZED and speed < CONVERGENCE_TOL
         record = landed or converged
         if record:
             series.append(snapshot(bg, state, config.eps_pos, metric=metric))
-        del metric
+        del metric, result
         if record:
             t_record = None
             tail = bg.tail_energy_fraction(vk)
             if tail > TAIL_LIMIT:
                 raise SpectralTailError(
                     f"tail energy fraction {tail:.3e} exceeds "
-                    f"{TAIL_LIMIT:.1e} at t={state.t:.6g}"
+                    f"{TAIL_LIMIT:.1e} at t={state.t:.6g}",
+                    diagnostics={"t": state.t, "tail": tail, "limit": TAIL_LIMIT},
                 )
             if converged:
                 series.converged = True

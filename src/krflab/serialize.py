@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import datetime
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -55,6 +56,17 @@ def write_csv(path: Union[str, Path], header: Sequence[str], rows: Iterable[Sequ
         writer.writerow(list(header))
         for row in rows:
             writer.writerow([_cell(v) for v in row])
+
+
+def strict_json(value):
+    """value with tuples as lists and non-finite floats as None, for strict JSON."""
+    if isinstance(value, dict):
+        return {k: strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [strict_json(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def write_json(path: Union[str, Path], payload: dict) -> None:

@@ -28,6 +28,7 @@ from . import ansatz as az
 from . import cohomology as coh
 from . import ghmetric as gh
 from . import maflow as mf
+from . import serialize as ser
 from .cohomology import models as coh_models
 
 _COMPARE = {"<": operator.lt, "<=": operator.le}
@@ -424,10 +425,6 @@ def format_table(results: list[CriterionResult]) -> str:
     return "\n".join(lines)
 
 
-def _finite_or_none(x: Optional[float]) -> Optional[float]:
-    return x if x is not None and math.isfinite(x) else None  # JSON has no NaN or inf
-
-
 def results_payload(results: list[CriterionResult]) -> dict:
     return {
         "schema": 1,
@@ -437,14 +434,9 @@ def results_payload(results: list[CriterionResult]) -> dict:
                 "name": r.name,
                 "passed": r.passed,
                 "elapsed_seconds": r.elapsed,
+                # JSON has no NaN or inf: a non-finite value, bound or margin is null
                 "checks": [
-                    {
-                        **asdict(row),
-                        "value": _finite_or_none(row.value),
-                        "bound": _finite_or_none(row.bound),
-                        "margin": _finite_or_none(row.margin),
-                    }
-                    for row in r.rows
+                    ser.strict_json({**asdict(row), "margin": row.margin}) for row in r.rows
                 ],
             }
             for r in results

@@ -118,6 +118,7 @@ def test_flow_stationary_run_artifacts(tmp_path, capsys):
         assert (out / name).exists()
     header = (out / "diagnostics.csv").read_text().splitlines()[0]
     assert header == "t,sup_phi,sup_phidot,min_eig,inf_R,sup_R,sup_trace,volume,energy"
+    assert "failure" not in json.loads((out / "diagnostics.json").read_text())
     side = json.loads((out / "phi.json").read_text())
     phi = np.fromfile(out / "phi.bin", dtype=np.float64).reshape((side["N"],) * (2 * side["n"]))
     assert np.abs(phi).max() == 0.0
@@ -243,15 +244,33 @@ def test_flow_failure_keeps_partial_diagnostics(tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["--output-dir", str(out), "flow", str(cfg)]) == 3
     assert "error:" in capsys.readouterr().err
-    diag = json.loads((out / "diagnostics.json").read_text())
+    diag = _strict_json(out / "diagnostics.json")
     assert diag["termination"] in ("stalled", "step-failure", "spectral-tail")
     assert diag["converged"] is False and len(diag["rows"]) >= 1
+    # the step collapses against the positivity floor shortly after the start
+    failure = diag["failure"]
+    assert set(failure) == {"t", "min_eig", "dt"}
+    assert diag["rows"][-1][0] < failure["t"] < 0.01
+    assert 0 < failure["min_eig"] < 1e-6 and 0 < failure["dt"] < 1e-9
     rows = (out / "diagnostics.csv").read_text().splitlines()
     assert len(rows) == len(diag["rows"]) + 1
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "flow"
     assert manifest["termination"] == diag["termination"]
     assert not (out / "phi.bin").exists()
+
+
+def test_flow_failure_writes_its_non_finite_numbers_as_null(tmp_path, monkeypatch, capsys):
+    # an error estimate of inf shrinks every attempt until the step stalls
+    import krflab.maflow.solver as solver
+
+    monkeypatch.setattr(solver._Etdrk4, "attempt", lambda self, vk, nv, h: (None, float("inf")))
+    out = tmp_path / "run"
+    assert cli.main(["--output-dir", str(out), "flow", str(stationary_config(tmp_path))]) == 3
+    assert "below the stall step" in capsys.readouterr().err
+    diag = _strict_json(out / "diagnostics.json")
+    assert diag["termination"] == "stalled" and diag["steps"] == 0 and diag["rejected"] > 0
+    assert diag["failure"]["error"] is None and diag["failure"]["dt"] > 0
 
 
 def test_ansatz_round_p1_extinction(tmp_path, capsys):

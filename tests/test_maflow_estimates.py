@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import krflab.maflow as mf
+from krflab.maflow.estimates import R_FLOOR_TOL
 from krflab.maflow.solver import DiagnosticsRecord, DiagnosticsSeries
 
 
@@ -40,6 +41,19 @@ def test_injected_scalar_dip_fails_floor():
     verdicts = {v.name: v.passed for v in report.verdicts}
     assert not verdicts["scalar-floor"]
     assert not report.all_passed
+
+
+def test_scalar_floor_verdict_reads_the_drop_it_prints():
+    # the drop prints as 1.000e-04 but is 1.0000000000000021e-4, above R_FLOOR_TOL
+    inf_r = [-3.656357558875988, -3.6564575588759882]
+    report = mf.estimate_report(synthetic_series([0.0, 1.0], inf_r=inf_r))
+    floor = next(v for v in report.verdicts if v.name == "scalar-floor")
+    assert "(drop 1.000e-04)" in floor.detail
+    assert floor.passed is False
+    for inf_r, passed in (([0.0, -R_FLOOR_TOL], True), ([0.0, float("nan")], False)):
+        report = mf.estimate_report(synthetic_series([0.0, 1.0], inf_r=inf_r))
+        assert report.verdicts[1].name == "scalar-floor"
+        assert report.verdicts[1].passed is passed
 
 
 def test_blowup_trend_fails_potential_bound():

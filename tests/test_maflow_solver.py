@@ -303,6 +303,51 @@ def test_strong_twist_fails_fast_and_keeps_its_series(monkeypatch):
     assert len(series) >= 1 and not series.converged
 
 
+def test_step_fails_after_max_halvings_of_lost_positivity(monkeypatch):
+    # every stage after the first record loses positivity, so the first
+    # step halves MAX_HALVINGS times and then fails
+    real_stage = solver._Etdrk4.stage
+    calls = []
+
+    def stage(self, vk):
+        calls.append(vk)
+        if len(calls) > 1:
+            raise mf.AdmissibilityError(1e-9, (3, 5), self.eps_pos)
+        return real_stage(self, vk)
+
+    monkeypatch.setattr(solver._Etdrk4, "stage", stage)
+    with pytest.raises(mf.StepFailure, match="halvings") as info:
+        mf.run(background(N=16), mf.RunConfig(t_end=0.01))
+    err = info.value
+    assert err.termination == "step-failure" == err.series.termination
+    diag = err.diagnostics
+    assert diag["final_dt"] == diag["requested_dt"] / 2**solver.MAX_HALVINGS
+    assert diag["min_eig"] == 1e-9 and diag["location"] == (3, 5)
+    assert len(err.series) == 1 and err.series.steps == 0
+    # every attempt of the failing step counts as rejected, the last one too
+    assert err.series.rejected == solver.MAX_HALVINGS + 1
+
+
+def test_error_control_that_never_accepts_stalls(monkeypatch):
+    # an infinite error estimate halves the step until it falls below the
+    # stall step
+    attempts = []
+
+    def attempt(self, vk, nv, h):
+        attempts.append(h)
+        return None, float("inf")
+
+    monkeypatch.setattr(solver._Etdrk4, "attempt", attempt)
+    with pytest.raises(mf.StepFailure, match="stall step") as info:
+        mf.run(background(N=16), mf.RunConfig(t_end=0.01))
+    err = info.value
+    assert err.termination == "stalled" == err.series.termination
+    assert err.diagnostics["error"] == float("inf")
+    assert err.diagnostics["dt"] == attempts[-1] / 2
+    assert len(err.series) == 1 and err.series.steps == 0
+    assert err.series.rejected == len(attempts) > 1
+
+
 def test_spectral_tail_error_keeps_its_series():
     bg = background(N=16)
     rough = 1e-4 * np.random.default_rng(5).standard_normal(bg.shape)
@@ -311,6 +356,9 @@ def test_spectral_tail_error_keeps_its_series():
     series = info.value.series
     assert series.termination == "spectral-tail"
     assert len(series) == 2 and series.steps >= 1
+    diag = info.value.diagnostics
+    assert diag["t"] == series.records[-1].t and diag["limit"] == solver.TAIL_LIMIT
+    assert diag["tail"] > diag["limit"]
 
 
 @pytest.mark.parametrize("dt", [None, 2e-4])
