@@ -265,10 +265,8 @@ def einstein_residual(model: AnsatzModel, traj: AnsatzTrajectory) -> np.ndarray:
 
 @dataclass
 class CollapseProfile:
-    ts: np.ndarray
     fiber_scale_adjusted: np.ndarray  # computed exp(t) * a(t), a0 by the ansatz
     base_scale: np.ndarray
-    base_trace: np.ndarray  # trace of the limit base metric in the evolving one
     schwarz_floor: float  # inf_t b(t), positive
     fiber_adjusted_max_error: float  # max |exp(t) * a(t) - a0|
 
@@ -278,8 +276,7 @@ def collapse_profile(model: AnsatzModel, traj: AnsatzTrajectory) -> CollapseProf
 
     The rescaled fiber coefficient exp(t)*a(t) is constant (the fiberwise
     limit holds exactly in this model, with limit the flat metric at the
-    initial fiber scale); the base scale is bounded below by min(b0, 2)
-    and its trace ratio converges to 1 like exp(-t).
+    initial fiber scale); the base scale is bounded below by min(b0, 2).
     """
     if model.kind != PRODUCT_EC or model.mode != NORMALIZED:
         raise ValueError("collapse profile is defined for the normalized product model")
@@ -289,10 +286,8 @@ def collapse_profile(model: AnsatzModel, traj: AnsatzTrajectory) -> CollapseProf
     adjusted = np.exp(traj.ts) * traj.coeffs[:, 0]
     b = traj.coeffs[:, 1]
     return CollapseProfile(
-        ts=traj.ts.copy(),
         fiber_scale_adjusted=adjusted,
         base_scale=b.copy(),
-        base_trace=2.0 / b,
         schwarz_floor=float(b.min()),
         fiber_adjusted_max_error=float(np.abs(adjusted - a0).max()),
     )

@@ -84,9 +84,12 @@ def _poly_str(f: coh.PolyFunctional, basis) -> str:
     return out or "0"
 
 
+def _kodaira(model: coh.ManifoldModel) -> str:
+    return "minus-infinity" if model.kodaira is None else str(model.kodaira)
+
+
 def _print_model(model: coh.ManifoldModel) -> None:
-    kod = "minus-infinity" if model.kodaira is None else str(model.kodaira)
-    print(f"{model.name}: complex dimension {model.n}, kodaira {kod}")
+    print(f"{model.name}: complex dimension {model.n}, kodaira {_kodaira(model)}")
     print(f"  basis: {', '.join(model.basis)}")
     print(f"  2*pi*c1: {model.c1twopi}")
     for label, f in model.cone.constraints:
@@ -101,16 +104,12 @@ def cmd_models(args) -> int:
     models = _load_models(args, args.name)
     selected = {args.name: models[args.name]} if args.name else models
     if args.format == "json":
-        payload = {
-            "schema": coh_models.SCHEMA_VERSION,
-            "models": [coh_models.model_to_dict(m) for m in selected.values()],
-        }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(coh_models.catalogue_to_dict(selected), indent=2))
     elif args.format == "csv":
-        print("name,n,basis,c1twopi,kodaira")
-        for m in selected.values():
-            kod = "minus-infinity" if m.kodaira is None else m.kodaira
-            print(f"{m.name},{m.n},{' '.join(m.basis)},{m.c1twopi},{kod}")
+        rows = [
+            (m.name, m.n, " ".join(m.basis), m.c1twopi, _kodaira(m)) for m in selected.values()
+        ]
+        ser.emit_csv(sys.stdout, ("name", "n", "basis", "c1twopi", "kodaira"), rows)
     else:
         for model in selected.values():
             _print_model(model)
@@ -164,12 +163,9 @@ def cmd_maxtime(args) -> int:
         print(json.dumps(report, indent=2))
         return EXIT_OK
     if args.format == "csv":
-        print("field,value")
-        for key, value in report.items():
-            if key == "schema":
-                continue
-            cell = ";".join(map(str, value)) if isinstance(value, list) else value
-            print(f"{key},{cell}")
+        cells = {k: ";".join(map(str, v)) if isinstance(v, list) else v for k, v in report.items()}
+        del cells["schema"]
+        ser.emit_csv(sys.stdout, ("field", "value"), cells.items())
         return EXIT_OK
     print(f"model: {report['model']}")
     print(f"class: ({', '.join(report['class'])})")

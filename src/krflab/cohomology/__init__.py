@@ -53,12 +53,16 @@ class ApproximateTimeError(DomainError):
 
 
 def as_fraction(x: RatLike) -> Fraction:
+    """An int, a Fraction or a "p/q" string as a Fraction; a float is a TypeError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        try:
+            return Fraction(x.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
@@ -317,10 +321,19 @@ class ManifoldModel:
     )
 
     def __post_init__(self):
-        if len(self.c1twopi) != len(self.basis):
+        dim = len(self.basis)
+        if len(self.c1twopi) != dim:
             raise ValueError("c1 coordinates do not match basis length")
-        if self.tensor.dim != len(self.basis) or self.tensor.n != self.n:
+        if self.tensor.dim != dim or self.tensor.n != self.n:
             raise ValueError("tensor shape does not match model")
+        for label, f in self.cone.constraints:
+            if any(len(expo) != dim or min(expo, default=0) < 0 for expo in f.monomials):
+                raise ValueError(f"cone constraint [{label}] needs {dim} nonnegative exponents")
+        for entry in self.catalogue:
+            if any(len(k) != entry.dim or not all(0 <= i < dim for i in k) for k in entry.pairing):
+                raise ValueError(
+                    f"subvariety [{entry.label}] needs pairing keys of {entry.dim} basis indices"
+                )
 
     @property
     def kernel(self) -> IntegerKernel:

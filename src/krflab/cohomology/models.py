@@ -8,7 +8,6 @@ Fubini-Study normalization the dictionary is recorded in the model notes.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from pathlib import Path
 from typing import Union
@@ -21,22 +20,17 @@ from . import (
     ManifoldModel,
     PolyFunctional,
     SubvarietyEntry,
+    as_fraction,
     volume_functional,
 )
 
 SCHEMA_VERSION = 1
 
 
-def _frac(x) -> Fraction:
-    return Fraction(x)
-
-
 def _linear(coeffs: dict[int, Fraction], dim: int) -> PolyFunctional:
-    monos = {}
-    for i, c in coeffs.items():
-        expo = tuple(1 if j == i else 0 for j in range(dim))
-        monos[expo] = _frac(c)
-    return PolyFunctional(monos)
+    return PolyFunctional(
+        {tuple(int(j == i) for j in range(dim)): c for i, c in coeffs.items()}
+    )
 
 
 def riemann_surface(genus: int) -> ManifoldModel:
@@ -236,8 +230,13 @@ def get_model(name: str) -> ManifoldModel:
 # ---------------------------------------------------------------------------
 
 
-def _rat_str(x: Fraction) -> str:
-    return str(x)
+def _encode(table: dict[tuple[int, ...], Fraction]) -> dict[str, str]:
+    """An index- or exponent-keyed table as JSON: "i,j" keys, "p/q" values."""
+    return {",".join(map(str, key)): str(v) for key, v in table.items()}
+
+
+def _decode(table: dict) -> dict[tuple[int, ...], Fraction]:
+    return {tuple(int(i) for i in key.split(",")): as_fraction(v) for key, v in table.items()}
 
 
 def model_to_dict(model: ManifoldModel) -> dict:
@@ -246,29 +245,14 @@ def model_to_dict(model: ManifoldModel) -> dict:
         "name": model.name,
         "n": model.n,
         "basis": list(model.basis),
-        "tensor": {
-            ",".join(map(str, idx)): _rat_str(v) for idx, v in model.tensor.entries.items()
-        },
-        "c1twopi": [_rat_str(c) for c in model.c1twopi],
+        "tensor": _encode(model.tensor.entries),
+        "c1twopi": [str(c) for c in model.c1twopi],
         "cone": [
-            {
-                "label": label,
-                "monomials": {
-                    ",".join(map(str, expo)): _rat_str(c)
-                    for expo, c in f.monomials.items()
-                },
-            }
+            {"label": label, "monomials": _encode(f.monomials)}
             for label, f in model.cone.constraints
         ],
         "catalogue": [
-            {
-                "label": entry.label,
-                "dim": entry.dim,
-                "pairing": {
-                    ",".join(map(str, idx)): _rat_str(v)
-                    for idx, v in entry.pairing.items()
-                },
-            }
+            {"label": entry.label, "dim": entry.dim, "pairing": _encode(entry.pairing)}
             for entry in model.catalogue
         ],
         "kodaira": "minus-infinity" if model.kodaira is None else model.kodaira,
@@ -283,60 +267,33 @@ def model_from_dict(data: dict) -> ManifoldModel:
         raise ValueError(f"unsupported model schema: {data.get('schema')!r}")
     n = int(data["n"])
     basis = tuple(data["basis"])
-    tensor = IntersectionTensor(
-        n=n,
-        dim=len(basis),
-        entries={
-            tuple(int(i) for i in key.split(",")): Fraction(val)
-            for key, val in data["tensor"].items()
-        },
-    )
-    cone = ConeSpec(
-        tuple(
-            (
-                item["label"],
-                PolyFunctional(
-                    {
-                        tuple(int(i) for i in key.split(",")): Fraction(val)
-                        for key, val in item["monomials"].items()
-                    }
-                ),
-            )
-            for item in data["cone"]
-        )
-    )
-    catalogue = tuple(
-        SubvarietyEntry(
-            label=item["label"],
-            dim=int(item["dim"]),
-            pairing={
-                tuple(int(i) for i in key.split(",")): Fraction(val)
-                for key, val in item["pairing"].items()
-            },
-        )
-        for item in data["catalogue"]
-    )
     kod = data["kodaira"]
     return ManifoldModel(
         name=data["name"],
         n=n,
         basis=basis,
-        tensor=tensor,
+        tensor=IntersectionTensor(n=n, dim=len(basis), entries=_decode(data["tensor"])),
         c1twopi=ClassVector.of(data["c1twopi"]),
-        cone=cone,
-        catalogue=catalogue,
+        cone=ConeSpec(
+            tuple(
+                (item["label"], PolyFunctional(_decode(item["monomials"])))
+                for item in data["cone"]
+            )
+        ),
+        catalogue=tuple(
+            SubvarietyEntry(
+                label=item["label"], dim=int(item["dim"]), pairing=_decode(item["pairing"])
+            )
+            for item in data["catalogue"]
+        ),
         kodaira=None if kod == "minus-infinity" else int(kod),
         notes=data.get("notes", ""),
     )
 
 
-def dump_catalogue(path: Union[str, Path], models: dict[str, ManifoldModel] | None = None) -> None:
-    models = models if models is not None else builtin_models()
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "models": [model_to_dict(m) for m in models.values()],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+def catalogue_to_dict(models: dict[str, ManifoldModel]) -> dict:
+    """The catalogue JSON of the models: what ``load_catalogue`` reads back."""
+    return {"schema": SCHEMA_VERSION, "models": [model_to_dict(m) for m in models.values()]}
 
 
 def load_catalogue(path: Union[str, Path]) -> dict[str, ManifoldModel]:

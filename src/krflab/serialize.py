@@ -1,8 +1,11 @@
-"""Rational parsing, deterministic CSV/JSON emission, and run manifests.
+"""Class coordinates, deterministic CSV/JSON emission, and run manifests.
 
 Rationals travel as "p/q" strings end to end so the exact code paths are
-never contaminated by floats; CSV floats are written with shortest
-round-trip repr, which makes re-runs byte-identical.
+never contaminated by floats: ``str`` writes a Fraction and
+``cohomology.as_fraction`` reads one back, here and in the model catalogue.
+Every CSV, on disk or on stdout, goes through one csv-module writer that
+quotes a cell holding a comma; floats are written with shortest round-trip
+repr, which makes re-runs byte-identical.
 """
 
 from __future__ import annotations
@@ -13,23 +16,12 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import IO, Iterable, Optional, Sequence, Union
 
 from . import __version__
+from .cohomology import as_fraction
 
 SCHEMA_VERSION = 1
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' (also accepts plain integers)."""
-    try:
-        return Fraction(str(text).strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
-def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
 
 
 def parse_class_coords(text: str) -> list[Fraction]:
@@ -37,25 +29,27 @@ def parse_class_coords(text: str) -> list[Fraction]:
     parts = [p for p in str(text).split(",") if p.strip()]
     if not parts:
         raise ValueError("empty class coordinates")
-    return [parse_rational(p) for p in parts]
+    return [as_fraction(p) for p in parts]
 
 
 def _cell(value) -> str:
-    if isinstance(value, Fraction):
-        return format_rational(value)
     if isinstance(value, float):
         return repr(float(value))  # a numpy float's repr is "np.float64(...)"
     return str(value)
+
+
+def emit_csv(fh: IO[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The header and the rows as CSV on an open text stream."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(list(header))
+    writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def write_csv(path: Union[str, Path], header: Sequence[str], rows: Iterable[Sequence]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        emit_csv(fh, header, rows)
 
 
 def strict_json(value):

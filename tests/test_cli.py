@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import subprocess
@@ -16,6 +18,17 @@ from krflab.cohomology import models as coh_models
 def run_cli(*argv, capsys=None):
     code = cli.main(list(argv))
     return code
+
+
+def builtin_catalogue(tmp_path, model=None, **fields) -> str:
+    """Path of the built-in models as a catalogue file, with ``fields`` replaced in ``model``."""
+    payload = coh_models.catalogue_to_dict(coh_models.builtin_models())
+    for entry in payload["models"]:
+        if entry["name"] == model:
+            entry.update(fields)
+    path = tmp_path / "catalogue.json"
+    ser.write_json(path, payload)
+    return str(path)
 
 
 def test_models_lists_six_builtins(capsys):
@@ -72,12 +85,72 @@ def test_maxtime_bad_class_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["maxtime", "cp1", "1/0"], ["ansatz", "round-p1", "--scales", "1/0"]]
+    "argv, fields",
+    [
+        (["maxtime", "cp1", "1/0"], {}),
+        (["ansatz", "round-p1", "--scales", "1/0"], {}),
+        (["maxtime", "cp1", "1", "--catalogue"], {"c1twopi": ["1/0"]}),
+        (["maxtime", "cp1", "1", "--catalogue"], {"tensor": {"0": "1/0"}}),
+    ],
+    ids=["argv0", "argv1", "catalogue-c1twopi", "catalogue-tensor"],
 )
-def test_zero_denominator_is_a_usage_error(tmp_path, capsys, argv):
-    # Fraction("1/0") raised ZeroDivisionError, a traceback with exit 1
+def test_zero_denominator_is_a_usage_error(tmp_path, capsys, argv, fields):
+    # Fraction("1/0") raised ZeroDivisionError, a traceback with exit 1, from
+    # a command-line class and from a catalogue value alike
+    if fields:
+        argv = [*argv, builtin_catalogue(tmp_path, "cp1", **fields)]
     assert cli.main(["--output-dir", str(tmp_path / "out"), *argv]) == 2
-    assert "zero denominator in '1/0'" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"tensor": {"0,1": 0.1}}, "cannot interpret 0.1 as a rational"),
+        ({"cone": [{"label": "a", "monomials": {"1": "1"}}]}, "[a] needs 2 nonnegative exponents"),
+        (
+            {"cone": [{"label": "a", "monomials": {"-1,2": "1"}}]},
+            "[a] needs 2 nonnegative exponents",
+        ),
+        (
+            {"catalogue": [{"label": "H", "dim": 1, "pairing": {"1,1": "1"}}]},
+            "[H] needs pairing keys of 1 basis indices",
+        ),
+        (
+            {"catalogue": [{"label": "H", "dim": 1, "pairing": {"5": "1"}}]},
+            "[H] needs pairing keys of 1 basis indices",
+        ),
+    ],
+    ids=[
+        "float-tensor",
+        "short-cone-key",
+        "negative-cone-exponent",
+        "long-pairing-key",
+        "pairing-key-out-of-basis",
+    ],
+)
+def test_catalogue_with_a_bad_value_or_key_is_a_usage_error(tmp_path, capsys, fields, message):
+    # the float became 3602879701896397/36028797018963968, the short cone key was
+    # truncated and the long pairing key read as a degree-2 form, all exiting 0;
+    # the key outside the basis was an IndexError and the negative exponent a
+    # ZeroDivisionError (0.0 to a negative power), tracebacks with exit 1
+    path = builtin_catalogue(tmp_path, "p1xp1", **fields)
+    assert cli.main(["maxtime", "p1xp1", "1,1", "--catalogue", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["models"], ["maxtime", "product-ec", "1,1"]], ids=["models", "maxtime"]
+)
+def test_csv_rows_have_the_header_width(capsys, argv):
+    # the f-string printers wrote "(2, 2)" and "(kodaira 1, fiber dimension 1)"
+    # unquoted, so those rows split into one field too many
+    assert cli.main(["--format", "csv", *argv]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert rows and all(len(row) == len(header) for row in rows)
+    cells = {cell for row in rows for cell in row}
+    assert {"(2, 2)", "IntermediateKodaira (kodaira 1, fiber dimension 1)"} & cells
 
 
 def test_maxtime_json(capsys):
@@ -544,29 +617,17 @@ def test_verify_crashing_criterion_is_a_fail_row(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_detects_corrupted_catalogue(tmp_path, capsys):
-    # inject a tensor typo into the blowup model sign structure
-    path = tmp_path / "catalogue.json"
-    coh_models.dump_catalogue(path)
-    payload = json.loads(path.read_text())
-    for model in payload["models"]:
-        if model["name"] == "blowup-p2":
-            model["tensor"]["1,1"] = "1"  # should be -1
-    path.write_text(json.dumps(payload))
-    code = cli.main(["verify", "--criteria", "1", "--catalogue", str(path)])
+    # inject a tensor typo into the blowup model sign structure: e^2 should be -1
+    path = builtin_catalogue(tmp_path, "blowup-p2", tensor={"0,0": "1", "1,1": "1"})
+    code = cli.main(["verify", "--criteria", "1", "--catalogue", path])
     assert code == 4
     assert "FAIL" in capsys.readouterr().out
 
 
 def test_verify_criterion_7_reads_the_catalogue(tmp_path, capsys):
     # a sphere with 2 pi c1 = 3 dies at scale/3, not at the ansatz's scale/2
-    path = tmp_path / "catalogue.json"
-    coh_models.dump_catalogue(path)
-    payload = json.loads(path.read_text())
-    for model in payload["models"]:
-        if model["name"] == "cp1":
-            model["c1twopi"] = ["3"]
-    path.write_text(json.dumps(payload))
-    code = cli.main(["verify", "--criteria", "7", "--catalogue", str(path)])
+    path = builtin_catalogue(tmp_path, "cp1", c1twopi=["3"])
+    code = cli.main(["verify", "--criteria", "7", "--catalogue", path])
     assert code == 4
     out = capsys.readouterr().out
     assert "[FAIL] sphere: closed form vs class engine" in out
@@ -575,10 +636,9 @@ def test_verify_criterion_7_reads_the_catalogue(tmp_path, capsys):
 
 def test_catalogue_entry_without_basis_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "catalogue.json"
-    coh_models.dump_catalogue(path)
-    payload = json.loads(path.read_text())
+    payload = coh_models.catalogue_to_dict(coh_models.builtin_models())
     del payload["models"][0]["basis"]
-    path.write_text(json.dumps(payload))
+    ser.write_json(path, payload)
     for argv in (
         ["models", "--catalogue", str(path)],
         ["maxtime", "--catalogue", str(path), "cp1", "1"],
@@ -591,7 +651,7 @@ def test_catalogue_entry_without_basis_is_a_usage_error(tmp_path, capsys):
 
 def test_verify_catalogue_without_a_criterion_model_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "catalogue.json"
-    coh_models.dump_catalogue(path, {"cp1": coh_models.builtin_models()["cp1"]})
+    ser.write_json(path, coh_models.catalogue_to_dict({"cp1": coh_models.get_model("cp1")}))
     assert cli.main(["verify", "--catalogue", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'torus1'" in err
@@ -640,7 +700,7 @@ def test_maxtime_reports_flagged_approximation(tmp_path, capsys):
         kodaira=None,
     )
     path = tmp_path / "cat.json"
-    coh_models.dump_catalogue(path, {"hyperbolic-slice": model})
+    ser.write_json(path, coh_models.catalogue_to_dict({"hyperbolic-slice": model}))
     assert cli.main(
         ["maxtime", "hyperbolic-slice", "2,1", "--catalogue", str(path)]
     ) == 0

@@ -6,6 +6,7 @@ import pytest
 
 import krflab.cohomology as C
 from krflab.cohomology import ClassVector, models
+from krflab.serialize import write_json
 from oracles import restrict
 
 
@@ -399,7 +400,7 @@ def test_immortality_iff_nef_anticanonical():
 
 def test_model_schema_round_trip(tmp_path):
     path = tmp_path / "catalogue.json"
-    models.dump_catalogue(path)
+    write_json(path, models.catalogue_to_dict(models.builtin_models()))
     loaded = models.load_catalogue(path)
     assert set(loaded) == set(models.builtin_models())
     for name, model in models.builtin_models().items():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import krflab.cohomology as C
 import oracles
 from krflab.cohomology import models
+from krflab.serialize import write_json
 from test_cohomology import _hyperbolic_slice_model
 
 
@@ -202,7 +203,7 @@ def test_catalogue_model_with_a_builtin_name_answers_from_its_own_cone(tmp_path)
     assert C.max_existence_time(builtin, a).value == 1  # builds the built-in's kernel
     impostor = _cone_model("blowup-p2", -2)  # y > -2x: (4, -1) is Kahler here too
     path = tmp_path / "catalogue.json"
-    models.dump_catalogue(path, {"blowup-p2": impostor})
+    write_json(path, models.catalogue_to_dict({"blowup-p2": impostor}))
     loaded = models.load_catalogue(path)["blowup-p2"]
     assert loaded.name == builtin.name and loaded != builtin
     T = C.max_existence_time(loaded, a)
