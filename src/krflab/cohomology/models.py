@@ -260,12 +260,19 @@ def model_to_dict(model: ManifoldModel) -> dict:
     }
 
 
+def _integer(x, what: str) -> int:
+    """x if it is an int; a float (or a bool, or any other type) is a TypeError."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise TypeError(f"{what} must be an integer, got {x!r}")
+
+
 def model_from_dict(data: dict) -> ManifoldModel:
     if not isinstance(data, dict):
         raise ValueError(f"a model must be a JSON object, got {data!r}")
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema: {data.get('schema')!r}")
-    n = int(data["n"])
+    n = _integer(data["n"], "n")
     basis = tuple(data["basis"])
     kod = data["kodaira"]
     return ManifoldModel(
@@ -282,11 +289,13 @@ def model_from_dict(data: dict) -> ManifoldModel:
         ),
         catalogue=tuple(
             SubvarietyEntry(
-                label=item["label"], dim=int(item["dim"]), pairing=_decode(item["pairing"])
+                label=item["label"],
+                dim=_integer(item["dim"], f"[{item['label']}] dim"),
+                pairing=_decode(item["pairing"]),
             )
             for item in data["catalogue"]
         ),
-        kodaira=None if kod == "minus-infinity" else int(kod),
+        kodaira=None if kod == "minus-infinity" else _integer(kod, "kodaira"),
         notes=data.get("notes", ""),
     )
 

@@ -9,26 +9,37 @@ exp(2*pi*i*(k.x + l.y)) the operator d/dz_j d/dzbar_k acts as
 
 One kernel computes every metric quantity, and it starts from the rfftn
 half spectrum of the potential: each real component of the Hessian (H_00,
-and for n = 2 also H_11, Re H_01, Im H_01) is one irfftn of that spectrum
-times a real symbol table, so a caller that already holds the spectrum,
-as the time stepper does, pays no forward transform.  The metric g0 + H,
-its determinant, eigenvalues, inverse and traces, and the Ricci form
--H(log det) all follow pointwise from these components.  Nyquist
-convention: the half spectrum carries the wavenumber N/2 as -N/2 (numpy's
-fftfreq), and irfftn extends each product to the other half by Hermitian
-symmetry, so every component is a real field; on the Nyquist planes H_01
-therefore differs from a complex inverse transform of the full-grid
-symbol, which is not even there.
+and for n = 2 also H_11, Re H_01, Im H_01) is one inverse real transform
+(``field``) of that spectrum times a real symbol table, so a caller that
+already holds the spectrum, as the time stepper does, pays no forward
+transform.  The metric g0 + H, its determinant, eigenvalues, inverse and
+traces, and the Ricci form -H(log det) all follow pointwise from these
+components.  Forward transforms (``spectrum``) are numpy's rfftn.  The
+inverse gives irfftn's field: on grids of up to MATRIX_MAX_N points per
+axis it is a product of precomputed DFT matrices, one per axis (for
+n = 2 the outermost axis is numpy's ifft), where small transforms spend
+their time in strided passes and call overhead; on finer grids it is
+irfftn itself.  Nyquist convention: the half
+spectrum carries the wavenumber N/2 as -N/2 (numpy's fftfreq), and the
+inverse extends each product to the other half by Hermitian symmetry, so
+every component is a real field; on the Nyquist planes H_01 therefore
+differs from a complex inverse transform of the full-grid symbol, which
+is not even there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..cohomology import DomainError
+
+#: the finest grid on which ``TorusBackground.field`` applies DFT matrices;
+#: finer grids take numpy's irfftn
+MATRIX_MAX_N = 32
 
 
 class AdmissibilityError(DomainError):
@@ -162,49 +173,81 @@ class TorusBackground:
         # irfftn reads only the conjugate-even part of the self-conjugate
         # planes (last index 0 and N/2), on which _mirror maps k to -k; a
         # symbol that is odd there (Re and Im H_01 on Nyquist entries) would
-        # carry the rest into what irfftn keeps, so _hessian_parts projects
+        # carry the rest into what irfftn keeps, so _hessian_parts projects psik
+        # for those symbols (an even one keeps only what irfftn keeps anyway)
         plane = np.arange(N ** (2 * n - 1)).reshape((N,) * (2 * n - 1))
         self._mirror = np.roll(np.flip(plane), 1, axis=tuple(range(2 * n - 1)))
-        self._odd_symbols = any(
-            not np.array_equal(sym[..., j], np.take(sym[..., j], self._mirror))
+        self._odd_symbols = [
+            any(
+                not np.array_equal(sym[..., j], np.take(sym[..., j], self._mirror))
+                for j in (0, -1)
+            )
             for sym in self._symbols
-            for j in (0, -1)
-        )
+        ]
         base = np.log(self.det_g0)
         self._log_density = (
             np.full(self.shape, base) if self.f is None else base + self.f
         )
+        # the spectrum of log det that a record reads is the stage's spectrum
+        # of log(det / Omega) plus this; without a twist log Omega is a
+        # constant, which no Hessian sees
+        self._log_density_k = None if self.f is None else self.spectrum(self._log_density)
 
     def spectrum(self, psi: np.ndarray) -> np.ndarray:
         """rfftn half spectrum of a real field on the grid."""
         return np.fft.rfftn(psi, axes=self._axes)
 
     def field(self, psik: np.ndarray) -> np.ndarray:
-        """Real field of an rfftn half spectrum (the inverse of ``spectrum``)."""
-        return np.fft.irfftn(psik, s=self.shape, axes=self._axes)
+        """Real field of an rfftn half spectrum (the inverse of ``spectrum``).
 
-    def _conjugate_even(self, psik: np.ndarray) -> np.ndarray:
-        """The half spectrum of irfftn(psik): k and -k averaged on the planes 0 and N/2.
+        The same field as irfftn, which reads only the real part of the
+        planes 0 and N/2 after the complex axes.  Up to MATRIX_MAX_N points
+        per axis it is one matrix product per axis: each complex axis by the
+        N x N inverse DFT, then the half axis, its (re, im) pairs read as
+        2(N/2 + 1) reals, by the real matrix of ``_inverse_dft_tables``.
+        For n = 2 the outermost axis is numpy's ifft instead, which runs
+        along it in unit-stride bundles, so that each field is still one
+        numpy transform where profilers count them.
+        """
+        N = self.N
+        if N > MATRIX_MAX_N:
+            return np.fft.irfftn(psik, s=self.shape, axes=self._axes)
+        inverse, half = _inverse_dft_tables(N)
+        if self.n == 2:
+            psik = np.fft.ifft(psik, axis=0)
+        for j in range(self.n - 1, 2 * self.n - 1):  # from axis 1 for n = 2
+            psik = np.matmul(inverse, psik.reshape(N**j, N, -1))
+        pairs = psik.view(float).reshape(-1, N + 2)  # matmul's output is C-ordered
+        return (pairs @ half).reshape(self.shape)
+
+    def _even_planes(self, psik: np.ndarray) -> list[np.ndarray]:
+        """Planes 0 and N/2 of the half spectrum of irfftn(psik): k and -k averaged.
 
         A spectrum from rfftn is already conjugate-even there; a linear
         combination of such spectra with coefficients that are odd on the
-        Nyquist entries, as an ETD stage forms, need not be.
+        Nyquist entries, as an ETD stage forms, need not be.  Off these
+        planes the half spectrum of irfftn(psik) is psik itself.
         """
-        out = psik.copy()
-        for j in (0, -1):
-            plane = psik[..., j]
-            out[..., j] = 0.5 * (plane + np.take(plane, self._mirror).conj())
-        return out
+        return [
+            0.5 * (plane + np.take(plane, self._mirror).conj())
+            for plane in (psik[..., 0], psik[..., -1])
+        ]
 
     def _hessian_parts(self, psik: np.ndarray) -> list[np.ndarray]:
         """Components of H(psi): [H_00], or [H_00, H_11, Re H_01, Im H_01].
 
-        The package's one Hessian transform: psi = irfftn(psik) for any half
-        spectrum psik, and each real component is one irfftn.
+        The package's one Hessian transform: psi = field(psik) for any half
+        spectrum psik, and each real component is one ``field``.
         """
-        if self._odd_symbols:
-            psik = self._conjugate_even(psik)
-        return [self.field(sym * psik) for sym in self._symbols]
+        planes = self._even_planes(psik) if any(self._odd_symbols) else []
+        parts = []
+        for sym, odd in zip(self._symbols, self._odd_symbols):
+            product = sym * psik
+            if odd:  # times the half spectrum of psi instead, on the planes
+                for j, plane in zip((0, -1), planes):
+                    np.multiply(sym[..., j], plane, out=product[..., j])
+            parts.append(self.field(product))
+        return parts
 
     def fast_metric_fields(
         self, vk: np.ndarray
@@ -236,8 +279,9 @@ class TorusBackground:
         and its mirror -k, which the half grid leaves out, so it weighs
         twice; the planes 0 and N/2 hold their own mirrors and weigh once.
         """
-        vk = self._conjugate_even(vk)
         power = vk.real**2 + vk.imag**2
+        for j, plane in zip((0, -1), self._even_planes(vk)):
+            power[..., j] = plane.real**2 + plane.imag**2
         power[..., 1:-1] *= 2.0
         power.flat[0] = 0.0  # ignore the mean
         total = power.sum()
@@ -256,6 +300,38 @@ class TorusBackground:
         -pi^2 <w, g0^{-1} w> with w = l + i*k.
         """
         return _trace_ratio(self._g0_parts, self.det_g0, self._symbols)
+
+
+@lru_cache(maxsize=None)
+def _inverse_dft_tables(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C, R): the inverse DFT of a complex axis and of a half axis of N points.
+
+    C[m, k] = exp(2*pi*i*k*m/N) / N, so C @ x is ifft(x).  R has the rows
+    Re and Im of each half-axis wavenumber k = 0..N/2, interleaved, and
+    R[2k, m] = w_k cos(2*pi*k*m/N) / N, R[2k+1, m] = -w_k sin(2*pi*k*m/N) / N
+    with w_k = 1 on k = 0 and N/2 and 2 between, so that (re, im) pairs
+    @ R is irfft: the imaginary parts of 0 and N/2 meet zero rows.  Every
+    entry is looked up by its residue k*m mod N in one table of cosines
+    folded onto [0, pi/4], so entries at multiples of pi/2 are exactly 0
+    or +-1 and the column of k = 0 is exactly 1/N.
+    """
+    a = np.minimum(np.arange(N), N - np.arange(N))  # |residue| in 0..N/2
+    turn = 2.0 * np.pi / N
+    cos = np.where(
+        8 * a <= N,
+        np.cos(turn * a),
+        np.where(8 * a < 3 * N, np.sin(turn * (N // 4 - a)), -np.cos(turn * (N // 2 - a))),
+    )
+    sin = cos[(np.arange(N) - N // 4) % N]  # sin(x) = cos(x - pi/2)
+    full = np.outer(np.arange(N), np.arange(N)) % N
+    inverse = (cos[full] + 1j * sin[full]) / N
+    res = full[: N // 2 + 1]
+    weight = np.full((N // 2 + 1, 1), 2.0)
+    weight[[0, -1]] = 1.0
+    half = np.stack([weight * cos[res], -weight * sin[res]], axis=1).reshape(N + 2, N) / N
+    for table in (inverse, half):
+        table.flags.writeable = False  # shared by every background with this N
+    return inverse, half
 
 
 # A pointwise Hermitian field is carried as its real components: [a] for

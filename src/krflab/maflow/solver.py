@@ -17,8 +17,9 @@ cancel, from contour integrals (Kassam & Trefethen, SIAM J. Sci. Comput.
 stages controls the step inside each record interval, and records are
 spaced in simulated time as ``record_every`` steps of the explicit scheme
 would be.  A record reuses the metric of the accepted step's result
-stage, so its snapshot adds only the Ricci transforms, and the spectral
-tail is read off the same half spectrum.
+stage and its forward transform of log det, so its snapshot adds only the
+inverse Ricci transforms, and the spectral tail is read off the same half
+spectrum.
 Every quantity derives from the background's one metric kernel; one
 check (``_positivity_floor``) guards positivity at every stage, and the
 accept/shrink rule sits in ``run``'s one stepping loop, ``_integrate``.
@@ -175,10 +176,19 @@ def _curvature(bg: TorusBackground, metric: tuple) -> tuple:
     """(hess, R) of the metric (g, det, floor, log det) that ``_metric`` returns.
 
     hess holds the components of H(log det), minus the Ricci form, and R
-    is the scalar curvature tr(g^{-1} Ric).
+    is the scalar curvature tr(g^{-1} Ric).  A metric from ``_Etdrk4.stage``
+    also carries the spectrum of log(det / Omega), and the spectrum of log
+    det is that plus the background's spectrum of log Omega, with no
+    transform.
     """
-    g, det, _, log_det = metric
-    hess = bg._hessian_parts(bg.spectrum(log_det))
+    g, det, _, log_det, *ratio_k = metric
+    if not ratio_k:
+        log_det_k = bg.spectrum(log_det)
+    elif bg._log_density_k is None:
+        log_det_k = ratio_k[0]
+    else:
+        log_det_k = ratio_k[0] + bg._log_density_k
+    hess = bg._hessian_parts(log_det_k)
     return hess, -_trace_ratio(g, det, hess)
 
 
@@ -243,13 +253,13 @@ def snapshot(
 ) -> DiagnosticsRecord:
     """Diagnostics record of the state.
 
-    ``metric`` is the state's (g, det, floor, log det) from ``_metric``
-    when the caller already holds it, as ``run`` does from its accepted
-    stage; by default it is computed from phi.
+    ``metric`` is the state's metric from ``_Etdrk4.stage`` (or from
+    ``_metric``) when the caller already holds it, as ``run`` does from its
+    accepted stage; by default it is computed from phi.
     """
     if metric is None:
         metric = _metric(bg, bg.spectrum(state.phi), eps_pos)
-    g, det, floor, log_det = metric
+    g, det, floor, log_det = metric[:4]
     scal = _curvature(bg, metric)[1]
     rhs = _velocity(bg, log_det, state.phi, state.mode)
     trace0 = _trace_ratio(bg._g0_parts, bg.det_g0, g)
@@ -315,9 +325,12 @@ class _Etdrk4:
     L is the background Laplacian symbol, minus one in normalized mode.  N
     is the rest of the velocity, so N-hat = rfftn(log det - log density)
     - lap * phi-hat costs no transform beyond the stage's own: a stage is
-    the metric kernel on the stage's half spectrum (one irfftn per Hessian
-    component) and one rfftn, and only the result stage adds the irfftn
-    that forms phi.  The
+    the metric kernel on the stage's half spectrum (one inverse transform,
+    ``bg.field``, per Hessian component: DFT matrices up to MATRIX_MAX_N
+    points per axis, irfftn above) and one forward rfftn, and only the
+    result stage adds the inverse that forms phi.  The stepping loop
+    carries the result stage's rfftn, from which the next step forms its
+    N-hat and a record the spectrum of log det.  The
     coefficients are evaluated on the distinct values of L*h only, held
     for the current h alone, and gathered to the grid where they are used.
     """
@@ -332,12 +345,21 @@ class _Etdrk4:
         self.table: dict[str, np.ndarray] = {}
         self.rhs_evals = 0
 
-    def stage(self, vk: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """(N-hat, metric) at the half spectrum vk; metric as ``_metric`` returns it."""
+    def stage(self, vk: np.ndarray) -> tuple:
+        """The metric at the half spectrum vk, with rfftn(log(det / Omega)).
+
+        That is ``_metric``'s (g, det, floor, log det) followed by the
+        spectrum, which gives N-hat and a record's ``_curvature`` its
+        spectrum of log det.
+        """
         bg = self.bg
         self.rhs_evals += 1
         metric = _metric(bg, vk, self.eps_pos)
-        return bg.spectrum(metric[3] - bg.log_density) - self.lap * vk, metric
+        return metric + (bg.spectrum(metric[3] - bg.log_density),)
+
+    def nonlinear(self, vk: np.ndarray) -> np.ndarray:
+        """N-hat at the half spectrum vk."""
+        return self.stage(vk)[4] - self.lap * vk
 
     def coefficients(self, h: float) -> dict[str, np.ndarray]:
         """E, E^(1/2), Q, f1, f2, f3 and the error weights g1, g3 per distinct L*h.
@@ -371,10 +393,12 @@ class _Etdrk4:
             self.h = h
         return self.table
 
-    def attempt(self, vk: np.ndarray, nv: np.ndarray, h: float) -> tuple:
-        """One step from vk, whose N-hat is nv; returns (result, error).
+    def attempt(self, vk: np.ndarray, ratio_k: np.ndarray, h: float) -> tuple:
+        """One step from vk, whose stage's rfftn(log(det / Omega)) is ratio_k.
 
-        The result (vk1, phi1, N-hat, metric, sup|velocity|) is evaluated,
+        Returns (result, error).
+
+        The result (vk1, phi1, metric, sup|velocity|) is evaluated,
         and its positivity checked, only when the error is within ETD_TOL;
         otherwise it is None.  Stage arrays are freed as soon as they are
         spent, since the kernel's own fields dominate peak memory.
@@ -384,14 +408,15 @@ class _Etdrk4:
         def at(name: str) -> np.ndarray:
             return table[name][self.index]
 
+        nv = ratio_k - self.lap * vk
         a = at("E2") * vk + at("Q") * nv
-        na = self.stage(a)[0]
-        nb = self.stage(at("E2") * vk + at("Q") * na)[0]
+        na = self.nonlinear(a)
+        nb = self.nonlinear(at("E2") * vk + at("Q") * na)
         c = at("E2") * a + at("Q") * (2.0 * nb - nv)
         del a
         nab = 2.0 * at("f2") * (na + nb)
         del na, nb
-        nc = self.stage(c)[0]
+        nc = self.nonlinear(c)
         del c
         bg = self.bg
         diff = at("g1") * nv + nab + at("g3") * nc
@@ -400,11 +425,11 @@ class _Etdrk4:
         if not err <= ETD_TOL:
             return None, err
         vk1 = at("E") * vk + at("f1") * nv + nab + at("f3") * nc
-        del nab, nc
-        n1, metric = self.stage(vk1)
+        del nab, nc, nv
+        metric = self.stage(vk1)
         phi1 = bg.field(vk1)
         speed = float(np.abs(_velocity(bg, metric[3], phi1, self.mode)).max())
-        return (vk1, phi1, n1, metric, speed), err
+        return (vk1, phi1, metric, speed), err
 
 
 def run(
@@ -460,8 +485,8 @@ def _integrate(
     g0_floor = float(np.linalg.eigvalsh(bg.g0).min())
     stall_dt = _cfl_bound(bg, g0_floor) * 2.0**-24
     vk = bg.spectrum(state.phi)
-    nv, metric = etd.stage(vk)
-    floor = metric[2]
+    metric = etd.stage(vk)
+    floor, ratio_k = metric[2], metric[4]
     series.append(snapshot(bg, state, config.eps_pos, metric=metric))
     del metric
     t_record = proposal = None
@@ -488,7 +513,7 @@ def _integrate(
         requested, halvings = h, 0
         while True:
             try:
-                result, err = etd.attempt(vk, nv, h)
+                result, err = etd.attempt(vk, ratio_k, h)
             except AdmissibilityError as exc:
                 series.rejected += 1
                 if halvings == MAX_HALVINGS:
@@ -519,8 +544,8 @@ def _integrate(
                     diagnostics={"t": state.t, "dt": h, "error": err},
                     termination="stalled",
                 )
-        vk, phi, nv, metric, speed = result
-        floor = metric[2]
+        vk, phi, metric, speed = result
+        floor, ratio_k = metric[2], metric[4]
         series.steps += 1
         grown = h * (min(2.0, 0.9 * (ETD_TOL / err) ** (1 / 3)) if err else 2.0)
         # a step clipped to the record or to dt, and taken whole, keeps the

@@ -141,6 +141,30 @@ def test_catalogue_with_a_bad_value_or_key_is_a_usage_error(tmp_path, capsys, fi
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n", 2.7, "n must be an integer, got 2.7"),
+        ("dim", 1.9, "dim must be an integer, got 1.9"),
+        ("kodaira", 0.5, "kodaira must be an integer, got 0.5"),
+    ],
+)
+def test_catalogue_with_a_non_integer_count_is_a_usage_error(
+    tmp_path, capsys, field, value, message
+):
+    # int() truncated these, so "n": 2.7 and "dim": 1.9 read as the built-in
+    # p1xp1 and maxtime printed T = 1/2 with exit 0
+    model = coh_models.model_to_dict(coh_models.get_model("p1xp1"))
+    if field == "dim":
+        fields = {"catalogue": [dict(model["catalogue"][0], dim=value), *model["catalogue"][1:]]}
+    else:
+        fields = {field: value}
+    path = builtin_catalogue(tmp_path, "p1xp1", **fields)
+    assert cli.main(["maxtime", "p1xp1", "1,1", "--catalogue", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
     "argv", [["models"], ["maxtime", "product-ec", "1,1"]], ids=["models", "maxtime"]
 )
 def test_csv_rows_have_the_header_width(capsys, argv):

@@ -3,7 +3,7 @@ import pytest
 import sympy as sp
 
 import krflab.maflow as mf
-from krflab.maflow.background import _det_and_eigs, _trace_ratio
+from krflab.maflow.background import MATRIX_MAX_N, _det_and_eigs, _trace_ratio
 from oracles import full_grid_tail_fraction, laplacian_multiplier, ricci_and_scalar
 
 
@@ -178,6 +178,33 @@ def test_field_from_modes_constant_and_waves():
     f = bg.field_from_modes([((0, 0), 0.25, 0.0), ((1, 0), 1.0, 0.0)])
     x, _ = bg.coordinates()
     assert np.abs(f - (0.25 + np.cos(2 * np.pi * x))).max() < 1e-14
+
+
+@pytest.mark.parametrize("n, N", [(n, N) for n in (1, 2) for N in (4, 8, 16, 32)])
+def test_field_by_dft_matrices_reads_a_half_spectrum_as_irfftn(n, N):
+    # the planes 0 and N/2 of an ETD stage's half spectrum need not be
+    # conjugate-even; irfftn reads only the real part of their inverse
+    assert N <= MATRIX_MAX_N
+    bg = mf.TorusBackground(n=n, N=N, g0=np.eye(n))
+    rng = np.random.default_rng(10 * N + n)
+    even = bg.spectrum(rng.standard_normal(bg.shape))
+    planes = even.copy()
+    for j in (0, -1):
+        size = planes[..., j].shape
+        planes[..., j] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    for vk in (even, planes):
+        want = np.fft.irfftn(vk, s=bg.shape, axes=bg._axes)
+        assert np.abs(bg.field(vk) - want).max() <= 1e-13 * np.abs(want).max()
+    dc = np.zeros_like(even)
+    dc.flat[0] = 0.3 - 0.7j
+    assert np.all(bg.field(dc) == 0.3 / N ** (2 * n))
+
+
+def test_field_above_the_matrix_grids_is_irfftn():
+    bg = mf.TorusBackground(n=1, N=2 * MATRIX_MAX_N, g0=[[1.0]])
+    vk = bg.spectrum(np.random.default_rng(0).standard_normal(bg.shape))
+    vk[..., -1] += 0.5j  # not conjugate-even on the Nyquist plane
+    assert np.array_equal(bg.field(vk), np.fft.irfftn(vk, s=bg.shape, axes=bg._axes))
 
 
 def test_background_validation():
