@@ -264,6 +264,9 @@ def _write_run_record(
         "steps": series.steps,
         "rejected": series.rejected,
         "rhs_evals": series.rhs_evals,
+        "dt_min": series.dt_min,
+        "dt_max": series.dt_max,
+        "dt_last": series.dt_last,
     }
     if failure is not None:
         record["failure"] = ser.strict_json(failure)

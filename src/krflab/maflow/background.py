@@ -14,8 +14,9 @@ and for n = 2 also H_11, Re H_01, Im H_01) is one inverse real transform
 already holds the spectrum, as the time stepper does, pays no forward
 transform.  The metric g0 + H, its determinant, eigenvalues, inverse and
 traces, and the Ricci form -H(log det) all follow pointwise from these
-components.  Forward transforms (``spectrum``) are numpy's rfftn.  The
-inverse gives irfftn's field: on grids of up to MATRIX_MAX_N points per
+components.  A forward transform (``spectrum``) is rfftn's own sequence
+of numpy one-axis transforms, called directly.  The inverse gives
+irfftn's field: on grids of up to MATRIX_MAX_N points per
 axis it is a product of precomputed DFT matrices, one per axis (for
 n = 2 the outermost axis is numpy's ifft), where small transforms spend
 their time in strided passes and call overhead; on finer grids it is
@@ -97,6 +98,7 @@ class TorusBackground:
             raise ValueError("complex dimension must be 1 or 2")
         check_grid(self.N)
         self.g0 = _as_g0(self.n, self.g0)
+        self.det_g0 = float(np.linalg.det(self.g0).real)
         if self.f is not None:
             self.f = np.asarray(self.f, dtype=float)
             if self.f.shape != self.shape:
@@ -112,10 +114,6 @@ class TorusBackground:
     @property
     def spacing(self) -> float:
         return 1.0 / self.N
-
-    @property
-    def det_g0(self) -> float:
-        return float(np.linalg.det(self.g0).real)
 
     @property
     def log_density(self) -> np.ndarray:
@@ -194,8 +192,18 @@ class TorusBackground:
         self._log_density_k = None if self.f is None else self.spectrum(self._log_density)
 
     def spectrum(self, psi: np.ndarray) -> np.ndarray:
-        """rfftn half spectrum of a real field on the grid."""
-        return np.fft.rfftn(psi, axes=self._axes)
+        """rfftn half spectrum of a real field on the grid.
+
+        It makes the calls rfftn itself makes, an rfft along the last axis
+        and then an fft along each other axis from the last to the first,
+        so the output is rfftn's to the bit; calling them directly skips
+        rfftn's argument handling, which costs more than a small grid's
+        transform.
+        """
+        psik = np.fft.rfft(psi)
+        for axis in range(2 * self.n - 2, -1, -1):
+            psik = np.fft.fft(psik, axis=axis)
+        return psik
 
     def field(self, psik: np.ndarray) -> np.ndarray:
         """Real field of an rfftn half spectrum (the inverse of ``spectrum``).

@@ -13,7 +13,8 @@ evaluated by the metric kernel at each stage, straight from the stage's
 half spectrum: a stage never forms phi.  The exponential
 coefficients come from their closed forms, or near L*h = 0, where those
 cancel, from contour integrals (Kassam & Trefethen, SIAM J. Sci. Comput.
-26, 2005).  An embedded second-order solution built from the same
+26, 2005), both in one evaluation per step size.  An embedded
+second-order solution built from the same
 stages controls the step inside each record interval, and records are
 spaced in simulated time as ``record_every`` steps of the explicit scheme
 would be.  A record reuses the metric of the accepted step's result
@@ -224,6 +225,17 @@ class DiagnosticsSeries:
     steps: int = 0
     rejected: int = 0
     rhs_evals: int = 0
+    #: the smallest, largest and last accepted step; None before the first
+    dt_min: Optional[float] = None
+    dt_max: Optional[float] = None
+    dt_last: Optional[float] = None
+
+    def accept(self, dt: float) -> None:
+        """Count an accepted step of size dt."""
+        self.steps += 1
+        self.dt_last = dt
+        self.dt_min = dt if self.dt_min is None else min(self.dt_min, dt)
+        self.dt_max = dt if self.dt_max is None else max(self.dt_max, dt)
 
     def append(self, rec: DiagnosticsRecord) -> None:
         if self.records and rec.t <= self.records[-1].t:
@@ -263,17 +275,18 @@ def snapshot(
     scal = _curvature(bg, metric)[1]
     rhs = _velocity(bg, log_det, state.phi, state.mode)
     trace0 = _trace_ratio(bg._g0_parts, bg.det_g0, g)
-    mean_phi = float(state.phi.mean())
+    phi, size = state.phi, state.phi.size
+    # means as sum / size: what ndarray.mean computes, without its wrapper
     return DiagnosticsRecord(
         t=state.t,
-        sup_phi=float(np.abs(state.phi).max()),
+        sup_phi=float(np.abs(phi).max()),
         sup_phidot=float(np.abs(rhs).max()),
         min_eig=floor,
         inf_R=float(scal.min()),
         sup_R=float(scal.max()),
         sup_trace=float(trace0.max()),
-        volume=float(det.mean()),
-        energy=float(np.sqrt(((state.phi - mean_phi) ** 2).mean())),
+        volume=float(det.sum() / size),
+        energy=float(np.sqrt(((phi - phi.sum() / size) ** 2).sum() / size)),
     )
 
 
@@ -301,22 +314,22 @@ class RunConfig:
             raise ValueError("record_every must be >= 1")
 
 
-def _etd_terms(z: np.ndarray) -> np.ndarray:
-    """Q/h, f1/h, f2/h, f3/h, phi1 and phi2 at z by their closed forms (z != 0)."""
-    ez2 = np.exp(0.5 * z)
+def _etd_terms(z: np.ndarray, ez2: np.ndarray) -> np.ndarray:
+    """Q/h, f1/h, f2/h, f3/h, phi1 and phi2 at z by their closed forms (z != 0).
+
+    ez2 is exp(z/2).  Each row is written into the result as it is formed.
+    """
     ez = ez2 * ez2
     z2 = z * z
     z3 = z2 * z
-    return np.stack(
-        [
-            (ez2 - 1.0) / z,
-            (-4.0 - z + ez * (4.0 - 3.0 * z + z2)) / z3,
-            (2.0 + z + ez * (z - 2.0)) / z3,
-            (-4.0 - 3.0 * z - z2 + ez * (4.0 - z)) / z3,
-            (ez - 1.0) / z,
-            (ez - 1.0 - z) / z2,
-        ]
-    )
+    terms = np.empty((6,) + z.shape, dtype=z.dtype)
+    terms[0] = (ez2 - 1.0) / z
+    terms[1] = (-4.0 - z + ez * (4.0 - 3.0 * z + z2)) / z3
+    terms[2] = (2.0 + z + ez * (z - 2.0)) / z3
+    terms[3] = (-4.0 - 3.0 * z - z2 + ez * (4.0 - z)) / z3
+    terms[4] = (ez - 1.0) / z
+    terms[5] = (ez - 1.0 - z) / z2
+    return terms
 
 
 class _Etdrk4:
@@ -330,9 +343,10 @@ class _Etdrk4:
     points per axis, irfftn above) and one forward rfftn, and only the
     result stage adds the inverse that forms phi.  The stepping loop
     carries the result stage's rfftn, from which the next step forms its
-    N-hat and a record the spectrum of log det.  The
-    coefficients are evaluated on the distinct values of L*h only, held
-    for the current h alone, and gathered to the grid where they are used.
+    N-hat and a record the spectrum of log det.  The coefficients are
+    evaluated once per step size, on the distinct values of L*h only, in
+    one call of their closed forms, held for the current h alone, and
+    gathered to the grid where they are used.
     """
 
     def __init__(self, bg: TorusBackground, mode: str, eps_pos: float):
@@ -374,15 +388,25 @@ class _Etdrk4:
             z = h * self.values
             # near z = 0 each term is its mean over the unit circle around z
             # (Kassam-Trefethen), which stays 0.5 away from the removable
-            # singularity; elsewhere the closed forms are accurate to round-off
-            near = np.abs(z) < _NEAR_ZERO
-            terms = np.empty((6, z.size))
-            terms[:, ~near] = _etd_terms(z[~near])
-            terms[:, near] = _etd_terms(z[near, None] + _CONTOUR).mean(axis=-1).real
-            q, f1, f2, f3, p1, p2 = h * terms
+            # singularity; elsewhere the closed forms are accurate to
+            # round-off.  L <= 0 and the values ascend, so the near values
+            # come last, and one complex evaluation takes the far values
+            # followed by the near values' contours; the far values reuse
+            # the real exp(z/2) of E2
+            far = int(np.searchsorted(z, -_NEAR_ZERO, side="right"))
+            half = np.exp(0.5 * z)
+            circle = (z[far:, None] + _CONTOUR).ravel()
+            terms = _etd_terms(
+                np.concatenate([z[:far], circle]),
+                np.concatenate([half[:far], np.exp(0.5 * circle)]),
+            )
+            contour_sums = terms[:, far:].reshape(6, -1, _CONTOUR.size).sum(axis=-1)
+            q, f1, f2, f3, p1, p2 = h * np.concatenate(
+                [terms[:, :far].real, contour_sums.real / _CONTOUR.size], axis=1
+            )
             self.table = {
                 "E": np.exp(z),
-                "E2": np.exp(0.5 * z),
+                "E2": half,
                 "Q": q,
                 "f1": f1,
                 "f2": f2,
@@ -406,6 +430,8 @@ class _Etdrk4:
         table = self.coefficients(h)
 
         def at(name: str) -> np.ndarray:
+            # gathered to the grid per use, so that no grid-sized
+            # coefficient lives through a stage's kernel
             return table[name][self.index]
 
         nv = ratio_k - self.lap * vk
@@ -546,7 +572,7 @@ def _integrate(
                 )
         vk, phi, metric, speed = result
         floor, ratio_k = metric[2], metric[4]
-        series.steps += 1
+        series.accept(h)
         grown = h * (min(2.0, 0.9 * (ETD_TOL / err) ** (1 / 3)) if err else 2.0)
         # a step clipped to the record or to dt, and taken whole, keeps the
         # controller's proposal

@@ -326,6 +326,7 @@ def test_flow_reports_step_counts(tmp_path, capsys):
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["steps"] > 0 and diag["rhs_evals"] >= 4 * diag["steps"] + 1
     assert diag["rejected"] >= 0
+    assert 0 < diag["dt_min"] <= diag["dt_last"] <= diag["dt_max"] <= 0.05  # t_end
     line = (
         f"steps: {diag['steps']} accepted, {diag['rejected']} rejected, "
         f"{diag['rhs_evals']} RHS evaluations"
@@ -367,6 +368,7 @@ def test_flow_failure_writes_its_non_finite_numbers_as_null(tmp_path, monkeypatc
     assert "below the stall step" in capsys.readouterr().err
     diag = _strict_json(out / "diagnostics.json")
     assert diag["termination"] == "stalled" and diag["steps"] == 0 and diag["rejected"] > 0
+    assert diag["dt_min"] is None and diag["dt_max"] is None and diag["dt_last"] is None
     assert diag["failure"]["error"] is None and diag["failure"]["dt"] > 0
 
 

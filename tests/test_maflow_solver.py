@@ -468,6 +468,30 @@ def test_transform_budget_of_a_short_run(monkeypatch, n, total):
 
 
 @pytest.mark.parametrize("n", [1, 2])
+def test_series_tracks_the_accepted_step_sizes(monkeypatch, n):
+    bg, phi0, cfg = short_run_case(n)
+    accepted = []
+    real_attempt = solver._Etdrk4.attempt
+
+    def attempt(self, vk, ratio_k, h):
+        result, err = real_attempt(self, vk, ratio_k, h)
+        if result is not None:
+            accepted.append(h)
+        return result, err
+
+    monkeypatch.setattr(solver._Etdrk4, "attempt", attempt)
+    _, series = mf.run(bg, cfg, phi0=phi0)
+    assert series.steps == len(accepted) >= 3
+    assert (series.dt_min, series.dt_max, series.dt_last) == (
+        min(accepted), max(accepted), accepted[-1]
+    )
+    assert 0 < series.dt_min <= series.dt_last <= series.dt_max <= cfg.t_end
+    assert series.dt_min < series.dt_max
+    empty = mf.DiagnosticsSeries()
+    assert (empty.dt_min, empty.dt_max, empty.dt_last) == (None, None, None)
+
+
+@pytest.mark.parametrize("n", [1, 2])
 def test_snapshot_from_the_accepted_stage_matches_the_one_from_phi(monkeypatch, n):
     import krflab.maflow.solver as solver
 
@@ -487,3 +511,66 @@ def test_snapshot_from_the_accepted_stage_matches_the_one_from_phi(monkeypatch, 
     got, want = np.array(pairs).transpose(1, 0, 2)
     assert np.array_equal(got[:, 0], want[:, 0])  # the times
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the ETDRK4 coefficient table
+# ---------------------------------------------------------------------------
+
+
+def etd_reference(z: float, h: float) -> dict:
+    """E, E2, Q, f1, f2, f3, g1 and g3 at z = L*h by mpmath at 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        z, h = mpmath.mpf(z), mpmath.mpf(h)
+        ez = mpmath.exp(z)
+        if z == 0:  # the removable singularity: the limits
+            q, f1, f2, f3, p1, p2 = h / 2, h / 6, h / 6, h / 6, 1, mpmath.mpf(1) / 2
+        else:
+            q = h * (mpmath.exp(z / 2) - 1) / z
+            f1 = h * (-4 - z + ez * (4 - 3 * z + z**2)) / z**3
+            f2 = h * (2 + z + ez * (z - 2)) / z**3
+            f3 = h * (-4 - 3 * z - z**2 + ez * (4 - z)) / z**3
+            p1, p2 = (ez - 1) / z, (ez - 1 - z) / z**2
+        row = {
+            "E": ez,
+            "E2": mpmath.exp(z / 2),
+            "Q": q,
+            "f1": f1,
+            "f2": f2,
+            "f3": f3,
+            "g1": f1 - h * p1 + h * p2,
+            "g3": f3 - h * p2,
+        }
+        return {name: float(value) for name, value in row.items()}
+
+
+@pytest.mark.parametrize("mode", mf.MODES)
+def test_etd_coefficients_match_mpmath(mode):
+    # z = h*L takes the value 0 (the unnormalized k = 0 mode), values just
+    # inside and just outside the contour's disk |z| < _NEAR_ZERO, and
+    # values down to -600, where exp(z) is far below round-off
+    etd = solver._Etdrk4(background(N=16, g0=[[2.0]]), mode, mf.EPS_POS)
+    values = etd.values
+    smallest = np.abs(values[values != 0]).min()
+    steps = [
+        (1.0 - 1e-6) * solver._NEAR_ZERO / smallest,
+        (1.0 + 1e-6) * solver._NEAR_ZERO / smallest,
+        1e-3,
+        600.0 / np.abs(values).max(),
+    ]
+    near = far = 0
+    for h in steps:
+        z = h * values
+        near += int(np.sum(np.abs(z) < solver._NEAR_ZERO))
+        far += int(np.sum(np.abs(z) >= solver._NEAR_ZERO))
+        table = etd.coefficients(h)
+        assert sorted(table) == sorted(etd_reference(0.0, 1.0))
+        for i, zi in enumerate(z):
+            want = etd_reference(zi, h)
+            for name, value in table.items():
+                assert abs(value[i] - want[name]) <= 1e-13 * abs(want[name]), (name, zi)
+    assert near and far
+    assert (0.0 in values) == (mode == mf.UNNORMALIZED)
+    assert np.isclose(600.0 / np.abs(values).max() * values.min(), -600.0)

@@ -200,6 +200,18 @@ def test_field_by_dft_matrices_reads_a_half_spectrum_as_irfftn(n, N):
     assert np.all(bg.field(dc) == 0.3 / N ** (2 * n))
 
 
+@pytest.mark.parametrize("n, N", [(1, 8), (1, 16), (1, 64), (2, 8), (2, 16)])
+def test_spectrum_is_rfftn_to_the_bit(n, N):
+    bg = mf.TorusBackground(n=n, N=N, g0=np.eye(n))
+    rng = np.random.default_rng(100 * n + N)
+    for psi in (rng.standard_normal(bg.shape), bg.field_from_modes([((1,) * (2 * n), 0.3, -0.2)])):
+        assert np.array_equal(bg.spectrum(psi), np.fft.rfftn(psi, axes=bg._axes))
+    constant = bg.spectrum(np.full(bg.shape, 0.7))
+    assert constant.flat[0] == 0.7 * N ** (2 * n)
+    constant.flat[0] = 0.0
+    assert np.all(constant == 0.0)  # exact zeros off the DC mode
+
+
 def test_field_above_the_matrix_grids_is_irfftn():
     bg = mf.TorusBackground(n=1, N=2 * MATRIX_MAX_N, g0=[[1.0]])
     vk = bg.spectrum(np.random.default_rng(0).standard_normal(bg.shape))
