@@ -1,7 +1,8 @@
 """Command-line surface: models, maxtime, flow, ansatz, gh, verify.
 
 Exit codes: 0 success, 2 usage error, 3 domain error (non-Kahler class,
-metric positivity loss), 4 verification failure.  Commands raise, and
+metric positivity loss), 4 verification failure (a failed ``verify`` or
+``flow`` check row).  Commands raise, and
 ``main`` alone maps errors to codes: ``UsageError`` exits 2, and
 ``cohomology.DomainError`` (the class engine's errors and maflow's
 ``AdmissibilityError``, ``StepFailure`` and ``SpectralTailError``) exits 3.
@@ -250,10 +251,8 @@ def load_flow_config(
     return bg, run_cfg, phi0, cfg.get("output")
 
 
-def _write_run_record(
-    out: Path, args, series: mf.DiagnosticsSeries, failure: Optional[dict] = None
-) -> None:
-    """diagnostics.csv, diagnostics.json (with any ``failure``) and the manifest."""
+def _write_run_record(out: Path, args, series: mf.DiagnosticsSeries, **extra) -> None:
+    """diagnostics.csv, diagnostics.json (with the ``extra`` entries) and the manifest."""
     ser.write_csv(out / "diagnostics.csv", series.header, series.rows())
     record = {
         "schema": 1,
@@ -268,8 +267,7 @@ def _write_run_record(
         "dt_max": series.dt_max,
         "dt_last": series.dt_last,
     }
-    if failure is not None:
-        record["failure"] = ser.strict_json(failure)
+    record.update(ser.strict_json(extra))
     ser.write_json(out / "diagnostics.json", record)
     ser.write_manifest(
         out,
@@ -302,10 +300,11 @@ def cmd_flow(args) -> int:
         final, series = mf.run(bg, run_cfg, phi0=phi0)
     except (mf.StepFailure, mf.SpectralTailError) as err:
         # keep the evidence: the diagnostics recorded up to the failure, and its own
-        _write_run_record(out, args, err.series, err.diagnostics)
+        _write_run_record(out, args, err.series, failure=err.diagnostics)
         print(f"partial diagnostics written to {out}", file=sys.stderr)
         raise
-    _write_run_record(out, args, series)
+    report = mf.estimate_report(series, run_cfg, bg)
+    _write_run_record(out, args, series, checks=[row.payload() for row in report.rows])
     final.phi.astype(np.float64).tofile(out / "phi.bin")
     ser.write_json(
         out / "phi.json",
@@ -319,23 +318,15 @@ def cmd_flow(args) -> int:
             "layout": "row-major float64",
         },
     )
-    # the scalar floor is only a fact for the untwisted unnormalized flow,
-    # and the decay-rate fit only makes sense once the run converged
-    untwisted = bg.f is None or float(np.abs(bg.f).max()) < 1e-14
-    report = mf.estimate_report(
-        series,
-        eps_pos=run_cfg.eps_pos,
-        scalar_floor=(run_cfg.mode == mf.UNNORMALIZED and untwisted),
-        normalized_cy=(run_cfg.mode == mf.NORMALIZED and series.converged),
-    )
-    print(report)
+    for row in report.rows:
+        print(row.line())
     print(f"termination: {series.termination} at t = {final.t:.6g}")
     print(
         f"steps: {series.steps} accepted, {series.rejected} rejected, "
         f"{series.rhs_evals} RHS evaluations"
     )
     print(f"artifacts written to {out}")
-    return EXIT_OK
+    return EXIT_OK if report.passed else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------

@@ -1,42 +1,27 @@
-"""A-priori-estimate verdicts and the Hermitian matrix inequality checks."""
+"""A-priori-estimate check rows and the Hermitian matrix inequality checks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .solver import EPS_POS, DiagnosticsSeries
+from ..checks import Checks
+from .background import TorusBackground
+from .solver import NORMALIZED, UNNORMALIZED, DiagnosticsSeries, RunConfig
 
-#: tolerance on the scalar-curvature floor (discretization allowance)
-R_FLOOR_TOL = 1e-4
+#: tolerance on the scalar-curvature floor (discretization allowance), as
+#: its literal: the rows print it as their tolerance text
+R_FLOOR_TOL = "1e-4"
 #: decay rate of sup|phidot| in a converging normalized run: the slowest
 #: linearized mode is the mean, damped at exactly rate 1
 NORMALIZED_DECAY_RATE = 1.0
-
-
-@dataclass
-class Verdict:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class EstimateReport:
-    verdicts: list[Verdict] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
-
-    def __str__(self) -> str:
-        lines = []
-        for v in self.verdicts:
-            status = "pass" if v.passed else "FAIL"
-            lines.append(f"[{status}] {v.name}: {v.detail}")
-        return "\n".join(lines)
+#: relative tolerance on the fitted decay rate
+DECAY_RATE_RTOL = 0.10
+#: relative growth of sup|phi| over the last quarter of a run that counts as a blow-up trend
+POTENTIAL_RTOL = 1e-6
 
 
 def fit_decay_rate(
@@ -58,76 +43,58 @@ def fit_decay_rate(
     return -float(slope), float(np.exp(intercept))
 
 
-def estimate_report(
-    series: DiagnosticsSeries,
-    eps_pos: float = EPS_POS,
-    scalar_floor: bool = True,
-    normalized_cy: bool = False,
-) -> EstimateReport:
-    """Check the recorded diagnostics against the expected a priori bounds.
+def scalar_floor_row(checks: Checks, check: str, series: DiagnosticsSeries) -> None:
+    """Add row ``check``: the grid-min scalar curvature drops at most R_FLOOR_TOL.
 
-    (i) the potential stays bounded with no blow-up trend; (ii) the
-    grid-min scalar curvature drops at most R_FLOOR_TOL below its initial
-    value (a NaN drop fails) -- this floor is only a fact for the untwisted
-    unnormalized flow, so callers disable it via ``scalar_floor`` for
-    twisted or normalized runs; (iii) the evolving metric stays uniformly
-    positive; (iv) in normalized runs on Ricci-flat backgrounds,
-    sup|phidot| decays like exp(-mu t) with mu within 10% of
-    NORMALIZED_DECAY_RATE.
+    The drop is measured from the first record; a NaN drop fails.
+    """
+    inf_r = series.column("inf_R")
+    checks.within(check, inf_r[0] - inf_r.min(), "<=", R_FLOOR_TOL, f"drop <= {R_FLOOR_TOL}")
+
+
+def decay_rate_row(checks: Checks, check: str, series: DiagnosticsSeries) -> None:
+    """Add row ``check``: sup|phidot| decays like exp(-mu t), mu near the oracle rate.
+
+    mu must lie within DECAY_RATE_RTOL of NORMALIZED_DECAY_RATE; no fit fails.
+    """
+    oracle = NORMALIZED_DECAY_RATE
+    fit = fit_decay_rate(series.column("t"), series.column("sup_phidot"))
+    rate = math.nan if fit is None else fit[0]
+    checks.within(check, abs(rate - oracle), "<=", DECAY_RATE_RTOL * oracle, f"{oracle:.3f}",
+                  "no fit" if fit is None else f"{rate:.4f}", f"{DECAY_RATE_RTOL:.0%}")
+
+
+def estimate_report(series: DiagnosticsSeries, cfg: RunConfig, bg: TorusBackground) -> Checks:
+    """Check a run's recorded diagnostics against the a priori estimates that apply to it.
+
+    (i) potential-bound: no blow-up trend, i.e. the last quarter's max of
+    sup|phi| stays within POTENTIAL_RTOL of the earlier max (a series of
+    fewer than 8 records need only stay finite); (ii) scalar-floor, a fact
+    of the untwisted unnormalized flow only; (iii) metric-equivalence: the
+    metric's min eigenvalue stays >= ``cfg.eps_pos``; (iv) normalized-decay,
+    once a normalized run has converged.
     """
     if len(series) == 0:
         raise ValueError("empty diagnostics series")
-    report = EstimateReport()
-    ts = series.column("t")
+    checks = Checks()
     sup_phi = series.column("sup_phi")
-
-    peak = float(sup_phi.max())
     if len(series) >= 8:
-        cut = max(1, (3 * len(series)) // 4)
-        head_max = float(sup_phi[:cut].max())
-        tail_max = float(sup_phi[cut:].max())
-        no_blowup = np.isfinite(peak) and tail_max <= head_max * (1 + 1e-6) + 1e-12
+        cut = (3 * len(series)) // 4
+        checks.within("potential-bound", sup_phi[cut:].max(), "<=",
+                      sup_phi[:cut].max() * (1 + POTENTIAL_RTOL) + 1e-12,
+                      "sup|phi|: last quarter's max <= earlier max", "{:.6g}",
+                      f"{POTENTIAL_RTOL:.0e} relative")
     else:
-        no_blowup = bool(np.isfinite(peak))
-    report.verdicts.append(
-        Verdict("potential-bound", no_blowup, f"running max sup|phi| = {peak:.6g}")
-    )
-
-    if scalar_floor:
-        inf_r = series.column("inf_R")
-        drop = float(inf_r[0] - inf_r.min())
-        report.verdicts.append(
-            Verdict(
-                "scalar-floor",
-                drop <= R_FLOOR_TOL,
-                f"inf R start {inf_r[0]:.6g}, worst {inf_r.min():.6g} (drop {drop:.3e})",
-            )
-        )
-
-    min_eig = float(series.column("min_eig").min())
-    report.verdicts.append(
-        Verdict(
-            "metric-equivalence",
-            min_eig >= eps_pos,
-            f"min eigenvalue over run {min_eig:.6g} >= floor {eps_pos:.1e}",
-        )
-    )
-
-    if normalized_cy:
-        fit = fit_decay_rate(ts, series.column("sup_phidot"))
-        if fit is None:
-            report.verdicts.append(
-                Verdict("normalized-decay", False, "too few samples in fit window")
-            )
-        else:
-            mu, amp = fit
-            ok = abs(mu - NORMALIZED_DECAY_RATE) <= 0.10 * NORMALIZED_DECAY_RATE
-            detail = (
-                f"fitted sup|phidot| ~ {amp:.3g} * exp(-{mu:.6g} t); "
-                f"oracle rate {NORMALIZED_DECAY_RATE:.6g} (rtol 10%)"
-            )
-            report.verdicts.append(Verdict("normalized-decay", bool(ok), detail))
-    return report
+        peak = sup_phi.max()
+        checks.holds("potential-bound", math.isfinite(peak), "finite max sup|phi|", f"{peak:.6g}")
+    untwisted = bg.f is None or float(np.abs(bg.f).max()) < 1e-14
+    if cfg.mode == UNNORMALIZED and untwisted:
+        scalar_floor_row(checks, "scalar-floor", series)
+    checks.within("metric-equivalence", series.column("min_eig").min(), ">=", cfg.eps_pos,
+                  f"min eigenvalue >= {cfg.eps_pos:.1e}", "{:.6g}", f"{cfg.eps_pos:.1e}")
+    if cfg.mode == NORMALIZED and series.converged:
+        decay_rate_row(checks, "normalized-decay", series)
+    return checks
 
 
 # ---------------------------------------------------------------------------

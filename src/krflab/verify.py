@@ -1,26 +1,21 @@
 """One-shot verification suite: every headline number, checked end to end.
 
-Each criterion runs at its stated tolerance and produces rows (check,
-expected, got, tolerance, pass).  A yes/no row carries its verdict.  A
-numeric row carries a value and a bound, and its got text, its verdict
-and its margin (bound - value) all come from those two; a non-finite
-value or margin fails.  A criterion that raises ends in one FAIL row
-naming the exception, and the other criteria still run; only
-``MissingModel`` propagates.  The CLI `verify` subcommand prints the
-table and exits nonzero on any failure, and the pytest acceptance module
-asserts the same results.
+Each criterion runs at its stated tolerance and adds check rows (see
+``krflab.checks``).  A criterion that raises ends in one FAIL row naming
+the exception, and the other criteria still run; only ``MissingModel``
+propagates.  The CLI `verify` subcommand prints the table and exits
+nonzero on any failure, and the pytest acceptance module asserts the
+same results.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 import random
 import time
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as F
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,59 +23,15 @@ from . import ansatz as az
 from . import cohomology as coh
 from . import ghmetric as gh
 from . import maflow as mf
-from . import serialize as ser
+from .checks import Checks
 from .cohomology import models as coh_models
 
-_COMPARE = {"<": operator.lt, "<=": operator.le}
-
 
 @dataclass
-class CheckRow:
-    check: str
-    expected: str
-    got: str
-    tolerance: str
-    passed: bool
-    value: Optional[float] = None  # None on yes/no rows
-    bound: Optional[float] = None
-
-    @property
-    def margin(self) -> Optional[float]:
-        """How far the value sits inside its bound; None on yes/no rows."""
-        return None if self.value is None else self.bound - self.value
-
-
-@dataclass
-class CriterionResult:
+class CriterionResult(Checks):
     index: int
     name: str
-    rows: list[CheckRow] = field(default_factory=list)
     elapsed: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-    def holds(self, check: str, passed, expected, got: Optional[str] = None, tol="exact"):
-        """Add a yes/no row; its got text defaults to the verdict's."""
-        passed = bool(passed)  # a numpy verdict stays JSON-encodable in verify.json
-        got = str(passed) if got is None else got
-        self.rows.append(CheckRow(check, str(expected), got, tol, passed))
-
-    def within(
-        self, check: str, value, op: str, bound: Union[str, float], expected: str,
-        got: str = "{:.3e}", tol: Optional[str] = None,
-    ):
-        """Add a numeric row that passes iff ``value op bound`` and its margin is finite.
-
-        A bound given as its literal (``"1e-4"``) is also the tolerance
-        text; ``got`` is the template the value is printed with.
-        """
-        value, limit = float(value), float(bound)
-        passed = _COMPARE[op](value, limit) and math.isfinite(limit - value)
-        self.rows.append(
-            CheckRow(check, expected, got.format(value), tol or bound, passed, value, limit)
-        )
 
 
 class MissingModel(LookupError):
@@ -239,11 +190,7 @@ def criterion_convergence(opts: VerifyOptions, res: CriterionResult) -> None:
               f"{series.termination} at t={final.t:.3f}", "1e-10")
     residual = np.abs(mf.ma_rhs(bg, final)).max()
     res.within("stationary-equation residual at the final state", residual, "<", "1e-8", "< 1e-8")
-    oracle = mf.NORMALIZED_DECAY_RATE
-    fit = mf.fit_decay_rate(series.column("t"), series.column("sup_phidot"))
-    rate = fit[0] if fit is not None else math.nan  # no fit fails the row
-    res.within("decay rate vs linearized oracle", abs(rate - oracle), "<=", 0.10 * oracle,
-               f"{oracle:.3f}", "no fit" if fit is None else f"{rate:.4f}", "10%")
+    mf.estimates.decay_rate_row(res, "decay rate vs linearized oracle", series)
 
 
 @criterion(4, "scalar-curvature-floor", "min scalar curvature never drops below its start")
@@ -270,9 +217,7 @@ def criterion_scalar_floor(opts: VerifyOptions, res: CriterionResult) -> None:
     for i, (bg, phi0, t_end) in enumerate(matrix):
         cfg = mf.RunConfig(mode=mf.UNNORMALIZED, t_end=t_end, record_every=40)
         _, series = mf.run(bg, cfg, phi0=phi0)
-        inf_r = series.column("inf_R")
-        res.within(f"run {i + 1} (n={bg.n}, N={bg.N}): inf R floor", inf_r[0] - inf_r.min(),
-                   "<=", "1e-4", "drop <= 1e-4")
+        mf.estimates.scalar_floor_row(res, f"run {i + 1} (n={bg.n}, N={bg.N}): inf R floor", series)
 
 
 def _random_unitaries(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
@@ -409,12 +354,7 @@ def format_table(results: list[CriterionResult]) -> str:
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         lines.append(f"criterion {res.index}: {res.name} [{status}] ({res.elapsed:.1f}s)")
-        for row in res.rows:
-            mark = "pass" if row.passed else "FAIL"
-            lines.append(
-                f"  [{mark}] {row.check} | expected {row.expected} | "
-                f"got {row.got} | tol {row.tolerance}"
-            )
+        lines.extend("  " + row.line() for row in res.rows)
     total = sum(len(r.rows) for r in results)
     bad = sum(1 for r in results for row in r.rows if not row.passed)
     lines.append(
@@ -434,10 +374,7 @@ def results_payload(results: list[CriterionResult]) -> dict:
                 "name": r.name,
                 "passed": r.passed,
                 "elapsed_seconds": r.elapsed,
-                # JSON has no NaN or inf: a non-finite value, bound or margin is null
-                "checks": [
-                    ser.strict_json({**asdict(row), "margin": row.margin}) for row in r.rows
-                ],
+                "checks": [row.payload() for row in r.rows],
             }
             for r in results
         ],

@@ -61,11 +61,64 @@ def test_criterion_2_zero_row_fails_on_a_biased_density(monkeypatch):
 
 
 def test_criterion_3_decay_row_fails_on_a_wrong_rate_or_no_fit(monkeypatch):
+    # the decay row reads the fit from maflow.estimates, where the flow's row reads it too
     for fit, got in (((0.5, 0.0), "0.5000"), (None, "no fit")):
-        monkeypatch.setattr(V.mf, "fit_decay_rate", lambda ts, values, fit=fit: fit)
+        monkeypatch.setattr(mf.estimates, "fit_decay_rate", lambda ts, values, fit=fit: fit)
         rows = V.run_criterion(3, V.VerifyOptions(flow_grid=16)).rows
         assert [r.passed for r in rows] == [True, True, False]
         assert rows[2].check == "decay rate vs linearized oracle" and rows[2].got == got
+
+
+def test_criterion_3_convergence_and_residual_rows_fail_on_injected_faults(monkeypatch):
+    real_run = mf.run
+
+    def unconverged(*args, **kwargs):
+        final, series = real_run(*args, **kwargs)
+        series.converged, series.termination = False, "t_end"
+        return final, series
+
+    def residual(bg, state):
+        return np.full(bg.shape, 1e-6)
+
+    for name, fake, passed in (("run", unconverged, [False, True, True]),
+                               ("ma_rhs", residual, [True, False, True])):
+        monkeypatch.undo()
+        monkeypatch.setattr(V.mf, name, fake)
+        rows = V.run_criterion(3, V.VerifyOptions(flow_grid=16)).rows
+        assert [r.passed for r in rows] == passed
+    assert rows[1].check == "stationary-equation residual at the final state"
+    assert rows[1].got == "1.000e-06" and rows[1].margin < 0
+
+
+def decaying_series():
+    """A converged series: inf R falls by 5e-5, sup|phidot| decays at rate 1.04."""
+    series = mf.DiagnosticsSeries(converged=True, termination="converged")
+    for t in np.linspace(0.0, 20.0, 300):
+        record = dict.fromkeys(mf.DIAGNOSTIC_COLUMNS, 1.0)
+        record.update(t=t, inf_R=-2.5e-6 * t, sup_phidot=0.01 * np.exp(-1.04 * t))
+        series.append(mf.DiagnosticsRecord(**record))
+    return series
+
+
+def test_gate_and_flow_rows_read_one_value_and_bound(monkeypatch):
+    series = decaying_series()
+    final = types.SimpleNamespace(t=20.0)
+    monkeypatch.setattr(V.mf, "run", lambda bg, cfg, phi0=None: (final, series))
+    monkeypatch.setattr(V.mf, "ma_rhs", lambda bg, state: np.zeros(1))
+    c3_decay = V.run_criterion(3, V.VerifyOptions(flow_grid=16)).rows[2]
+    c4_floor = V.run_criterion(4, V.VerifyOptions(flow_grid=16)).rows[0]
+    bg = mf.TorusBackground(n=1, N=16, g0=[[1.0]])
+
+    def flow_row(mode, check):
+        rows = mf.estimate_report(series, mf.RunConfig(mode=mode), bg).rows
+        return next(row for row in rows if row.check == check)
+
+    floor = flow_row(mf.UNNORMALIZED, "scalar-floor")
+    decay = flow_row(mf.NORMALIZED, "normalized-decay")
+    assert (c4_floor.value, c4_floor.bound) == (floor.value, floor.bound)
+    assert (c3_decay.value, c3_decay.bound) == (decay.value, decay.bound)
+    assert np.isclose(floor.value, 5e-5) and np.isclose(decay.value, 0.04)
+    assert floor.passed and decay.passed
 
 
 def test_criterion_4_floor_row_fails_on_a_drop_of_2e_4(monkeypatch):

@@ -215,7 +215,15 @@ def test_flow_stationary_run_artifacts(tmp_path, capsys):
         assert (out / name).exists()
     header = (out / "diagnostics.csv").read_text().splitlines()[0]
     assert header == "t,sup_phi,sup_phidot,min_eig,inf_R,sup_R,sup_trace,volume,energy"
-    assert "failure" not in json.loads((out / "diagnostics.json").read_text())
+    diag = _strict_json(out / "diagnostics.json")
+    assert "failure" not in diag
+    checks = diag["checks"]
+    assert [row["check"] for row in checks] == [
+        "potential-bound", "scalar-floor", "metric-equivalence"
+    ]
+    assert all(row["passed"] for row in checks)
+    for line in printed.splitlines()[:3]:
+        assert line.startswith("[pass] ") and " | expected " in line
     side = json.loads((out / "phi.json").read_text())
     phi = np.fromfile(out / "phi.bin", dtype=np.float64).reshape((side["N"],) * (2 * side["n"]))
     assert np.abs(phi).max() == 0.0
@@ -243,9 +251,33 @@ def test_flow_warns_on_biased_density_in_unnormalized_mode(tmp_path, capsys):
         tmp_path, f_modes=[{"freq": [0, 0], "cos": 0.05, "sin": 0.0}]
     )
     out = tmp_path / "run"
-    assert cli.main(["--output-dir", str(out), "flow", str(cfg)]) == 0
+    # the drifting potential also fails its potential-bound row: exit 4
+    assert cli.main(["--output-dir", str(out), "flow", str(cfg)]) == 4
     err = capsys.readouterr().err
     assert "warning" in err and "drifts" in err
+
+
+def test_flow_failed_estimate_exits_4_after_writing_every_artifact(tmp_path, capsys):
+    # this run used to print [FAIL] potential-bound, exit 0 and write no verdict
+    cfg = stationary_config(
+        tmp_path, f_modes=[{"freq": [0, 0], "cos": 0.1}], t_end=0.5, record_every=20
+    )
+    out = tmp_path / "run"
+    assert cli.main(["--output-dir", str(out), "flow", str(cfg)]) == 4
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("[FAIL] potential-bound | expected ")
+    assert printed[1].startswith("[pass] metric-equivalence | expected ")
+    for name in ("diagnostics.csv", "diagnostics.json", "phi.bin", "phi.json", "manifest.json"):
+        assert (out / name).exists()
+    checks = _strict_json(out / "diagnostics.json")["checks"]
+    assert [(row["check"], row["passed"]) for row in checks] == [
+        ("potential-bound", False), ("metric-equivalence", True)
+    ]
+    for row in checks:  # the keys of a verify.json row
+        assert list(row) == [
+            "check", "expected", "got", "tolerance", "passed", "value", "bound", "margin"
+        ]
+        assert row["passed"] == (row["margin"] >= 0)
 
 
 def test_flow_non_finite_potential_domain_error(tmp_path, capsys):
@@ -750,10 +782,13 @@ def test_flow_convergence_prints_fitted_rate(tmp_path, capsys):
     assert cli.main(["--output-dir", str(out), "flow", str(cfg)]) == 0
     printed = capsys.readouterr().out
     assert "termination: converged" in printed
-    assert "normalized-decay" in printed and "oracle rate 1" in printed
+    assert "[pass] normalized-decay | expected 1.000 | got 1.0" in printed
     assert "[FAIL]" not in printed
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["converged"] is True
+    decay = diag["checks"][-1]
+    assert decay["check"] == "normalized-decay" and decay["bound"] == 0.1
+    assert 0 <= decay["value"] <= 0.1 and decay["margin"] == decay["bound"] - decay["value"]
 
 
 def test_verify_reduced_grid_spectral_floor(capsys):

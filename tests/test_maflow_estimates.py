@@ -1,7 +1,11 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 import krflab.maflow as mf
+import krflab.serialize as ser
 from krflab.maflow.estimates import R_FLOOR_TOL
 from krflab.maflow.solver import DiagnosticsRecord, DiagnosticsSeries
 
@@ -25,52 +29,77 @@ def synthetic_series(ts, sup_phidot=None, inf_r=None, min_eig=None, sup_phi=None
     return series
 
 
+def report(series, mode=mf.UNNORMALIZED, f=None):
+    """estimate_report of a run of ``mode`` on a flat (or ``f``-twisted) background."""
+    bg = mf.TorusBackground(n=1, N=8, g0=[[1.0]], f=f)
+    return mf.estimate_report(series, mf.RunConfig(mode=mode), bg)
+
+
+def rows_by_check(checks):
+    return {row.check: row for row in checks.rows}
+
+
 def test_stationary_series_all_pass():
     series = synthetic_series(np.linspace(0, 1, 20))
-    report = mf.estimate_report(series)
-    assert report.all_passed
-    names = [v.name for v in report.verdicts]
+    checks = report(series)
+    assert checks.passed
+    names = [row.check for row in checks.rows]
     assert names == ["potential-bound", "scalar-floor", "metric-equivalence"]
+
+
+def test_rows_that_apply_to_a_run():
+    # the floor only on an untwisted unnormalized run, the decay only on a
+    # converged normalized one
+    ts = np.linspace(0, 20, 300)
+    series = synthetic_series(ts, sup_phidot=0.01 * np.exp(-ts))
+    twist = np.full((8, 8), 0.1)
+    for mode, f, converged, names in (
+        (mf.UNNORMALIZED, None, False, ["potential-bound", "scalar-floor", "metric-equivalence"]),
+        (mf.UNNORMALIZED, twist, False, ["potential-bound", "metric-equivalence"]),
+        (mf.NORMALIZED, None, False, ["potential-bound", "metric-equivalence"]),
+        (mf.NORMALIZED, twist, True,
+         ["potential-bound", "metric-equivalence", "normalized-decay"]),
+    ):
+        series.converged = converged
+        assert [row.check for row in report(series, mode, f).rows] == names
 
 
 def test_injected_scalar_dip_fails_floor():
     ts = np.linspace(0, 1, 20)
     inf_r = np.zeros(20)
     inf_r[12] = -5e-4  # corruption below the 1e-4 allowance
-    report = mf.estimate_report(synthetic_series(ts, inf_r=inf_r))
-    verdicts = {v.name: v.passed for v in report.verdicts}
-    assert not verdicts["scalar-floor"]
-    assert not report.all_passed
+    checks = report(synthetic_series(ts, inf_r=inf_r))
+    assert not rows_by_check(checks)["scalar-floor"].passed
+    assert not checks.passed
 
 
 def test_scalar_floor_verdict_reads_the_drop_it_prints():
     # the drop prints as 1.000e-04 but is 1.0000000000000021e-4, above R_FLOOR_TOL
     inf_r = [-3.656357558875988, -3.6564575588759882]
-    report = mf.estimate_report(synthetic_series([0.0, 1.0], inf_r=inf_r))
-    floor = next(v for v in report.verdicts if v.name == "scalar-floor")
-    assert "(drop 1.000e-04)" in floor.detail
+    floor = rows_by_check(report(synthetic_series([0.0, 1.0], inf_r=inf_r)))["scalar-floor"]
+    assert floor.got == "1.000e-04"
     assert floor.passed is False
-    for inf_r, passed in (([0.0, -R_FLOOR_TOL], True), ([0.0, float("nan")], False)):
-        report = mf.estimate_report(synthetic_series([0.0, 1.0], inf_r=inf_r))
-        assert report.verdicts[1].name == "scalar-floor"
-        assert report.verdicts[1].passed is passed
+    for inf_r, passed in (([0.0, -float(R_FLOOR_TOL)], True), ([0.0, float("nan")], False)):
+        checks = report(synthetic_series([0.0, 1.0], inf_r=inf_r))
+        assert checks.rows[1].check == "scalar-floor"
+        assert checks.rows[1].passed is passed
 
 
 def test_blowup_trend_fails_potential_bound():
     ts = np.linspace(0, 1, 40)
     sup_phi = np.exp(5 * ts)  # still growing at the end
-    report = mf.estimate_report(synthetic_series(ts, sup_phi=sup_phi))
-    verdicts = {v.name: v.passed for v in report.verdicts}
-    assert not verdicts["potential-bound"]
+    row = rows_by_check(report(synthetic_series(ts, sup_phi=sup_phi)))["potential-bound"]
+    assert not row.passed and row.margin < 0
 
 
 def test_metric_floor_verdict():
     ts = np.linspace(0, 1, 20)
     min_eig = np.full(20, 0.5)
     min_eig[7] = 1e-9
-    report = mf.estimate_report(synthetic_series(ts, min_eig=min_eig))
-    verdicts = {v.name: v.passed for v in report.verdicts}
-    assert not verdicts["metric-equivalence"]
+    row = rows_by_check(report(synthetic_series(ts, min_eig=min_eig)))["metric-equivalence"]
+    assert not row.passed
+    # the row shows the minimum it read against the floor, not a ">= floor" claim
+    assert row.got == "1e-09" and row.bound == mf.EPS_POS and row.margin < 0
 
 
 def test_decay_fit_on_synthetic_exponential():
@@ -81,23 +110,61 @@ def test_decay_fit_on_synthetic_exponential():
     assert abs(amp - 3.0) < 1e-6
 
 
+def converged(series):
+    series.converged = True
+    return series
+
+
 def test_normalized_decay_verdict_with_oracle():
     ts = np.linspace(0, 20, 300)
     mu = 1.0
-    series = synthetic_series(ts, sup_phidot=0.01 * np.exp(-mu * ts))
-    report = mf.estimate_report(series, normalized_cy=True)
-    verdicts = {v.name: v.passed for v in report.verdicts}
-    assert verdicts["normalized-decay"]
+    series = converged(synthetic_series(ts, sup_phidot=0.01 * np.exp(-mu * ts)))
+    assert rows_by_check(report(series, mf.NORMALIZED))["normalized-decay"].passed
     # a decay at rate 2 misses the oracle rate 1
-    fast = synthetic_series(ts, sup_phidot=0.01 * np.exp(-2.0 * ts))
-    report = mf.estimate_report(fast, normalized_cy=True)
-    verdicts = {v.name: v.passed for v in report.verdicts}
-    assert not verdicts["normalized-decay"]
+    fast = converged(synthetic_series(ts, sup_phidot=0.01 * np.exp(-2.0 * ts)))
+    assert not rows_by_check(report(fast, mf.NORMALIZED))["normalized-decay"].passed
 
 
 def test_empty_series_rejected():
     with pytest.raises(ValueError):
-        mf.estimate_report(DiagnosticsSeries())
+        report(DiagnosticsSeries())
+
+
+def refuse(constant):
+    raise ValueError(f"non-JSON number {constant}")
+
+
+def nan_at(count, index):
+    values = np.ones(count)
+    values[index] = np.nan
+    return values
+
+
+@pytest.mark.parametrize(
+    "mode, series, check",
+    [
+        (mf.UNNORMALIZED, lambda ts: synthetic_series(ts, sup_phi=nan_at(20, 3)),
+         "potential-bound"),
+        (mf.UNNORMALIZED, lambda ts: synthetic_series(ts, sup_phi=nan_at(20, 18)),
+         "potential-bound"),
+        (mf.UNNORMALIZED, lambda ts: synthetic_series(ts, min_eig=nan_at(20, 5)),
+         "metric-equivalence"),
+        (mf.UNNORMALIZED, lambda ts: synthetic_series(ts, inf_r=nan_at(20, 9)), "scalar-floor"),
+        # sup|phidot| of 0 throughout leaves no sample in the fit window
+        (mf.NORMALIZED, lambda ts: converged(synthetic_series(ts)), "normalized-decay"),
+    ],
+    ids=["sup_phi-head", "sup_phi-tail", "min_eig", "inf_R", "no-fit"],
+)
+def test_non_finite_input_fails_its_row_with_a_null_margin(tmp_path, mode, series, check):
+    checks = report(series(np.linspace(0, 1, 20)), mode)
+    row = rows_by_check(checks)[check]
+    assert not row.passed and not checks.passed
+    assert math.isnan(row.margin)
+    # written the way krflab flow writes diagnostics.json, and read back strictly
+    ser.write_json(tmp_path / "diagnostics.json", {"checks": [r.payload() for r in checks.rows]})
+    written = json.loads((tmp_path / "diagnostics.json").read_text(), parse_constant=refuse)
+    entry = next(e for e in written["checks"] if e["check"] == check)
+    assert entry["passed"] is False and entry["margin"] is None
 
 
 # ---------------------------------------------------------------------------
