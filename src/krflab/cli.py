@@ -17,9 +17,9 @@ commands that use them.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -53,6 +53,11 @@ def _reading(prefix: str = ""):
         raise
     except (OSError, ValueError, LookupError, TypeError) as err:
         raise UsageError(f"{prefix}{err}") from err
+
+
+def _output_dir(args, configured: Optional[str] = None) -> Path:
+    """The --output-dir flag if given, else the configured path, else krflab-out."""
+    return Path(args.output_dir or configured or "krflab-out")
 
 
 def _load_models(args, name: Optional[str] = None) -> dict:
@@ -105,7 +110,7 @@ def cmd_models(args) -> int:
     models = _load_models(args, args.name)
     selected = {args.name: models[args.name]} if args.name else models
     if args.format == "json":
-        print(json.dumps(coh_models.catalogue_to_dict(selected), indent=2))
+        print(ser.dumps(coh_models.catalogue_to_dict(selected)))
     elif args.format == "csv":
         rows = [
             (m.name, m.n, " ".join(m.basis), m.c1twopi, _kodaira(m)) for m in selected.values()
@@ -122,7 +127,6 @@ def _maxtime_report(models: dict, name: str, coords) -> dict:
     a0 = coh.ClassVector(tuple(coords))
     T = coh.max_existence_time(model, a0)
     report = {
-        "schema": 1,
         "model": name,
         "class": [str(c) for c in a0],
         "T": str(T),
@@ -161,11 +165,10 @@ def cmd_maxtime(args) -> int:
         coords = ser.parse_class_coords(args.klass)
     report = _maxtime_report(models, args.model, coords)
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(ser.dumps(report))
         return EXIT_OK
     if args.format == "csv":
         cells = {k: ";".join(map(str, v)) if isinstance(v, list) else v for k, v in report.items()}
-        del cells["schema"]
         ser.emit_csv(sys.stdout, ("field", "value"), cells.items())
         return EXIT_OK
     print(f"model: {report['model']}")
@@ -194,28 +197,18 @@ def cmd_maxtime(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_g0(raw, n: int) -> np.ndarray:
-    import numpy as np
-
-    def entry(cell) -> complex:
-        if isinstance(cell, (list, tuple)):
-            return complex(cell[0], cell[1])
-        return complex(float(cell), 0.0)
-
-    return np.array([[entry(raw[i][j]) for j in range(n)] for i in range(n)], dtype=complex)
+def _g0_entry(cell) -> complex:
+    """A g0 cell: a number, or an [re, im] pair of numbers."""
+    re_im = cell if isinstance(cell, (list, tuple)) else (cell, 0.0)
+    return complex(*(ser.number(x, "a g0 entry") for x in re_im))
 
 
 def _modes_from_config(entries) -> list[tuple]:
-    return [
-        (tuple(item["freq"]), float(item.get("cos", 0.0)), float(item.get("sin", 0.0)))
-        for item in entries or []
-    ]
+    return [(item["freq"], item.get("cos", 0.0), item.get("sin", 0.0)) for item in entries or []]
 
 
-#: every key a flow config may carry; anything else is a typo and rejected
-FLOW_CONFIG_KEYS = frozenset(
-    "schema n N g0 f_modes phi0_modes mode dt t_end record_every eps_pos output".split()
-)
+#: the grid keys of a flow config; its other keys are ``RunConfig``'s fields
+FLOW_GRID_KEYS = frozenset("schema n N g0 f_modes phi0_modes output".split())
 
 
 def load_flow_config(
@@ -226,28 +219,21 @@ def load_flow_config(
 
     from . import maflow as mf
 
-    cfg = ser.read_json(path)
-    if cfg.get("schema") != 1:
-        raise ValueError(f"unsupported flow config schema: {cfg.get('schema')!r}")
-    unknown = sorted(set(cfg) - FLOW_CONFIG_KEYS)
+    cfg = ser.read_json(path, "flow config")
+    run_keys = {key: value for key, value in cfg.items() if key not in FLOW_GRID_KEYS}
+    unknown = sorted(set(run_keys) - {f.name for f in fields(mf.RunConfig)})
     if unknown:
         raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
-    n = int(cfg["n"])
-    N = int(cfg["N"])
-    g0 = _parse_g0(cfg["g0"], n)
+    run_cfg = mf.RunConfig(**run_keys)
+    n = ser.integer(cfg["n"], "n")
+    N = ser.integer(cfg["N"], "N")
+    g0 = np.array([[_g0_entry(cfg["g0"][i][j]) for j in range(n)] for i in range(n)])
     shell = mf.TorusBackground(n=n, N=N, g0=g0)
     f_modes = _modes_from_config(cfg.get("f_modes"))
     f = shell.field_from_modes(f_modes) if f_modes else None
     bg = mf.TorusBackground(n=n, N=N, g0=g0, f=f)
     phi0_modes = _modes_from_config(cfg.get("phi0_modes"))
     phi0 = bg.field_from_modes(phi0_modes) if phi0_modes else np.zeros(bg.shape)
-    run_cfg = mf.RunConfig(
-        mode=cfg.get("mode", mf.UNNORMALIZED),
-        dt=cfg.get("dt"),
-        t_end=float(cfg.get("t_end", 1.0)),
-        record_every=int(cfg.get("record_every", 100)),
-        eps_pos=float(cfg.get("eps_pos", mf.EPS_POS)),
-    )
     return bg, run_cfg, phi0, cfg.get("output")
 
 
@@ -255,7 +241,6 @@ def _write_run_record(out: Path, args, series: mf.DiagnosticsSeries, **extra) ->
     """diagnostics.csv, diagnostics.json (with the ``extra`` entries) and the manifest."""
     ser.write_csv(out / "diagnostics.csv", series.header, series.rows())
     record = {
-        "schema": 1,
         "columns": list(series.header),
         "rows": series.rows(),
         "converged": series.converged,
@@ -285,8 +270,7 @@ def cmd_flow(args) -> int:
 
     with _reading("bad flow config: "):
         bg, run_cfg, phi0, cfg_out = load_flow_config(args.config)
-    # the config may name its own output path; an explicit flag wins
-    out = Path(cfg_out) if cfg_out and args.output_dir == "krflab-out" else Path(args.output_dir)
+    out = _output_dir(args, cfg_out)
     if run_cfg.mode == mf.UNNORMALIZED and bg.f is not None:
         mean_f = float(bg.f.mean())
         if abs(mean_f) > 1e-12:
@@ -309,7 +293,6 @@ def cmd_flow(args) -> int:
     ser.write_json(
         out / "phi.json",
         {
-            "schema": 1,
             "n": bg.n,
             "N": bg.N,
             "g0": [[[z.real, z.imag] for z in row] for row in bg.g0],
@@ -339,12 +322,11 @@ def cmd_ansatz(args) -> int:
         scales = ser.parse_class_coords(args.scales)
         model = az.AnsatzModel.of(args.kind, scales, args.mode)
         traj = az.integrate(model, args.t_end, dt=args.dt)
-    out = Path(args.output_dir)
+    out = _output_dir(args)
     header = ["t", *traj.names, "volume", "fiber_diameter"]
     columns = [traj.ts] + [traj.coeffs[:, i] for i in range(traj.coeffs.shape[1])]
     columns += [traj.volume(), traj.fiber_diameter_proxy()]
     summary: dict = {
-        "schema": 1,
         "kind": model.kind,
         "scales": [str(s) for s in model.scales],
         "mode": model.mode,
@@ -402,24 +384,22 @@ def cmd_gh(args) -> int:
 
     from . import ghmetric as gh
 
-    out = Path(args.output_dir)
+    out = _output_dir(args)
     if args.gh_command == "sample":
         with _reading():
             space = gh.sample_warped_torus(args.t, args.nb, args.nf)
-        out.mkdir(parents=True, exist_ok=True)
         ser.write_json(out / "space.json", gh.space_to_dict(space))
         ser.write_manifest(out, "gh sample", seed=args.seed)
         print(f"wrote {len(space)}-point warped torus sample to {out / 'space.json'}")
         return EXIT_OK
     if args.gh_command == "bound":
         with _reading():
-            X = gh.space_from_dict(ser.read_json(args.space_x))
-            Y = gh.space_from_dict(ser.read_json(args.space_y))
+            X = gh.space_from_dict(ser.read_json(args.space_x, "metric-space"))
+            Y = gh.space_from_dict(ser.read_json(args.space_y, "metric-space"))
         bound = gh.gh_upper_bound(X, Y, seed=args.seed)
         ser.write_json(
             out / "bound.json",
             {
-                "schema": 1,
                 "epsilon": bound.epsilon,
                 "flag": bound.flag,
                 "F": [int(v) for v in bound.maps.F],
@@ -437,7 +417,6 @@ def cmd_gh(args) -> int:
     ser.write_json(
         out / "collapse.json",
         {
-            "schema": 1,
             "n_base": series.n_base,
             "n_fiber": series.n_fiber,
             "t": [float(t) for t in series.ts],
@@ -485,7 +464,7 @@ def cmd_verify(args) -> int:
         raise UsageError(err) from err
     print(ver.format_table(results))
     if args.report:
-        out = Path(args.output_dir)
+        out = _output_dir(args)
         ser.write_json(out / "verify.json", ver.results_payload(results))
         ser.write_manifest(out, "verify", seed=args.seed)
         print(f"report written to {out / 'verify.json'}")
@@ -506,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"krflab {__version__}")
     parser.add_argument(
-        "--output-dir", default="krflab-out", help="directory for emitted artifacts"
+        "--output-dir",
+        help="directory for emitted artifacts (default: a flow config's output, else krflab-out)",
     )
     parser.add_argument(
         "--format",

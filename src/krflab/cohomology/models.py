@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
-from ..serialize import read_json
+from ..serialize import SCHEMA_VERSION, check_schema, integer, read_json
 from . import (
     ClassVector,
     ConeSpec,
@@ -23,8 +23,6 @@ from . import (
     as_fraction,
     volume_functional,
 )
-
-SCHEMA_VERSION = 1
 
 
 def _linear(coeffs: dict[int, Fraction], dim: int) -> PolyFunctional:
@@ -260,19 +258,11 @@ def model_to_dict(model: ManifoldModel) -> dict:
     }
 
 
-def _integer(x, what: str) -> int:
-    """x if it is an int; a float (or a bool, or any other type) is a TypeError."""
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    raise TypeError(f"{what} must be an integer, got {x!r}")
-
-
 def model_from_dict(data: dict) -> ManifoldModel:
     if not isinstance(data, dict):
         raise ValueError(f"a model must be a JSON object, got {data!r}")
-    if data.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported model schema: {data.get('schema')!r}")
-    n = _integer(data["n"], "n")
+    check_schema(data, "model")
+    n = integer(data["n"], "n")
     basis = tuple(data["basis"])
     kod = data["kodaira"]
     return ManifoldModel(
@@ -290,24 +280,22 @@ def model_from_dict(data: dict) -> ManifoldModel:
         catalogue=tuple(
             SubvarietyEntry(
                 label=item["label"],
-                dim=_integer(item["dim"], f"[{item['label']}] dim"),
+                dim=integer(item["dim"], f"[{item['label']}] dim"),
                 pairing=_decode(item["pairing"]),
             )
             for item in data["catalogue"]
         ),
-        kodaira=None if kod == "minus-infinity" else _integer(kod, "kodaira"),
+        kodaira=None if kod == "minus-infinity" else integer(kod, "kodaira"),
         notes=data.get("notes", ""),
     )
 
 
 def catalogue_to_dict(models: dict[str, ManifoldModel]) -> dict:
     """The catalogue JSON of the models: what ``load_catalogue`` reads back."""
-    return {"schema": SCHEMA_VERSION, "models": [model_to_dict(m) for m in models.values()]}
+    return {"models": [model_to_dict(m) for m in models.values()]}
 
 
 def load_catalogue(path: Union[str, Path]) -> dict[str, ManifoldModel]:
-    payload = read_json(path)
-    if payload.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported catalogue schema: {payload.get('schema')!r}")
+    payload = read_json(path, "catalogue")
     models = [model_from_dict(item) for item in payload["models"]]
     return {m.name: m for m in models}

@@ -41,6 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .serialize import number
+
 #: exhaustive search threshold on |X| * |Y|
 EXHAUSTIVE_LIMIT = 36
 #: random restarts for the heuristic search
@@ -581,23 +583,18 @@ def catalogue() -> dict[str, FiniteMetricSpace]:
     }
 
 
-# -- JSON schema -------------------------------------------------------------
-
-SCHEMA_VERSION = 1
+# -- JSON --------------------------------------------------------------------
 
 
 def space_to_dict(space: FiniteMetricSpace) -> dict:
     return {
-        "schema": SCHEMA_VERSION,
         "labels": list(space.labels),
         "D": [float(v) for v in space.D.ravel()],
     }
 
 
 def space_from_dict(data: dict) -> FiniteMetricSpace:
-    if data.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported metric-space schema: {data.get('schema')!r}")
     labels = list(data["labels"])
     n = len(labels)
-    D = np.asarray(data["D"], dtype=float).reshape(n, n)
+    D = np.array([number(v, "a distance") for v in data["D"]]).reshape(n, n)
     return FiniteMetricSpace.of(labels, D)

@@ -37,6 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..cohomology import DomainError
+from ..serialize import integer, number
 
 #: the finest grid on which ``TorusBackground.field`` applies DFT matrices;
 #: finer grids take numpy's irfftn
@@ -128,20 +129,21 @@ class TorusBackground:
     def field_from_modes(self, modes: Sequence[tuple]) -> np.ndarray:
         """Real field from (frequency, cos_amp, sin_amp) triples.
 
-        Frequencies are integer tuples of length 2n ordered like the grid
-        axes; the all-zero frequency contributes a constant offset.
+        Frequencies are int tuples of length 2n ordered like the grid axes,
+        amplitudes numbers (another type is a TypeError); the all-zero
+        frequency contributes a constant offset.
         """
         coords = self.coordinates()
         out = np.zeros(self.shape)
         for freq, cos_amp, sin_amp in modes:
-            freq = tuple(int(v) for v in freq)
+            freq = tuple(integer(v, "a mode frequency") for v in freq)
             if len(freq) != 2 * self.n:
                 raise ValueError(f"frequency {freq} must have length {2 * self.n}")
             phase = np.zeros(self.shape)
             for ax, fv in enumerate(freq):
                 if fv:
                     phase = phase + 2.0 * np.pi * fv * coords[ax]
-            out += float(cos_amp) * np.cos(phase) + float(sin_amp) * np.sin(phase)
+            out += number(cos_amp, "cos") * np.cos(phase) + number(sin_amp, "sin") * np.sin(phase)
         return out
 
     # -- spectral machinery --------------------------------------------------

@@ -34,6 +34,7 @@ from typing import Optional
 import numpy as np
 
 from ..cohomology import DomainError
+from ..serialize import integer, number
 from .background import (
     AdmissibilityError,
     TorusBackground,
@@ -303,6 +304,10 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        # serialize's JSON field types: a bool, a string or a list is a TypeError
+        self.dt = None if self.dt is None else number(self.dt, "dt")
+        self.t_end = number(self.t_end, "t_end")
+        self.eps_pos = number(self.eps_pos, "eps_pos")
         # written as "not x > 0" so that NaN fails too
         if self.dt is not None and not self.dt > 0:
             raise ValueError(f"dt must be positive or None, got {self.dt}")
@@ -310,7 +315,7 @@ class RunConfig:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         if not self.eps_pos > 0:
             raise ValueError(f"eps_pos must be positive, got {self.eps_pos}")
-        if self.record_every < 1:
+        if integer(self.record_every, "record_every") < 1:
             raise ValueError("record_every must be >= 1")
 
 

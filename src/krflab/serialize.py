@@ -1,5 +1,7 @@
 """Class coordinates, deterministic CSV/JSON emission, and run manifests.
 
+It owns the JSON format: every payload written leads with ``SCHEMA_VERSION``,
+every file read must carry it, and ``integer`` and ``number`` type a field.
 Rationals travel as "p/q" strings end to end so the exact code paths are
 never contaminated by floats: ``str`` writes a Fraction and
 ``cohomology.as_fraction`` reads one back, here and in the model catalogue.
@@ -33,6 +35,8 @@ def parse_class_coords(text: str) -> list[Fraction]:
 
 
 def _cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, float):
         return repr(float(value))  # a numpy float's repr is "np.float64(...)"
     return str(value)
@@ -63,18 +67,44 @@ def strict_json(value):
     return value
 
 
+def dumps(payload: dict) -> str:
+    """The payload as indented JSON, its first key ``"schema": SCHEMA_VERSION``."""
+    return json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2)
+
+
 def write_json(path: Union[str, Path], payload: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(dumps(payload) + "\n")
 
 
-def read_json(path: Union[str, Path]) -> dict:
-    """The JSON object in the file; any other JSON value is a ValueError."""
+def check_schema(payload: dict, what: str) -> dict:
+    """payload if it carries this schema version; any other is a ValueError."""
+    if payload.get("schema") != SCHEMA_VERSION:
+        raise ValueError(f"unsupported {what} schema: {payload.get('schema')!r}")
+    return payload
+
+
+def read_json(path: Union[str, Path], what: str) -> dict:
+    """The JSON object in the file, of this schema version (``what`` names it)."""
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
         raise ValueError(f"{path} holds a JSON {type(payload).__name__}, not an object")
-    return payload
+    return check_schema(payload, what)
+
+
+def integer(x, what: str) -> int:
+    """x if it is an int; a float (or a bool, or any other type) is a TypeError."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise TypeError(f"{what} must be an integer, got {x!r}")
+
+
+def number(x, what: str) -> float:
+    """x as a float if it is an int or a float; a bool, a string or a list is a TypeError."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return float(x)
+    raise TypeError(f"{what} must be a number, got {x!r}")
 
 
 def write_manifest(
@@ -83,12 +113,10 @@ def write_manifest(
     config_path: Optional[str] = None,
     seed: Optional[int] = None,
     extra: Optional[dict] = None,
-) -> dict:
+) -> None:
     """Provenance record written next to every artifact a command emits."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "schema": SCHEMA_VERSION,
         "command": command,
         "config": config_path,
         "output_dir": str(out_dir),
@@ -100,7 +128,6 @@ def write_manifest(
     if extra:
         manifest.update(extra)
     write_json(out_dir / "manifest.json", manifest)
-    return manifest
 
 
 def _environment() -> dict:

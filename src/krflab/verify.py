@@ -367,7 +367,6 @@ def format_table(results: list[CriterionResult]) -> str:
 
 def results_payload(results: list[CriterionResult]) -> dict:
     return {
-        "schema": 1,
         "criteria": [
             {
                 "index": r.index,

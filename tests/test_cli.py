@@ -177,6 +177,16 @@ def test_csv_rows_have_the_header_width(capsys, argv):
     assert {"(2, 2)", "IntermediateKodaira (kodaira 1, fiber dimension 1)"} & cells
 
 
+def test_csv_writes_none_as_an_empty_cell(capsys):
+    # a T = infinity report has no binding constraint: JSON writes null, and
+    # the CSV cell read "None", as if a constraint had that label
+    assert cli.main(["--format", "csv", "maxtime", "genus2", "3"]) == 0
+    cells = dict(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert cells["binding_constraint"] == ""
+    assert cli.main(["--format", "json", "maxtime", "genus2", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["binding_constraint"] is None
+
+
 def test_maxtime_json(capsys):
     assert cli.main(["--format", "json", "maxtime", "blowup-p2", "4,-1"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -308,9 +318,23 @@ def test_flow_config_rejects_unknown_key(tmp_path, capsys):
         ({"dt": float("nan")}, "dt must be positive"),
         ({"dt": 0.0}, "dt must be positive"),
         ({"dt": -1e-3}, "dt must be positive"),
-        ({"dt": "1e-4"}, "not supported"),
+        ({"dt": "1e-4"}, "dt must be a number"),
         ({"g0": 2.0}, "not subscriptable"),
-        ({"t_end": [1.0]}, "float()"),
+        ({"t_end": [1.0]}, "a number, got [1.0]"),
+        # int() and float() used to read these, so each ran and exited 0:
+        # N = 16.5 ran at N = 16, record_every = True as 1, dt = True as a
+        # cap of 1, "0.05" as 0.05, and frequency 1.5 as 1
+        ({"N": 16.5}, "N must be an integer, got 16.5"),
+        ({"n": 1.9}, "n must be an integer, got 1.9"),
+        ({"record_every": 2.5}, "record_every must be an integer, got 2.5"),
+        ({"record_every": True}, "record_every must be an integer, got True"),
+        ({"dt": True}, "dt must be a number, got True"),
+        ({"t_end": "0.05"}, "t_end must be a number, got '0.05'"),
+        ({"g0": [["1.0"]]}, "a g0 entry must be a number, got '1.0'"),
+        (
+            {"f_modes": [{"freq": [1.5, 0], "cos": 0.01}]},
+            "a mode frequency must be an integer, got 1.5",
+        ),
     ],
 )
 def test_flow_config_with_a_bad_value_is_a_usage_error(tmp_path, capsys, overrides, reason):
@@ -320,6 +344,18 @@ def test_flow_config_with_a_bad_value_is_a_usage_error(tmp_path, capsys, overrid
     err = capsys.readouterr().err
     assert err.startswith("error: bad flow config: ") and reason in err
     assert not out.exists()
+
+
+def test_explicit_output_dir_wins_over_the_config_output(tmp_path, monkeypatch, capsys):
+    # "--output-dir krflab-out" equals the flag's old default, so the run
+    # used to go to the config's "output" directory
+    monkeypatch.chdir(tmp_path)
+    cfg = stationary_config(tmp_path, output="named")
+    assert cli.main(["--output-dir", "krflab-out", "flow", str(cfg)]) == 0
+    assert (tmp_path / "krflab-out" / "diagnostics.json").exists()
+    assert not (tmp_path / "named").exists()
+    assert cli.main(["flow", str(cfg)]) == 0
+    assert (tmp_path / "named" / "diagnostics.json").exists()
 
 
 def test_flow_config_with_a_short_g0_is_a_usage_error(tmp_path, capsys):
@@ -496,6 +532,17 @@ def test_gh_bound_rejects_non_finite_space(tmp_path, capsys):
     code = cli.main(["--output-dir", str(tmp_path / "out"), "gh", "bound", str(path), str(path)])
     assert code == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_gh_bound_rejects_a_distance_that_is_not_a_number(tmp_path, capsys):
+    # np.asarray(dtype=float) read "0", true and "1e0" as distances, so this
+    # 2-point space gave epsilon = 0 and exit 0
+    space = {"schema": 1, "labels": ["a", "b"], "D": ["0", True, "1e0", 0]}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    code = cli.main(["--output-dir", str(tmp_path / "out"), "gh", "bound", str(path), str(path)])
+    assert code == 2
+    assert "a distance must be a number, got '0'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -733,6 +780,43 @@ def test_json_input_that_is_not_an_object_is_a_usage_error(tmp_path, capsys, arg
     assert cli.main(["--output-dir", str(tmp_path / "out"), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_json_leads_with_the_schema_and_another_version_is_refused(tmp_path, capsys):
+    out = tmp_path / "out"
+    space = str(out / "space.json")
+    for argv in (
+        ["flow", str(stationary_config(tmp_path))],
+        ["ansatz", "round-p1", "--scales", "1", "--t-end", "1"],
+        ["gh", "sample", "--nb", "2", "--nf", "2"],
+        ["gh", "bound", space, space],
+        ["gh", "collapse", "--nb", "2", "--nf", "2", "--steps", "3"],
+        ["verify", "--criteria", "1", "--report"],
+    ):
+        assert cli.main(["--output-dir", str(out), *argv]) == 0
+    written = {path.name: path.read_text() for path in out.glob("*.json")}
+    assert set(written) == {
+        "diagnostics.json", "phi.json", "summary.json", "space.json", "bound.json",
+        "collapse.json", "verify.json", "manifest.json",
+    }
+    capsys.readouterr()
+    for argv in (["models"], ["maxtime", "blowup-p2", "4,-1"]):
+        assert cli.main(["--format", "json", *argv]) == 0
+        written[argv[0]] = capsys.readouterr().out
+    for name, text in written.items():
+        assert next(iter(json.loads(text).items())) == ("schema", 1), name
+
+    catalogue = tmp_path / "catalogue.json"
+    payload = coh_models.catalogue_to_dict(coh_models.builtin_models())
+    catalogue.write_text(json.dumps({**payload, "schema": 2}))
+    (out / "space.json").write_text(written["space.json"].replace('"schema": 1', '"schema": 2'))
+    for what, argv in (
+        ("flow config", ["flow", str(stationary_config(tmp_path, schema=2))]),
+        ("metric-space", ["gh", "bound", space, space]),
+        ("catalogue", ["models", "--catalogue", str(catalogue)]),
+    ):
+        assert cli.main(["--output-dir", str(tmp_path / "refused"), *argv]) == 2
+        assert f"unsupported {what} schema: 2" in capsys.readouterr().err
 
 
 def test_maxtime_reports_flagged_approximation(tmp_path, capsys):
