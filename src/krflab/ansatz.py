@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from . import cohomology as coh
@@ -197,14 +198,49 @@ def _rk4_step(c: float, normalized: bool, y: float, dt: float) -> float:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _scale_samples(
+    c: float, normalized: bool, y: float, runs: list[tuple[float, int]], limit: int
+) -> list[float]:
+    """One scale's RK4 samples over at most ``limit`` steps of the runs.
+
+    The operations are :func:`_rk4_step`'s, with the step's constants
+    computed once per run.  Stops before the first step whose result is
+    <= 0, so fewer than ``limit + 1`` samples mean that step killed the scale.
+    """
+    col = [y]
+    append = col.append
+    for h, count in runs:
+        count = min(count, limit - len(col) + 1)
+        half, sixth = 0.5 * h, h / 6.0
+        if normalized:
+            for _ in range(count):
+                k1 = c - y
+                k2 = c - (y + half * k1)
+                k3 = c - (y + half * k2)
+                k4 = c - (y + h * k3)
+                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if y <= 0.0:
+                    return col
+                append(y)
+        else:
+            increment = sixth * (c + 2.0 * c + 2.0 * c + c)
+            for _ in range(count):
+                y = y + increment
+                if y <= 0.0:
+                    return col
+                append(y)
+    return col
+
+
 def integrate(model: AnsatzModel, t_end: float, dt: float = 1e-3) -> AnsatzTrajectory:
     """RK4 sampling of the reduced flow.
 
-    Each scale obeys its own scalar equation, so the step runs per
-    component on Python floats.  Stops at extinction when a scale
-    coefficient crosses zero before t_end; the crossing is refined by
-    bisection to 1e-12 and reported on the trajectory.  Samples at or
-    past extinction are never produced.
+    Each scale obeys its own scalar equation, so each is stepped in its
+    own loop on Python floats.  Stops at extinction when a scale
+    coefficient crosses zero before t_end: every scale's samples end at
+    the earliest such step, whose crossing is refined by bisection to
+    1e-12 and reported on the trajectory.  Samples at or past extinction
+    are never produced.
     """
     import numpy as np
 
@@ -214,38 +250,40 @@ def integrate(model: AnsatzModel, t_end: float, dt: float = 1e-3) -> AnsatzTraje
     rates = [float(c) for c in _REDUCTIONS[model.kind][1]]
     normalized = model.mode == NORMALIZED
 
-    def step(y, h):
-        return [_rk4_step(c, normalized, yi, h) for c, yi in zip(rates, y)]
-
-    ts = [0.0]
-    ys = [[float(s) for s in model.scales]]
-    t, y = 0.0, ys[0]
-    extinct = False
-    ext_time = None
-    while t < t_end - 1e-12 * max(1.0, t_end):
-        step_dt = min(dt, t_end - t)
-        y_new = step(y, step_dt)
-        if min(y_new) <= 0.0:
-            lo, hi = 0.0, step_dt
-            for _ in range(200):
-                if hi - lo <= 1e-13:
-                    break
-                mid = 0.5 * (lo + hi)
-                if min(step(y, mid)) <= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            extinct = True
-            ext_time = t + 0.5 * (lo + hi)
-            break
-        t, y = t + step_dt, y_new
+    ts, hs = [0.0], []  # sample times, and the steps min(dt, t_end - t) between them
+    stop = t_end - 1e-12 * max(1.0, t_end)
+    t = 0.0
+    while t < stop:
+        rest = t_end - t
+        h = rest if rest < dt else dt
+        t = t + h
+        hs.append(h)
         ts.append(t)
-        ys.append(y)
+    runs = [(h, len(list(run))) for h, run in groupby(hs)]
+    steps = len(hs)
+    cols = []
+    for c, s in zip(rates, model.scales):
+        cols.append(_scale_samples(c, normalized, float(s), runs, steps))
+        steps = min(steps, len(cols[-1]) - 1)
+    extinct = steps < len(hs)
+    ext_time = None
+    if extinct:
+        y, t = [col[steps] for col in cols], ts[steps]
+        lo, hi = 0.0, hs[steps]
+        for _ in range(200):
+            if hi - lo <= 1e-13:
+                break
+            mid = 0.5 * (lo + hi)
+            if min(_rk4_step(c, normalized, yi, mid) for c, yi in zip(rates, y)) <= 0.0:
+                hi = mid
+            else:
+                lo = mid
+        ext_time = t + 0.5 * (lo + hi)
     return AnsatzTrajectory(
         model=model,
         system=system,
-        ts=np.array(ts),
-        coeffs=np.array(ys),
+        ts=np.array(ts[: steps + 1]),
+        coeffs=np.array([col[: steps + 1] for col in cols]).T.copy(),
         extinct=extinct,
         extinction_numeric=ext_time,
     )

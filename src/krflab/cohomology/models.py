@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
-from ..serialize import SCHEMA_VERSION, check_schema, integer, read_json
+from ..serialize import SCHEMA_VERSION, check_schema, integer, read_json, string
 from . import (
     ClassVector,
     ConeSpec,
@@ -209,18 +209,26 @@ _BUILTINS = {
 }
 
 
+#: the built-in models built so far, shared by every caller in the process;
+#: a built-in kernel's memo is keyed by the class's (A, q), so sharing is safe
+_BUILT: dict[str, ManifoldModel] = {}
+
+
 def builtin_models() -> dict[str, ManifoldModel]:
-    """The six catalogued models, keyed by CLI name."""
-    return {name: build() for name, build in _BUILTINS.items()}
+    """The six catalogued models, keyed by CLI name; the same instances on every call."""
+    return {name: get_model(name) for name in _BUILTINS}
 
 
 def get_model(name: str) -> ManifoldModel:
-    """Build the one built-in model of that name."""
-    if name not in _BUILTINS:
-        raise KeyError(
-            f"unknown model {name!r}; built-ins: {', '.join(sorted(_BUILTINS))}"
-        )
-    return _BUILTINS[name]()
+    """The one built-in model of that name, built on first use."""
+    model = _BUILT.get(name)
+    if model is None:
+        if name not in _BUILTINS:
+            raise KeyError(
+                f"unknown model {name!r}; built-ins: {', '.join(sorted(_BUILTINS))}"
+            )
+        model = _BUILT[name] = _BUILTINS[name]()
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -263,23 +271,23 @@ def model_from_dict(data: dict) -> ManifoldModel:
         raise ValueError(f"a model must be a JSON object, got {data!r}")
     check_schema(data, "model")
     n = integer(data["n"], "n")
-    basis = tuple(data["basis"])
+    basis = tuple(string(label, "basis label") for label in data["basis"])
     kod = data["kodaira"]
     return ManifoldModel(
-        name=data["name"],
+        name=string(data["name"], "model name"),
         n=n,
         basis=basis,
         tensor=IntersectionTensor(n=n, dim=len(basis), entries=_decode(data["tensor"])),
         c1twopi=ClassVector.of(data["c1twopi"]),
         cone=ConeSpec(
             tuple(
-                (item["label"], PolyFunctional(_decode(item["monomials"])))
+                (string(item["label"], "cone label"), PolyFunctional(_decode(item["monomials"])))
                 for item in data["cone"]
             )
         ),
         catalogue=tuple(
             SubvarietyEntry(
-                label=item["label"],
+                label=string(item["label"], "subvariety label"),
                 dim=integer(item["dim"], f"[{item['label']}] dim"),
                 pairing=_decode(item["pairing"]),
             )

@@ -1,7 +1,8 @@
 """Class coordinates, deterministic CSV/JSON emission, and run manifests.
 
 It owns the JSON format: every payload written leads with ``SCHEMA_VERSION``,
-every file read must carry it, and ``integer`` and ``number`` type a field.
+every file read must carry it, and ``integer``, ``number`` and ``string``
+type a field.
 Rationals travel as "p/q" strings end to end so the exact code paths are
 never contaminated by floats: ``str`` writes a Fraction and
 ``cohomology.as_fraction`` reads one back, here and in the model catalogue.
@@ -105,6 +106,13 @@ def number(x, what: str) -> float:
     if isinstance(x, (int, float)) and not isinstance(x, bool):
         return float(x)
     raise TypeError(f"{what} must be a number, got {x!r}")
+
+
+def string(x, what: str) -> str:
+    """x if it is a str; a number, a bool, a list or null is a TypeError."""
+    if isinstance(x, str):
+        return x
+    raise TypeError(f"{what} must be a string, got {x!r}")
 
 
 def write_manifest(

@@ -211,6 +211,27 @@ def test_crosscheck_reads_the_models_it_is_given():
     assert chk.ansatz_time == F(3, 2) and chk.cohomology_time is None and not chk.equal
 
 
+def test_crosscheck_builds_the_builtin_models_once(monkeypatch):
+    from krflab.cohomology import models as coh_models
+
+    monkeypatch.setattr(coh_models, "_BUILT", {})  # as in a fresh process
+    checks = [
+        az.AnsatzModel.of(az.ROUND_P1, [F(7, 3)]),
+        az.AnsatzModel.of(az.P1XP1, [2, F(5, 4)]),
+        az.AnsatzModel.of(az.PRODUCT_EC, [1, 3]),
+    ]
+    first = [az.crosscheck_T(model) for model in checks]
+    built = []
+    for name, build in list(coh_models._BUILTINS.items()):
+        monkeypatch.setitem(
+            coh_models._BUILTINS, name, lambda name=name, build=build: built.append(name) or build()
+        )
+    for _ in range(3):
+        assert [az.crosscheck_T(model) for model in checks] == first
+    assert built == []
+    assert az.cohomology_counterpart(checks[0])[0] is coh_models.get_model("cp1")
+
+
 def test_cross_time_rows_fail_on_a_corrupted_sphere():
     from krflab.cohomology import models as coh_models
 
@@ -275,10 +296,16 @@ def test_round_p1_volume_tracks_scale_and_collapse():
 
 @pytest.mark.parametrize(
     "kind, scales",
-    [(az.ROUND_P1, [F(1234, 1000)]), (az.P1XP1, [F(3), F(7, 5)]), (az.PRODUCT_EC, [F(2), F(1, 2)])],
+    [
+        (az.ROUND_P1, [F(1234, 1000)]),
+        (az.P1XP1, [F(3), F(7, 5)]),  # the second scale dies first
+        (az.PRODUCT_EC, [F(2), F(1, 2)]),
+        (az.P1XP1, [F(7, 5), F(3)]),  # the first scale dies first
+        (az.P1XP1, [F(2), F(2)]),  # both die on one step
+    ],
 )
 @pytest.mark.parametrize("mode", [az.UNNORMALIZED, az.NORMALIZED])
-@pytest.mark.parametrize("t_end, dt", [(2.0, 1e-3), (1.2345, 1e-2)])
+@pytest.mark.parametrize("t_end, dt", [(2.0, 1e-3), (1.2345, 1e-2), (1.05, 0.6)])
 def test_float_steps_are_bit_identical_to_the_array_oracle(kind, scales, mode, t_end, dt):
     model = az.AnsatzModel.of(kind, scales, mode)
     traj = az.integrate(model, t_end, dt=dt)
@@ -293,3 +320,8 @@ def test_float_steps_are_bit_identical_to_the_array_oracle(kind, scales, mode, t
         assert traj.ts[-1] < traj.extinction_numeric < traj.ts[-1] + dt
     else:
         assert traj.ts[-1] == pytest.approx(t_end, abs=1e-12)
+    # 1.05 is a step of 0.6 and a short one of 0.45: the unnormalized
+    # spheres and the normalized [2, 2] outlive the first and die in the short one
+    if (t_end, dt) == (1.05, 0.6) and traj.extinct:
+        if mode == az.UNNORMALIZED or scales == [2, 2]:
+            assert traj.ts.tolist() == [0.0, 0.6] and traj.extinction_numeric > 0.6

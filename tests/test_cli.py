@@ -143,6 +143,33 @@ def test_catalogue_with_a_bad_value_or_key_is_a_usage_error(tmp_path, capsys, fi
 @pytest.mark.parametrize(
     "field, value, message",
     [
+        ("basis", [1], "basis label must be a string, got 1"),
+        ("name", 7, "model name must be a string, got 7"),
+        ("cone", [{"label": 7, "monomials": {"1": "1"}}], "cone label must be a string, got 7"),
+        (
+            "catalogue",
+            [{"label": 7, "dim": 1, "pairing": {"0": "1"}}],
+            "subvariety label must be a string, got 7",
+        ),
+    ],
+    ids=["basis", "name", "cone-label", "subvariety-label"],
+)
+@pytest.mark.parametrize("argv", [["models"], ["maxtime", "cp1", "1"]], ids=["models", "maxtime"])
+def test_catalogue_with_a_label_that_is_not_a_string_is_a_usage_error(
+    tmp_path, capsys, field, value, message, argv
+):
+    # a label of 1 loaded: models ended in a TypeError traceback from
+    # ", ".join(model.basis) (exit 1) and maxtime exited 0; a name of 7 loaded
+    # as a model that no maxtime argument can name
+    path = builtin_catalogue(tmp_path, "cp1", **{field: value})
+    assert cli.main([*argv, "--catalogue", path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
         ("n", 2.7, "n must be an integer, got 2.7"),
         ("dim", 1.9, "dim must be an integer, got 1.9"),
         ("kodaira", 0.5, "kodaira must be an integer, got 0.5"),
@@ -919,6 +946,28 @@ def test_verify_bad_flow_grid_is_a_usage_error(grid, capsys):
     assert "criterion 1" not in captured.out
 
 
+def test_importing_the_cli_builds_no_model():
+    # the built-in models are built on first use, never at import
+    code = (
+        "import krflab.cohomology as coh\n"
+        "built = []\n"
+        "check = coh.ManifoldModel.__post_init__\n"
+        "coh.ManifoldModel.__post_init__ = lambda self: built.append(self.name) or check(self)\n"
+        "import krflab.cli\n"
+        "from krflab.cohomology import models\n"
+        "print(built, sorted(models._BUILT))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", code],
+        env={"PYTHONPATH": src, "PATH": ""},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "[] []"
+
+
 def test_exact_commands_load_no_numpy():
     # a fresh interpreter: the exact commands need only the class engine
     code = (
@@ -935,7 +984,7 @@ def test_exact_commands_load_no_numpy():
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-B", "-c", code],
         env={"PYTHONPATH": src, "PATH": ""},
         capture_output=True,
         text=True,

@@ -317,9 +317,30 @@ def test_get_model_builds_only_the_named_model(monkeypatch):
     def refuse():
         raise AssertionError("built a model nobody asked for")
 
-    for name in models.builtin_models():
+    monkeypatch.setattr(models, "_BUILT", {})  # nothing built yet, as in a fresh process
+    for name in list(models._BUILTINS):
         if name != "cp1":
             monkeypatch.setitem(models._BUILTINS, name, refuse)
     assert models.get_model("cp1").name == "cp1"
     with pytest.raises(KeyError):
         models.get_model("p2")
+
+
+def test_builtin_models_are_built_once_and_shared():
+    cp1 = models.get_model("cp1")
+    assert models.get_model("cp1") is cp1
+    first, second = models.builtin_models(), models.builtin_models()
+    assert list(first) == list(models._BUILTINS) and first is not second
+    assert all(first[name] is second[name] is models.get_model(name) for name in first)
+    first["cp1"] = None  # the caller's dict, not the shared models
+    assert models.builtin_models()["cp1"] is cp1
+
+
+def test_catalogue_models_and_kernels_stay_per_instance(tmp_path):
+    path = tmp_path / "catalogue.json"
+    write_json(path, models.catalogue_to_dict(models.builtin_models()))
+    first, second = models.load_catalogue(path), models.load_catalogue(path)
+    for name, builtin in models.builtin_models().items():
+        a, b = first[name], second[name]
+        assert a == b == builtin and a is not b and a is not builtin
+        assert len({id(a.kernel), id(b.kernel), id(builtin.kernel)}) == 3
