@@ -218,6 +218,7 @@ def load_flow_config(
     import numpy as np
 
     from . import maflow as mf
+    from .maflow.background import field_from_modes
 
     cfg = ser.read_json(path, "flow config")
     run_keys = {key: value for key, value in cfg.items() if key not in FLOW_GRID_KEYS}
@@ -228,12 +229,10 @@ def load_flow_config(
     n = ser.integer(cfg["n"], "n")
     N = ser.integer(cfg["N"], "N")
     g0 = np.array([[_g0_entry(cfg["g0"][i][j]) for j in range(n)] for i in range(n)])
-    shell = mf.TorusBackground(n=n, N=N, g0=g0)
     f_modes = _modes_from_config(cfg.get("f_modes"))
-    f = shell.field_from_modes(f_modes) if f_modes else None
+    f = field_from_modes(n, N, f_modes) if f_modes else None
     bg = mf.TorusBackground(n=n, N=N, g0=g0, f=f)
-    phi0_modes = _modes_from_config(cfg.get("phi0_modes"))
-    phi0 = bg.field_from_modes(phi0_modes) if phi0_modes else np.zeros(bg.shape)
+    phi0 = field_from_modes(n, N, _modes_from_config(cfg.get("phi0_modes")))
     return bg, run_cfg, phi0, cfg.get("output")
 
 

@@ -7,20 +7,14 @@ are exact on the discrete Fourier basis: on the mode
 exp(2*pi*i*(k.x + l.y)) the operator d/dz_j d/dzbar_k acts as
 -pi^2 * w_j * conj(w_k) with w = l + i*k.
 
-One kernel computes every metric quantity, and it starts from the rfftn
-half spectrum of the potential: each real component of the Hessian (H_00,
-and for n = 2 also H_11, Re H_01, Im H_01) is one inverse real transform
-(``field``) of that spectrum times a real symbol table, so a caller that
-already holds the spectrum, as the time stepper does, pays no forward
-transform.  The metric g0 + H, its determinant, eigenvalues, inverse and
-traces, and the Ricci form -H(log det) all follow pointwise from these
-components.  A forward transform (``spectrum``) is rfftn's own sequence
-of numpy one-axis transforms, called directly.  The inverse gives
-irfftn's field: on grids of up to MATRIX_MAX_N points per
-axis it is a product of precomputed DFT matrices, one per axis (for
-n = 2 the outermost axis is numpy's ifft), where small transforms spend
-their time in strided passes and call overhead; on finer grids it is
-irfftn itself.  Nyquist convention: the half
+One kernel computes every metric quantity from the rfftn half spectrum
+of the potential: each real component of the Hessian (H_00, and for
+n = 2 also H_11, Re H_01, Im H_01) is one inverse real transform
+(``field``) of that spectrum times a real symbol table.  The metric
+g0 + H, its determinant, eigenvalues, inverse and traces, and the Ricci
+form -H(log det) follow pointwise from these components.  ``spectrum`` is
+rfftn to the bit, and ``field`` gives irfftn's field, by DFT matrices on
+grids of up to MATRIX_MAX_N points per axis.  Nyquist convention: the half
 spectrum carries the wavenumber N/2 as -N/2 (numpy's fftfreq), and the
 inverse extends each product to the other half by Hermitian symmetry, so
 every component is a real field; on the Nyquist planes H_01 therefore
@@ -64,6 +58,42 @@ def check_grid(N: int) -> None:
         raise ValueError(f"grid resolution must be a power of two, >= 4, got {N}")
 
 
+def _check_dimensions(n: int, N: int) -> None:
+    """Raise ValueError unless n is 1 or 2 and N is a supported resolution."""
+    if n not in (1, 2):
+        raise ValueError("complex dimension must be 1 or 2")
+    check_grid(N)
+
+
+def grid_coordinates(n: int, N: int) -> list[np.ndarray]:
+    """Meshgrid arrays (x_1, y_1, ..., x_n, y_n) over the grid of N points per axis."""
+    _check_dimensions(n, N)
+    axes = [np.arange(N) / N] * (2 * n)
+    return list(np.meshgrid(*axes, indexing="ij"))
+
+
+def field_from_modes(n: int, N: int, modes: Sequence[tuple]) -> np.ndarray:
+    """Real field on the grid from (frequency, cos_amp, sin_amp) triples.
+
+    Frequencies are int tuples of length 2n ordered like the grid axes,
+    amplitudes numbers (another type is a TypeError); the all-zero
+    frequency contributes a constant offset.
+    """
+    coords = grid_coordinates(n, N)
+    shape = coords[0].shape
+    out = np.zeros(shape)
+    for freq, cos_amp, sin_amp in modes:
+        freq = tuple(integer(v, "a mode frequency") for v in freq)
+        if len(freq) != 2 * n:
+            raise ValueError(f"frequency {freq} must have length {2 * n}")
+        phase = np.zeros(shape)
+        for ax, fv in enumerate(freq):
+            if fv:
+                phase = phase + 2.0 * np.pi * fv * coords[ax]
+        out += number(cos_amp, "cos") * np.cos(phase) + number(sin_amp, "sin") * np.sin(phase)
+    return out
+
+
 def _as_g0(n: int, g0) -> np.ndarray:
     arr = np.asarray(g0, dtype=complex)
     if arr.ndim == 0:
@@ -95,9 +125,7 @@ class TorusBackground:
     f: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.n not in (1, 2):
-            raise ValueError("complex dimension must be 1 or 2")
-        check_grid(self.N)
+        _check_dimensions(self.n, self.N)
         self.g0 = _as_g0(self.n, self.g0)
         self.det_g0 = float(np.linalg.det(self.g0).real)
         if self.f is not None:
@@ -122,29 +150,10 @@ class TorusBackground:
         return self._log_density
 
     def coordinates(self) -> list[np.ndarray]:
-        """Meshgrid arrays (x_1, y_1, ..., x_n, y_n) over the grid."""
-        axes = [np.arange(self.N) / self.N] * (2 * self.n)
-        return list(np.meshgrid(*axes, indexing="ij"))
+        return grid_coordinates(self.n, self.N)
 
     def field_from_modes(self, modes: Sequence[tuple]) -> np.ndarray:
-        """Real field from (frequency, cos_amp, sin_amp) triples.
-
-        Frequencies are int tuples of length 2n ordered like the grid axes,
-        amplitudes numbers (another type is a TypeError); the all-zero
-        frequency contributes a constant offset.
-        """
-        coords = self.coordinates()
-        out = np.zeros(self.shape)
-        for freq, cos_amp, sin_amp in modes:
-            freq = tuple(integer(v, "a mode frequency") for v in freq)
-            if len(freq) != 2 * self.n:
-                raise ValueError(f"frequency {freq} must have length {2 * self.n}")
-            phase = np.zeros(self.shape)
-            for ax, fv in enumerate(freq):
-                if fv:
-                    phase = phase + 2.0 * np.pi * fv * coords[ax]
-            out += number(cos_amp, "cos") * np.cos(phase) + number(sin_amp, "sin") * np.sin(phase)
-        return out
+        return field_from_modes(self.n, self.N, modes)
 
     # -- spectral machinery --------------------------------------------------
 
@@ -194,13 +203,10 @@ class TorusBackground:
         self._log_density_k = None if self.f is None else self.spectrum(self._log_density)
 
     def spectrum(self, psi: np.ndarray) -> np.ndarray:
-        """rfftn half spectrum of a real field on the grid.
+        """rfftn half spectrum of a real field on the grid, to the bit.
 
-        It makes the calls rfftn itself makes, an rfft along the last axis
-        and then an fft along each other axis from the last to the first,
-        so the output is rfftn's to the bit; calling them directly skips
-        rfftn's argument handling, which costs more than a small grid's
-        transform.
+        It makes rfftn's own calls: an rfft along the last axis, then an
+        fft along each other axis from the last to the first.
         """
         psik = np.fft.rfft(psi)
         for axis in range(2 * self.n - 2, -1, -1):
@@ -215,9 +221,8 @@ class TorusBackground:
         per axis it is one matrix product per axis: each complex axis by the
         N x N inverse DFT, then the half axis, its (re, im) pairs read as
         2(N/2 + 1) reals, by the real matrix of ``_inverse_dft_tables``.
-        For n = 2 the outermost axis is numpy's ifft instead, which runs
-        along it in unit-stride bundles, so that each field is still one
-        numpy transform where profilers count them.
+        For n = 2 the outermost axis is numpy's ifft, so that each field
+        is one numpy transform where profilers count them.
         """
         N = self.N
         if N > MATRIX_MAX_N:
@@ -253,7 +258,7 @@ class TorusBackground:
         parts = []
         for sym, odd in zip(self._symbols, self._odd_symbols):
             product = sym * psik
-            if odd:  # times the half spectrum of psi instead, on the planes
+            if odd:  # on the planes, times the half spectrum of psi
                 for j, plane in zip((0, -1), planes):
                     np.multiply(sym[..., j], plane, out=product[..., j])
             parts.append(self.field(product))

@@ -6,29 +6,25 @@ absorbs the linear volume growth and turns the twisted stationary problem
 log(det(g0 + H(phi)) / Omega) = phi into the flow's fixed point.
 
 ``run`` integrates with ETDRK4 (Cox & Matthews, J. Comput. Phys. 176,
-2002).  The stiff linear part L, the background Laplacian (minus one when
-normalized), is diagonal on the rfftn half grid and is applied exactly;
-the rest of the velocity, N(phi) = log(det / Omega) - Laplacian(phi), is
-evaluated by the metric kernel at each stage, straight from the stage's
-half spectrum: a stage never forms phi.  The exponential
-coefficients come from their closed forms, or near L*h = 0, where those
-cancel, from contour integrals (Kassam & Trefethen, SIAM J. Sci. Comput.
-26, 2005), both in one evaluation per step size.  An embedded
-second-order solution built from the same
-stages controls the step inside each record interval, and records are
-spaced in simulated time as ``record_every`` steps of the explicit scheme
-would be.  A record reuses the metric of the accepted step's result
-stage and its forward transform of log det, so its snapshot adds only the
-inverse Ricci transforms, and the spectral tail is read off the same half
-spectrum.
-Every quantity derives from the background's one metric kernel; one
-check (``_positivity_floor``) guards positivity at every stage, and the
+2002) on the rfftn half grid: the stiff linear part L, the background
+Laplacian (minus one when normalized), is applied exactly, and the rest
+of the velocity, N(phi) = log(det / Omega) - Laplacian(phi), is evaluated
+by the metric kernel straight from each stage's half spectrum.  The
+exponential coefficients are real, since L is: closed forms, or near
+L*h = 0, where those cancel, the Taylor series of the phi-functions
+(Hochbruck & Ostermann, Acta Numerica 19, 2010), evaluated once per step
+size.  An embedded second-order solution controls the step, and records
+are spaced in simulated time as ``record_every`` steps of the explicit
+scheme would be.  A state's metric is one ``StageMetric``, which a record
+reuses from its step, spectrum of log(det / Omega) included.  Its one
+producer, ``_metric``, guards positivity at every stage, and the
 accept/shrink rule sits in ``run``'s one stepping loop, ``_integrate``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from math import factorial
 from typing import Optional
 
 import numpy as np
@@ -55,12 +51,23 @@ CONVERGENCE_TOL = 1e-10
 MAX_HALVINGS = 8
 #: an ETD step is accepted when its embedded pair differs by at most this (sup norm)
 ETD_TOL = 1e-6
-#: contour points for the ETD coefficients: the upper half of the unit circle
-#: (L is real, so the real part of the half-circle mean is the full mean)
-_CONTOUR = np.exp(1j * np.pi * (np.arange(32) + 0.5) / 32)
 #: |L*h| below which the closed forms of the ETD coefficients lose digits
-#: to cancellation and the contour mean replaces them
+#: to cancellation and their Taylor series replace them
 _NEAR_ZERO = 0.5
+#: Taylor coefficients of the rows of ``_etd_terms`` by power of z, from
+#: phi_k(z) = sum_j z^j / (j + k)!: Q/h = phi_1(z/2) / 2, f1/h = phi_1 -
+#: 3 phi_2 + 4 phi_3, f2/h = phi_2 - 2 phi_3, f3/h = -phi_2 + 4 phi_3, phi_1,
+#: phi_2.  Below _NEAR_ZERO the first power left out is < 1e-18 of each row.
+_TAYLOR = np.array(
+    [
+        [0.5 ** (j + 1) / factorial(j + 1) for j in range(16)],
+        [(j + 1) ** 2 / factorial(j + 3) for j in range(16)],
+        [(j + 1) / factorial(j + 3) for j in range(16)],
+        [(1 - j) / factorial(j + 3) for j in range(16)],
+        [1 / factorial(j + 1) for j in range(16)],
+        [1 / factorial(j + 2) for j in range(16)],
+    ]
+)
 
 
 class StepFailure(DomainError):
@@ -118,18 +125,6 @@ def initial_state(
     return FlowState(t=0.0, phi=phi, mode=mode)
 
 
-def _positivity_floor(eig_min: np.ndarray, eps_pos: float) -> float:
-    """Min of the eigenvalue field; raises unless it is at least eps_pos.
-
-    Written as ``not floor >= eps_pos`` so that a NaN anywhere fails too.
-    """
-    floor = float(eig_min.min())
-    if not floor >= eps_pos:
-        loc = np.unravel_index(int(np.argmin(eig_min)), eig_min.shape)
-        raise AdmissibilityError(floor, tuple(int(i) for i in loc), eps_pos)
-    return floor
-
-
 def _velocity(
     bg: TorusBackground, log_det: np.ndarray, phi: np.ndarray, mode: str
 ) -> np.ndarray:
@@ -140,23 +135,37 @@ def _velocity(
     return rhs
 
 
-def _metric(bg: TorusBackground, vk: np.ndarray, eps_pos: float) -> tuple:
-    """(g, det, floor, log det) of g0 + H(phi), phi = irfftn(vk).
-
-    g holds the metric components, floor is the min eigenvalue, and
-    positivity is checked.
+@dataclass
+class StageMetric:
+    """The metric g0 + H(phi) of one state: components g ([a] or [a, d, p, q]),
+    det, min eigenvalue floor, log_det, and ratio_k, the rfftn half spectrum
+    of log(det / Omega), from which a stage forms N-hat and a record R.
     """
+
+    g: list[np.ndarray]
+    det: np.ndarray
+    floor: float
+    log_det: np.ndarray
+    ratio_k: np.ndarray
+
+
+def _metric(bg: TorusBackground, vk: np.ndarray, eps_pos: float) -> StageMetric:
+    """The metric at phi = irfftn(vk); raises unless floor >= eps_pos (a NaN fails)."""
     g, det, eig_min = bg.fast_metric_fields(vk)
-    floor = _positivity_floor(eig_min, eps_pos)
-    return g, det, floor, np.log(det)
+    floor = float(eig_min.min())
+    if not floor >= eps_pos:
+        loc = np.unravel_index(int(np.argmin(eig_min)), eig_min.shape)
+        raise AdmissibilityError(floor, tuple(int(i) for i in loc), eps_pos)
+    log_det = np.log(det)
+    return StageMetric(g, det, floor, log_det, bg.spectrum(log_det - bg.log_density))
 
 
 def ma_rhs(
     bg: TorusBackground, state: FlowState, eps_pos: float = EPS_POS
 ) -> np.ndarray:
     """Instantaneous potential velocity at the state (admissibility checked)."""
-    log_det = _metric(bg, bg.spectrum(state.phi), eps_pos)[3]
-    return _velocity(bg, log_det, state.phi, state.mode)
+    metric = _metric(bg, bg.spectrum(state.phi), eps_pos)
+    return _velocity(bg, metric.log_det, state.phi, state.mode)
 
 
 def _cfl_bound(bg: TorusBackground, min_eig: float) -> float:
@@ -166,7 +175,7 @@ def _cfl_bound(bg: TorusBackground, min_eig: float) -> float:
 
 def current_cfl_bound(bg: TorusBackground, state: FlowState) -> float:
     """CFL bound at the state; raises AdmissibilityError unless it is admissible."""
-    return _cfl_bound(bg, _metric(bg, bg.spectrum(state.phi), EPS_POS)[2])
+    return _cfl_bound(bg, _metric(bg, bg.spectrum(state.phi), EPS_POS).floor)
 
 
 # ---------------------------------------------------------------------------
@@ -174,24 +183,16 @@ def current_cfl_bound(bg: TorusBackground, state: FlowState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _curvature(bg: TorusBackground, metric: tuple) -> tuple:
-    """(hess, R) of the metric (g, det, floor, log det) that ``_metric`` returns.
-
-    hess holds the components of H(log det), minus the Ricci form, and R
-    is the scalar curvature tr(g^{-1} Ric).  A metric from ``_Etdrk4.stage``
-    also carries the spectrum of log(det / Omega), and the spectrum of log
-    det is that plus the background's spectrum of log Omega, with no
-    transform.
+def _curvature(bg: TorusBackground, metric: StageMetric) -> tuple:
+    """(hess, R) of the metric: hess holds the components of H(log det), minus
+    the Ricci form, and R is the scalar curvature tr(g^{-1} Ric).  The
+    spectrum of log det is ratio_k plus the background's of log Omega.
     """
-    g, det, _, log_det, *ratio_k = metric
-    if not ratio_k:
-        log_det_k = bg.spectrum(log_det)
-    elif bg._log_density_k is None:
-        log_det_k = ratio_k[0]
-    else:
-        log_det_k = ratio_k[0] + bg._log_density_k
+    log_det_k = metric.ratio_k
+    if bg._log_density_k is not None:
+        log_det_k = log_det_k + bg._log_density_k
     hess = bg._hessian_parts(log_det_k)
-    return hess, -_trace_ratio(g, det, hess)
+    return hess, -_trace_ratio(metric.g, metric.det, hess)
 
 
 # ---------------------------------------------------------------------------
@@ -262,31 +263,29 @@ def snapshot(
     state: FlowState,
     eps_pos: float = EPS_POS,
     *,
-    metric: Optional[tuple] = None,
+    metric: Optional[StageMetric] = None,
 ) -> DiagnosticsRecord:
     """Diagnostics record of the state.
 
-    ``metric`` is the state's metric from ``_Etdrk4.stage`` (or from
-    ``_metric``) when the caller already holds it, as ``run`` does from its
-    accepted stage; by default it is computed from phi.
+    ``metric`` is the state's metric when the caller already holds it, as
+    ``run`` does from its accepted stage; by default it is computed from
+    phi.
     """
     if metric is None:
         metric = _metric(bg, bg.spectrum(state.phi), eps_pos)
-    g, det, floor, log_det = metric[:4]
     scal = _curvature(bg, metric)[1]
-    rhs = _velocity(bg, log_det, state.phi, state.mode)
-    trace0 = _trace_ratio(bg._g0_parts, bg.det_g0, g)
+    rhs = _velocity(bg, metric.log_det, state.phi, state.mode)
+    trace0 = _trace_ratio(bg._g0_parts, bg.det_g0, metric.g)
     phi, size = state.phi, state.phi.size
-    # means as sum / size: what ndarray.mean computes, without its wrapper
     return DiagnosticsRecord(
         t=state.t,
         sup_phi=float(np.abs(phi).max()),
         sup_phidot=float(np.abs(rhs).max()),
-        min_eig=floor,
+        min_eig=metric.floor,
         inf_R=float(scal.min()),
         sup_R=float(scal.max()),
         sup_trace=float(trace0.max()),
-        volume=float(det.sum() / size),
+        volume=float(metric.det.sum() / size),
         energy=float(np.sqrt(((phi - phi.sum() / size) ** 2).sum() / size)),
     )
 
@@ -320,37 +319,52 @@ class RunConfig:
 
 
 def _etd_terms(z: np.ndarray, ez2: np.ndarray) -> np.ndarray:
-    """Q/h, f1/h, f2/h, f3/h, phi1 and phi2 at z by their closed forms (z != 0).
+    """Q/h, f1/h, f2/h, f3/h, phi1 and phi2 at the ascending values z <= 0.
 
-    ez2 is exp(z/2).  Each row is written into the result as it is formed.
+    ez2 is exp(z/2).  Values with |z| < _NEAR_ZERO, which come last, take
+    the Taylor series of ``_TAYLOR``, one product with their powers; the
+    others take the closed forms, each row written into the result as it
+    is formed.
     """
+    far = int(np.searchsorted(z, -_NEAR_ZERO, side="right"))
+    terms = np.empty((6, z.size))
+    terms[:, far:] = _TAYLOR @ np.vander(z[far:], _TAYLOR.shape[1], increasing=True).T
+    z, ez2 = z[:far], ez2[:far]
     ez = ez2 * ez2
     z2 = z * z
     z3 = z2 * z
-    terms = np.empty((6,) + z.shape, dtype=z.dtype)
-    terms[0] = (ez2 - 1.0) / z
-    terms[1] = (-4.0 - z + ez * (4.0 - 3.0 * z + z2)) / z3
-    terms[2] = (2.0 + z + ez * (z - 2.0)) / z3
-    terms[3] = (-4.0 - 3.0 * z - z2 + ez * (4.0 - z)) / z3
-    terms[4] = (ez - 1.0) / z
-    terms[5] = (ez - 1.0 - z) / z2
+    terms[0, :far] = (ez2 - 1.0) / z
+    terms[1, :far] = (-4.0 - z + ez * (4.0 - 3.0 * z + z2)) / z3
+    terms[2, :far] = (2.0 + z + ez * (z - 2.0)) / z3
+    terms[3, :far] = (-4.0 - 3.0 * z - z2 + ez * (4.0 - z)) / z3
+    terms[4, :far] = (ez - 1.0) / z
+    terms[5, :far] = (ez - 1.0 - z) / z2
     return terms
+
+
+@dataclass
+class _Step:
+    """One ETDRK4 attempt: err, the sup norm of its embedded error estimate,
+    and, when err is within ETD_TOL, the new state's half spectrum vk,
+    potential phi, metric and sup|velocity| speed.
+    """
+
+    err: float
+    vk: Optional[np.ndarray] = None
+    phi: Optional[np.ndarray] = None
+    metric: Optional[StageMetric] = None
+    speed: Optional[float] = None
 
 
 class _Etdrk4:
     """ETDRK4 on the rfftn half grid for phi' = L phi + N(phi).
 
-    L is the background Laplacian symbol, minus one in normalized mode.  N
-    is the rest of the velocity, so N-hat = rfftn(log det - log density)
-    - lap * phi-hat costs no transform beyond the stage's own: a stage is
-    the metric kernel on the stage's half spectrum (one inverse transform,
-    ``bg.field``, per Hessian component: DFT matrices up to MATRIX_MAX_N
-    points per axis, irfftn above) and one forward rfftn, and only the
-    result stage adds the inverse that forms phi.  The stepping loop
-    carries the result stage's rfftn, from which the next step forms its
-    N-hat and a record the spectrum of log det.  The coefficients are
-    evaluated once per step size, on the distinct values of L*h only, in
-    one call of their closed forms, held for the current h alone, and
+    L is the background Laplacian symbol, minus one in normalized mode, and
+    N-hat = ratio_k - lap * phi-hat, with ratio_k the stage metric's
+    spectrum of log(det / Omega).  A stage is one kernel evaluation: one
+    inverse transform per Hessian component and one forward transform; the
+    result stage adds the inverse that forms phi.  The coefficients are
+    held for the current h alone, on the distinct values of L*h, and
     gathered to the grid where they are used.
     """
 
@@ -364,21 +378,14 @@ class _Etdrk4:
         self.table: dict[str, np.ndarray] = {}
         self.rhs_evals = 0
 
-    def stage(self, vk: np.ndarray) -> tuple:
-        """The metric at the half spectrum vk, with rfftn(log(det / Omega)).
-
-        That is ``_metric``'s (g, det, floor, log det) followed by the
-        spectrum, which gives N-hat and a record's ``_curvature`` its
-        spectrum of log det.
-        """
-        bg = self.bg
+    def stage(self, vk: np.ndarray) -> StageMetric:
+        """The metric at the half spectrum vk, counted as a kernel evaluation."""
         self.rhs_evals += 1
-        metric = _metric(bg, vk, self.eps_pos)
-        return metric + (bg.spectrum(metric[3] - bg.log_density),)
+        return _metric(self.bg, vk, self.eps_pos)
 
     def nonlinear(self, vk: np.ndarray) -> np.ndarray:
         """N-hat at the half spectrum vk."""
-        return self.stage(vk)[4] - self.lap * vk
+        return self.stage(vk).ratio_k - self.lap * vk
 
     def coefficients(self, h: float) -> dict[str, np.ndarray]:
         """E, E^(1/2), Q, f1, f2, f3 and the error weights g1, g3 per distinct L*h.
@@ -387,28 +394,12 @@ class _Etdrk4:
         are the Cox-Matthews weights.  The embedded solution is
         u2 = E v + h phi1(z) N_v + h phi2(z) (N_c - N_v); u4 - u2 then
         weights N_v by g1 = f1 - h phi1 + h phi2, N_a + N_b by 2 f2 and N_c
-        by g3 = f3 - h phi2.
+        by g3 = f3 - h phi2.  L <= 0, and ``values`` ascend.
         """
         if h != self.h:
             z = h * self.values
-            # near z = 0 each term is its mean over the unit circle around z
-            # (Kassam-Trefethen), which stays 0.5 away from the removable
-            # singularity; elsewhere the closed forms are accurate to
-            # round-off.  L <= 0 and the values ascend, so the near values
-            # come last, and one complex evaluation takes the far values
-            # followed by the near values' contours; the far values reuse
-            # the real exp(z/2) of E2
-            far = int(np.searchsorted(z, -_NEAR_ZERO, side="right"))
             half = np.exp(0.5 * z)
-            circle = (z[far:, None] + _CONTOUR).ravel()
-            terms = _etd_terms(
-                np.concatenate([z[:far], circle]),
-                np.concatenate([half[:far], np.exp(0.5 * circle)]),
-            )
-            contour_sums = terms[:, far:].reshape(6, -1, _CONTOUR.size).sum(axis=-1)
-            q, f1, f2, f3, p1, p2 = h * np.concatenate(
-                [terms[:, :far].real, contour_sums.real / _CONTOUR.size], axis=1
-            )
+            q, f1, f2, f3, p1, p2 = h * _etd_terms(z, half)
             self.table = {
                 "E": np.exp(z),
                 "E2": half,
@@ -422,15 +413,12 @@ class _Etdrk4:
             self.h = h
         return self.table
 
-    def attempt(self, vk: np.ndarray, ratio_k: np.ndarray, h: float) -> tuple:
-        """One step from vk, whose stage's rfftn(log(det / Omega)) is ratio_k.
+    def attempt(self, vk: np.ndarray, ratio_k: np.ndarray, h: float) -> _Step:
+        """One step from vk, whose metric's rfftn(log(det / Omega)) is ratio_k.
 
-        Returns (result, error).
-
-        The result (vk1, phi1, metric, sup|velocity|) is evaluated,
-        and its positivity checked, only when the error is within ETD_TOL;
-        otherwise it is None.  Stage arrays are freed as soon as they are
-        spent, since the kernel's own fields dominate peak memory.
+        The new state is evaluated, and its positivity checked, only when
+        the error is within ETD_TOL.  Stage arrays are freed as soon as
+        they are spent, since the kernel's own fields dominate peak memory.
         """
         table = self.coefficients(h)
 
@@ -454,13 +442,13 @@ class _Etdrk4:
         err = float(np.abs(bg.field(diff)).max())
         del diff
         if not err <= ETD_TOL:
-            return None, err
+            return _Step(err)
         vk1 = at("E") * vk + at("f1") * nv + nab + at("f3") * nc
         del nab, nc, nv
         metric = self.stage(vk1)
         phi1 = bg.field(vk1)
-        speed = float(np.abs(_velocity(bg, metric[3], phi1, self.mode)).max())
-        return (vk1, phi1, metric, speed), err
+        speed = float(np.abs(_velocity(bg, metric.log_det, phi1, self.mode)).max())
+        return _Step(err, vk1, phi1, metric, speed)
 
 
 def run(
@@ -517,7 +505,7 @@ def _integrate(
     stall_dt = _cfl_bound(bg, g0_floor) * 2.0**-24
     vk = bg.spectrum(state.phi)
     metric = etd.stage(vk)
-    floor, ratio_k = metric[2], metric[4]
+    floor, ratio_k = metric.floor, metric.ratio_k
     series.append(snapshot(bg, state, config.eps_pos, metric=metric))
     del metric
     t_record = proposal = None
@@ -544,7 +532,7 @@ def _integrate(
         requested, halvings = h, 0
         while True:
             try:
-                result, err = etd.attempt(vk, ratio_k, h)
+                step = etd.attempt(vk, ratio_k, h)
             except AdmissibilityError as exc:
                 series.rejected += 1
                 if halvings == MAX_HALVINGS:
@@ -563,33 +551,32 @@ def _integrate(
                 halvings += 1
                 h *= 0.5
                 continue
-            if err <= ETD_TOL:
+            if step.err <= ETD_TOL:
                 break
             series.rejected += 1
             # the embedded pair differs by O(h^3), hence the cube root
-            h *= 0.9 * (ETD_TOL / err) ** (1 / 3) if np.isfinite(err) else 0.5
+            h *= 0.9 * (ETD_TOL / step.err) ** (1 / 3) if np.isfinite(step.err) else 0.5
             if h < stall_dt:
                 raise StepFailure(
                     f"error control shrank the step to {h:.3e} at t={state.t:.6g}, "
                     f"below the stall step {stall_dt:.3e}",
-                    diagnostics={"t": state.t, "dt": h, "error": err},
+                    diagnostics={"t": state.t, "dt": h, "error": step.err},
                     termination="stalled",
                 )
-        vk, phi, metric, speed = result
-        floor, ratio_k = metric[2], metric[4]
+        vk, floor, ratio_k = step.vk, step.metric.floor, step.metric.ratio_k
         series.accept(h)
-        grown = h * (min(2.0, 0.9 * (ETD_TOL / err) ** (1 / 3)) if err else 2.0)
+        grown = h * (min(2.0, 0.9 * (ETD_TOL / step.err) ** (1 / 3)) if step.err else 2.0)
         # a step clipped to the record or to dt, and taken whole, keeps the
         # controller's proposal
         clipped = proposal is not None and requested < proposal and h == requested
         proposal = max(proposal, grown) if clipped else grown
         landed = h == remaining
-        state = FlowState(t=t_record if landed else state.t + h, phi=phi, mode=config.mode)
-        converged = config.mode == NORMALIZED and speed < CONVERGENCE_TOL
+        state = FlowState(t=t_record if landed else state.t + h, phi=step.phi, mode=config.mode)
+        converged = config.mode == NORMALIZED and step.speed < CONVERGENCE_TOL
         record = landed or converged
         if record:
-            series.append(snapshot(bg, state, config.eps_pos, metric=metric))
-        del metric, result
+            series.append(snapshot(bg, state, config.eps_pos, metric=step.metric))
+        del step
         if record:
             t_record = None
             tail = bg.tail_energy_fraction(vk)

@@ -25,6 +25,7 @@ from . import ghmetric as gh
 from . import maflow as mf
 from .checks import Checks
 from .cohomology import models as coh_models
+from .maflow.background import field_from_modes
 
 
 @dataclass
@@ -181,8 +182,7 @@ def criterion_stationarity(opts: VerifyOptions, res: CriterionResult) -> None:
            "normalized flow converges to the twisted stationary solution")
 def criterion_convergence(opts: VerifyOptions, res: CriterionResult) -> None:
     N = opts.flow_grid
-    base = mf.TorusBackground(n=1, N=N, g0=[[2.0]])
-    f = base.field_from_modes([((1, 0), 0.08, 0.0), ((0, 1), 0.0, 0.05)])
+    f = field_from_modes(1, N, [((1, 0), 0.08, 0.0), ((0, 1), 0.0, 0.05)])
     bg = mf.TorusBackground(n=1, N=N, g0=[[2.0]], f=f)
     cfg = mf.RunConfig(mode=mf.NORMALIZED, t_end=30.0, record_every=200)
     final, series = mf.run(bg, cfg)

@@ -85,8 +85,9 @@ def ricci_and_scalar(
     """Ricci tensor field (grid + (n, n)) and scalar curvature field.
 
     The Ricci components are minus the complex Hessian of log det of the
-    evolving metric, read off the solver's curvature pass, whose scalar
-    curvature feeds the ``inf_R``/``sup_R`` diagnostics.
+    evolving metric, read off the solver's curvature pass on the state's
+    ``StageMetric``, whose scalar curvature feeds the ``inf_R``/``sup_R``
+    diagnostics.
     """
     metric = _metric(bg, bg.spectrum(state.phi), mf.EPS_POS)
     hess, scal = _curvature(bg, metric)

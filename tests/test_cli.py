@@ -362,6 +362,12 @@ def test_flow_config_rejects_unknown_key(tmp_path, capsys):
             {"f_modes": [{"freq": [1.5, 0], "cos": 0.01}]},
             "a mode frequency must be an integer, got 1.5",
         ),
+        # the modes are evaluated before the background is built, so the
+        # dimension is checked first
+        (
+            {"n": 3, "g0": np.eye(3).tolist(), "f_modes": [{"freq": [1] + [0] * 5, "cos": 0.01}]},
+            "complex dimension must be 1 or 2",
+        ),
     ],
 )
 def test_flow_config_with_a_bad_value_is_a_usage_error(tmp_path, capsys, overrides, reason):
@@ -391,6 +397,34 @@ def test_flow_config_with_a_short_g0_is_a_usage_error(tmp_path, capsys):
     assert cli.main(["--output-dir", str(tmp_path / "run"), "flow", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad flow config: ") and "out of range" in err
+
+
+def test_flow_config_with_modes_builds_one_background(tmp_path, monkeypatch):
+    # the twist and the initial potential are evaluated on the grid alone;
+    # the one background is the one the run uses
+    import krflab.maflow as mf
+
+    built = []
+    original = mf.TorusBackground.__post_init__
+
+    def counted(self):
+        built.append((self.n, self.N))
+        original(self)
+
+    monkeypatch.setattr(mf.TorusBackground, "__post_init__", counted)
+    cfg = stationary_config(
+        tmp_path,
+        n=2,
+        N=8,
+        g0=[[1.0, 0.0], [0.0, 1.0]],
+        f_modes=[{"freq": [1, 0, 0, 0], "cos": 0.05}],
+        phi0_modes=[{"freq": [0, 1, 1, 0], "sin": 0.004}],
+    )
+    bg, _, phi0, _ = cli.load_flow_config(cfg)
+    assert built == [(2, 8)]
+    x = bg.coordinates()[0]
+    assert np.array_equal(bg.f, 0.05 * np.cos(2 * np.pi * x))
+    assert phi0.shape == bg.shape and np.abs(phi0).max() > 0
 
 
 def test_flow_failures_map_to_the_domain_exit_code():
@@ -457,7 +491,9 @@ def test_flow_failure_writes_its_non_finite_numbers_as_null(tmp_path, monkeypatc
     # an error estimate of inf shrinks every attempt until the step stalls
     import krflab.maflow.solver as solver
 
-    monkeypatch.setattr(solver._Etdrk4, "attempt", lambda self, vk, nv, h: (None, float("inf")))
+    monkeypatch.setattr(
+        solver._Etdrk4, "attempt", lambda self, vk, ratio_k, h: solver._Step(float("inf"))
+    )
     out = tmp_path / "run"
     assert cli.main(["--output-dir", str(out), "flow", str(stationary_config(tmp_path))]) == 3
     assert "below the stall step" in capsys.readouterr().err

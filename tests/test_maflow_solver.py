@@ -3,6 +3,7 @@ import pytest
 
 import krflab.maflow as mf
 import krflab.maflow.solver as solver
+from krflab.maflow.background import field_from_modes
 from krflab.maflow.solver import _cfl_bound
 from oracles import ricci_and_scalar, rk4_step, solve_stationary_normalized
 
@@ -176,8 +177,7 @@ def test_resolution_convergence_spectral():
 
 def test_twisted_normalized_run_converges_to_stationary_solution():
     # small desk copy of the convergence acceptance criterion (which runs N=64)
-    bg = background(N=16)
-    f = bg.field_from_modes([((1, 0), 0.05, 0.0), ((0, 1), 0.0, 0.03)])
+    f = field_from_modes(1, 16, [((1, 0), 0.05, 0.0), ((0, 1), 0.0, 0.03)])
     bg = mf.TorusBackground(n=1, N=16, g0=np.eye(1), f=f)
     cfg = mf.RunConfig(mode=mf.NORMALIZED, t_end=25.0, record_every=100)
     final, series = mf.run(bg, cfg)
@@ -257,13 +257,12 @@ def rk4_reference(bg, phi0, mode, t_end):
     ],
 )
 def test_run_matches_rk4_steps_over_a_short_window(n, N, g0, mode):
-    shell = background(n=n, N=N, g0=g0)
     if n == 1:
-        f = shell.field_from_modes([((1, 0), 0.08, 0.0), ((0, 1), 0.0, 0.05)])
-        phi0 = shell.field_from_modes([((1, 1), 0.01, 0.004)])
+        f = field_from_modes(n, N, [((1, 0), 0.08, 0.0), ((0, 1), 0.0, 0.05)])
+        phi0 = field_from_modes(n, N, [((1, 1), 0.01, 0.004)])
     else:
         f = None
-        phi0 = shell.field_from_modes([((1, 0, 0, 0), 0.01, 0.0), ((0, 1, 1, 0), 0.006, 0.004)])
+        phi0 = field_from_modes(n, N, [((1, 0, 0, 0), 0.01, 0.0), ((0, 1, 1, 0), 0.006, 0.004)])
     bg = background(n=n, N=N, g0=g0, f=f)
     t_end = 20 * mf.current_cfl_bound(bg, mf.initial_state(bg, phi0))
     final, series = mf.run(bg, mf.RunConfig(mode=mode, t_end=t_end, record_every=20), phi0=phi0)
@@ -275,8 +274,7 @@ def test_run_matches_rk4_steps_over_a_short_window(n, N, g0, mode):
 
 
 def strong_twist_background():
-    bg0 = background(N=16)
-    f = bg0.field_from_modes([((1, 0), -60.0, 0.0)])
+    f = field_from_modes(1, 16, [((1, 0), -60.0, 0.0)])
     return mf.TorusBackground(n=1, N=16, g0=np.eye(1), f=f)
 
 
@@ -322,9 +320,9 @@ def test_error_control_that_never_accepts_stalls(monkeypatch):
     # stall step
     attempts = []
 
-    def attempt(self, vk, nv, h):
+    def attempt(self, vk, ratio_k, h):
         attempts.append(h)
-        return None, float("inf")
+        return solver._Step(err=float("inf"))
 
     monkeypatch.setattr(solver._Etdrk4, "attempt", attempt)
     with pytest.raises(mf.StepFailure, match="stall step") as info:
@@ -411,10 +409,9 @@ def test_total_scalar_curvature_vanishes():
 def short_run_case(n):
     """A short run that records every few steps; n=2 has an off-diagonal g0."""
     if n == 1:
-        shell = background(N=16, g0=[[2.0]])
-        f = shell.field_from_modes([((1, 0), 0.08, 0.0), ((0, 1), 0.0, 0.05)])
+        f = field_from_modes(1, 16, [((1, 0), 0.08, 0.0), ((0, 1), 0.0, 0.05)])
         bg = background(N=16, g0=[[2.0]], f=f)
-        phi0 = shell.field_from_modes([((1, 1), 0.01, 0.004)])
+        phi0 = field_from_modes(1, 16, [((1, 1), 0.01, 0.004)])
         return bg, phi0, mf.RunConfig(mode=mf.NORMALIZED, t_end=0.05, record_every=5)
     g0 = [[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 1.5]]
     bg = background(n=2, N=8, g0=g0)
@@ -474,10 +471,10 @@ def test_series_tracks_the_accepted_step_sizes(monkeypatch, n):
     real_attempt = solver._Etdrk4.attempt
 
     def attempt(self, vk, ratio_k, h):
-        result, err = real_attempt(self, vk, ratio_k, h)
-        if result is not None:
+        step = real_attempt(self, vk, ratio_k, h)
+        if step.metric is not None:
             accepted.append(h)
-        return result, err
+        return step
 
     monkeypatch.setattr(solver._Etdrk4, "attempt", attempt)
     _, series = mf.run(bg, cfg, phi0=phi0)
@@ -519,10 +516,14 @@ def test_snapshot_from_the_accepted_stage_matches_the_one_from_phi(monkeypatch, 
 
 
 def etd_reference(z: float, h: float) -> dict:
-    """E, E2, Q, f1, f2, f3, g1 and g3 at z = L*h by mpmath at 40 digits."""
+    """E, E2, Q, f1, f2, f3, g1 and g3 at z = L*h by mpmath at 90 digits.
+
+    The closed forms divide by z^3, so near z = 1e-12 they cancel about 40
+    digits, which 90 leave to spare.
+    """
     import mpmath
 
-    with mpmath.workdps(40):
+    with mpmath.workdps(90):
         z, h = mpmath.mpf(z), mpmath.mpf(h)
         ez = mpmath.exp(z)
         if z == 0:  # the removable singularity: the limits
@@ -549,12 +550,16 @@ def etd_reference(z: float, h: float) -> dict:
 @pytest.mark.parametrize("mode", mf.MODES)
 def test_etd_coefficients_match_mpmath(mode):
     # z = h*L takes the value 0 (the unnormalized k = 0 mode), values just
-    # inside and just outside the contour's disk |z| < _NEAR_ZERO, and
-    # values down to -600, where exp(z) is far below round-off
+    # inside and just outside the Taylor series' disk |z| < _NEAR_ZERO,
+    # values down to -600, where exp(z) is far below round-off, and steps
+    # whose smallest nonzero |z| is 1e-12 or 1e-6, where the closed forms
+    # cancel completely and only the series answers
     etd = solver._Etdrk4(background(N=16, g0=[[2.0]]), mode, mf.EPS_POS)
     values = etd.values
     smallest = np.abs(values[values != 0]).min()
     steps = [
+        1e-12 / smallest,
+        1e-6 / smallest,
         (1.0 - 1e-6) * solver._NEAR_ZERO / smallest,
         (1.0 + 1e-6) * solver._NEAR_ZERO / smallest,
         1e-3,
