@@ -35,34 +35,3 @@ from .solver import (
     snapshot,
 )
 
-
-__all__ = [
-    "AdmissibilityError",
-    "TorusBackground",
-    "check_grid",
-    "metric_determinant_and_eigs",
-    "GapCheck",
-    "TraceCheck",
-    "estimate_report",
-    "fit_decay_rate",
-    "gap_constant",
-    "matrix_gap_check",
-    "trace_inequalities_check",
-    "CONVERGENCE_TOL",
-    "DIAGNOSTIC_COLUMNS",
-    "EPS_POS",
-    "MODES",
-    "NORMALIZED",
-    "UNNORMALIZED",
-    "DiagnosticsRecord",
-    "DiagnosticsSeries",
-    "FlowState",
-    "RunConfig",
-    "SpectralTailError",
-    "StepFailure",
-    "current_cfl_bound",
-    "initial_state",
-    "ma_rhs",
-    "run",
-    "snapshot",
-]

@@ -13,17 +13,20 @@ by the metric kernel straight from each stage's half spectrum.  The
 exponential coefficients are real, since L is: closed forms, or near
 L*h = 0, where those cancel, the Taylor series of the phi-functions
 (Hochbruck & Ostermann, Acta Numerica 19, 2010), evaluated once per step
-size.  An embedded second-order solution controls the step, and records
-are spaced in simulated time as ``record_every`` steps of the explicit
-scheme would be.  A state's metric is one ``StageMetric``, which a record
-reuses from its step, spectrum of log(det / Omega) included.  Its one
-producer, ``_metric``, guards positivity at every stage, and the
+size.  An embedded second-order solution controls the step: its
+difference from the fourth-order one is 2 f2 (N_a + N_b - N_v - N_c).
+Records are spaced in simulated time as ``record_every`` steps of the
+explicit scheme would be.  A state's metric is one ``StageMetric``, which
+forms log(det / Omega) once and takes its one forward FFT only when a
+stage or a record reads the spectrum; a record reuses its step's.  Its
+one producer, ``_metric``, guards positivity at every stage, and the
 accept/shrink rule sits in ``run``'s one stepping loop, ``_integrate``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from math import factorial
 from typing import Optional
 
@@ -56,16 +59,14 @@ ETD_TOL = 1e-6
 _NEAR_ZERO = 0.5
 #: Taylor coefficients of the rows of ``_etd_terms`` by power of z, from
 #: phi_k(z) = sum_j z^j / (j + k)!: Q/h = phi_1(z/2) / 2, f1/h = phi_1 -
-#: 3 phi_2 + 4 phi_3, f2/h = phi_2 - 2 phi_3, f3/h = -phi_2 + 4 phi_3, phi_1,
-#: phi_2.  Below _NEAR_ZERO the first power left out is < 1e-18 of each row.
+#: 3 phi_2 + 4 phi_3, f2/h = phi_2 - 2 phi_3 and f3/h = -phi_2 + 4 phi_3.
+#: Below _NEAR_ZERO the first power left out is < 1e-18 of each row.
 _TAYLOR = np.array(
     [
         [0.5 ** (j + 1) / factorial(j + 1) for j in range(16)],
         [(j + 1) ** 2 / factorial(j + 3) for j in range(16)],
         [(j + 1) / factorial(j + 3) for j in range(16)],
         [(1 - j) / factorial(j + 3) for j in range(16)],
-        [1 / factorial(j + 1) for j in range(16)],
-        [1 / factorial(j + 2) for j in range(16)],
     ]
 )
 
@@ -125,28 +126,28 @@ def initial_state(
     return FlowState(t=0.0, phi=phi, mode=mode)
 
 
-def _velocity(
-    bg: TorusBackground, log_det: np.ndarray, phi: np.ndarray, mode: str
-) -> np.ndarray:
+def _velocity(log_ratio: np.ndarray, phi: np.ndarray, mode: str) -> np.ndarray:
     """log(det / Omega), minus phi in normalized mode."""
-    rhs = log_det - bg.log_density
-    if mode == NORMALIZED:
-        rhs = rhs - phi
-    return rhs
+    return log_ratio - phi if mode == NORMALIZED else log_ratio
 
 
 @dataclass
 class StageMetric:
-    """The metric g0 + H(phi) of one state: components g ([a] or [a, d, p, q]),
-    det, min eigenvalue floor, log_det, and ratio_k, the rfftn half spectrum
-    of log(det / Omega), from which a stage forms N-hat and a record R.
+    """The metric g0 + H(phi) of one state on the background bg: components g
+    ([a] or [a, d, p, q]), det, min eigenvalue floor, log_ratio = log(det /
+    Omega), and ratio_k, its rfftn half spectrum, from which a stage forms
+    N-hat and a record R.  ratio_k is transformed on first read.
     """
 
+    bg: TorusBackground
     g: list[np.ndarray]
     det: np.ndarray
     floor: float
-    log_det: np.ndarray
-    ratio_k: np.ndarray
+    log_ratio: np.ndarray
+
+    @cached_property
+    def ratio_k(self) -> np.ndarray:
+        return self.bg.spectrum(self.log_ratio)
 
 
 def _metric(bg: TorusBackground, vk: np.ndarray, eps_pos: float) -> StageMetric:
@@ -156,8 +157,7 @@ def _metric(bg: TorusBackground, vk: np.ndarray, eps_pos: float) -> StageMetric:
     if not floor >= eps_pos:
         loc = np.unravel_index(int(np.argmin(eig_min)), eig_min.shape)
         raise AdmissibilityError(floor, tuple(int(i) for i in loc), eps_pos)
-    log_det = np.log(det)
-    return StageMetric(g, det, floor, log_det, bg.spectrum(log_det - bg.log_density))
+    return StageMetric(bg, g, det, floor, np.log(det) - bg.log_density)
 
 
 def ma_rhs(
@@ -165,7 +165,7 @@ def ma_rhs(
 ) -> np.ndarray:
     """Instantaneous potential velocity at the state (admissibility checked)."""
     metric = _metric(bg, bg.spectrum(state.phi), eps_pos)
-    return _velocity(bg, metric.log_det, state.phi, state.mode)
+    return _velocity(metric.log_ratio, state.phi, state.mode)
 
 
 def _cfl_bound(bg: TorusBackground, min_eig: float) -> float:
@@ -183,12 +183,12 @@ def current_cfl_bound(bg: TorusBackground, state: FlowState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _curvature(bg: TorusBackground, metric: StageMetric) -> tuple:
+def _curvature(metric: StageMetric) -> tuple:
     """(hess, R) of the metric: hess holds the components of H(log det), minus
     the Ricci form, and R is the scalar curvature tr(g^{-1} Ric).  The
     spectrum of log det is ratio_k plus the background's of log Omega.
     """
-    log_det_k = metric.ratio_k
+    bg, log_det_k = metric.bg, metric.ratio_k
     if bg._log_density_k is not None:
         log_det_k = log_det_k + bg._log_density_k
     hess = bg._hessian_parts(log_det_k)
@@ -273,8 +273,8 @@ def snapshot(
     """
     if metric is None:
         metric = _metric(bg, bg.spectrum(state.phi), eps_pos)
-    scal = _curvature(bg, metric)[1]
-    rhs = _velocity(bg, metric.log_det, state.phi, state.mode)
+    scal = _curvature(metric)[1]
+    rhs = _velocity(metric.log_ratio, state.phi, state.mode)
     trace0 = _trace_ratio(bg._g0_parts, bg.det_g0, metric.g)
     phi, size = state.phi, state.phi.size
     return DiagnosticsRecord(
@@ -319,7 +319,7 @@ class RunConfig:
 
 
 def _etd_terms(z: np.ndarray, ez2: np.ndarray) -> np.ndarray:
-    """Q/h, f1/h, f2/h, f3/h, phi1 and phi2 at the ascending values z <= 0.
+    """Q/h, f1/h, f2/h and f3/h at the ascending values z <= 0.
 
     ez2 is exp(z/2).  Values with |z| < _NEAR_ZERO, which come last, take
     the Taylor series of ``_TAYLOR``, one product with their powers; the
@@ -327,7 +327,7 @@ def _etd_terms(z: np.ndarray, ez2: np.ndarray) -> np.ndarray:
     is formed.
     """
     far = int(np.searchsorted(z, -_NEAR_ZERO, side="right"))
-    terms = np.empty((6, z.size))
+    terms = np.empty((4, z.size))
     terms[:, far:] = _TAYLOR @ np.vander(z[far:], _TAYLOR.shape[1], increasing=True).T
     z, ez2 = z[:far], ez2[:far]
     ez = ez2 * ez2
@@ -337,8 +337,6 @@ def _etd_terms(z: np.ndarray, ez2: np.ndarray) -> np.ndarray:
     terms[1, :far] = (-4.0 - z + ez * (4.0 - 3.0 * z + z2)) / z3
     terms[2, :far] = (2.0 + z + ez * (z - 2.0)) / z3
     terms[3, :far] = (-4.0 - 3.0 * z - z2 + ez * (4.0 - z)) / z3
-    terms[4, :far] = (ez - 1.0) / z
-    terms[5, :far] = (ez - 1.0 - z) / z2
     return terms
 
 
@@ -346,14 +344,13 @@ def _etd_terms(z: np.ndarray, ez2: np.ndarray) -> np.ndarray:
 class _Step:
     """One ETDRK4 attempt: err, the sup norm of its embedded error estimate,
     and, when err is within ETD_TOL, the new state's half spectrum vk,
-    potential phi, metric and sup|velocity| speed.
+    potential phi and metric.
     """
 
     err: float
     vk: Optional[np.ndarray] = None
     phi: Optional[np.ndarray] = None
     metric: Optional[StageMetric] = None
-    speed: Optional[float] = None
 
 
 class _Etdrk4:
@@ -362,14 +359,14 @@ class _Etdrk4:
     L is the background Laplacian symbol, minus one in normalized mode, and
     N-hat = ratio_k - lap * phi-hat, with ratio_k the stage metric's
     spectrum of log(det / Omega).  A stage is one kernel evaluation: one
-    inverse transform per Hessian component and one forward transform; the
-    result stage adds the inverse that forms phi.  The coefficients are
-    held for the current h alone, on the distinct values of L*h, and
-    gathered to the grid where they are used.
+    inverse transform per Hessian component and one forward transform of
+    log(det / Omega); the result stage adds the inverse that forms phi.
+    The coefficients are held for the current h alone, on the distinct
+    values of L*h, and gathered to the grid where they are used.
     """
 
     def __init__(self, bg: TorusBackground, mode: str, eps_pos: float):
-        self.bg, self.mode, self.eps_pos = bg, mode, eps_pos
+        self.bg, self.eps_pos = bg, eps_pos
         self.lap = bg.laplacian_symbol
         linear = self.lap - 1.0 if mode == NORMALIZED else self.lap
         self.values, index = np.unique(linear, return_inverse=True)
@@ -388,28 +385,20 @@ class _Etdrk4:
         return self.stage(vk).ratio_k - self.lap * vk
 
     def coefficients(self, h: float) -> dict[str, np.ndarray]:
-        """E, E^(1/2), Q, f1, f2, f3 and the error weights g1, g3 per distinct L*h.
+        """E, E^(1/2), Q, f1, f2 and f3 per distinct L*h.
 
         With z = L*h: E = exp(z), Q = h*(exp(z/2) - 1)/z, and f1, f2, f3
         are the Cox-Matthews weights.  The embedded solution is
-        u2 = E v + h phi1(z) N_v + h phi2(z) (N_c - N_v); u4 - u2 then
-        weights N_v by g1 = f1 - h phi1 + h phi2, N_a + N_b by 2 f2 and N_c
-        by g3 = f3 - h phi2.  L <= 0, and ``values`` ascend.
+        u2 = E v + h phi1(z) N_v + h phi2(z) (N_c - N_v), and both error
+        weights of u4 - u2, f1 - h phi1 + h phi2 on N_v and f3 - h phi2 on
+        N_c, equal -2 f2: u4 - u2 = 2 f2 (N_a + N_b - N_v - N_c).  L <= 0,
+        and ``values`` ascend.
         """
         if h != self.h:
             z = h * self.values
             half = np.exp(0.5 * z)
-            q, f1, f2, f3, p1, p2 = h * _etd_terms(z, half)
-            self.table = {
-                "E": np.exp(z),
-                "E2": half,
-                "Q": q,
-                "f1": f1,
-                "f2": f2,
-                "f3": f3,
-                "g1": f1 - p1 + p2,
-                "g3": f3 - p2,
-            }
+            q, f1, f2, f3 = h * _etd_terms(z, half)
+            self.table = {"E": np.exp(z), "E2": half, "Q": q, "f1": f1, "f2": f2, "f3": f3}
             self.h = h
         return self.table
 
@@ -437,18 +426,15 @@ class _Etdrk4:
         del na, nb
         nc = self.nonlinear(c)
         del c
-        bg = self.bg
-        diff = at("g1") * nv + nab + at("g3") * nc
-        err = float(np.abs(bg.field(diff)).max())
+        diff = nab - 2.0 * at("f2") * (nv + nc)
+        err = float(np.abs(self.bg.field(diff)).max())
         del diff
         if not err <= ETD_TOL:
             return _Step(err)
         vk1 = at("E") * vk + at("f1") * nv + nab + at("f3") * nc
         del nab, nc, nv
         metric = self.stage(vk1)
-        phi1 = bg.field(vk1)
-        speed = float(np.abs(_velocity(bg, metric.log_det, phi1, self.mode)).max())
-        return _Step(err, vk1, phi1, metric, speed)
+        return _Step(err, vk1, self.bg.field(vk1), metric)
 
 
 def run(
@@ -572,7 +558,11 @@ def _integrate(
         proposal = max(proposal, grown) if clipped else grown
         landed = h == remaining
         state = FlowState(t=t_record if landed else state.t + h, phi=step.phi, mode=config.mode)
-        converged = config.mode == NORMALIZED and step.speed < CONVERGENCE_TOL
+        converged = (
+            config.mode == NORMALIZED
+            and np.abs(_velocity(step.metric.log_ratio, step.phi, config.mode)).max()
+            < CONVERGENCE_TOL
+        )
         record = landed or converged
         if record:
             series.append(snapshot(bg, state, config.eps_pos, metric=step.metric))

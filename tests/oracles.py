@@ -86,11 +86,11 @@ def ricci_and_scalar(
 
     The Ricci components are minus the complex Hessian of log det of the
     evolving metric, read off the solver's curvature pass on the state's
-    ``StageMetric``, whose scalar curvature feeds the ``inf_R``/``sup_R``
-    diagnostics.
+    ``StageMetric``: the spectrum of its log(det / Omega) plus the
+    background's of log Omega.  Its scalar curvature feeds the
+    ``inf_R``/``sup_R`` diagnostics.
     """
-    metric = _metric(bg, bg.spectrum(state.phi), mf.EPS_POS)
-    hess, scal = _curvature(bg, metric)
+    hess, scal = _curvature(_metric(bg, bg.spectrum(state.phi), mf.EPS_POS))
     return _hermitian([-h for h in hess]), scal
 
 

@@ -13,6 +13,8 @@ import pytest
 import krflab.maflow as mf
 import krflab.verify as V
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 _NAMES = {idx: name for idx, name, _ in V.CRITERIA}
 
 

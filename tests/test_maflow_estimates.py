@@ -9,6 +9,8 @@ import krflab.serialize as ser
 from krflab.maflow.estimates import R_FLOOR_TOL
 from krflab.maflow.solver import DiagnosticsRecord, DiagnosticsSeries
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def synthetic_series(ts, sup_phidot=None, inf_r=None, min_eig=None, sup_phi=None):
     series = DiagnosticsSeries()

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -6,6 +7,8 @@ import krflab.maflow.solver as solver
 from krflab.maflow.background import field_from_modes
 from krflab.maflow.solver import _cfl_bound
 from oracles import ricci_and_scalar, rk4_step, solve_stationary_normalized
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def background(n=1, N=32, g0=None, f=None):
@@ -515,35 +518,47 @@ def test_snapshot_from_the_accepted_stage_matches_the_one_from_phi(monkeypatch, 
 # ---------------------------------------------------------------------------
 
 
-def etd_reference(z: float, h: float) -> dict:
-    """E, E2, Q, f1, f2, f3, g1 and g3 at z = L*h by mpmath at 90 digits.
+def etd_exact(z: float, h: float) -> dict:
+    """E, E2, Q, f1, f2, f3, h phi1 and h phi2 at z = L*h, as mpmath numbers;
+    call it, and combine what it returns, at 90 digits.
 
     The closed forms divide by z^3, so near z = 1e-12 they cancel about 40
     digits, which 90 leave to spare.
     """
-    import mpmath
+    z, h = mpmath.mpf(z), mpmath.mpf(h)
+    ez = mpmath.exp(z)
+    if z == 0:  # the removable singularity: the limits
+        q, f1, f2, f3, p1, p2 = h / 2, h / 6, h / 6, h / 6, 1, mpmath.mpf(1) / 2
+    else:
+        q = h * (mpmath.exp(z / 2) - 1) / z
+        f1 = h * (-4 - z + ez * (4 - 3 * z + z**2)) / z**3
+        f2 = h * (2 + z + ez * (z - 2)) / z**3
+        f3 = h * (-4 - 3 * z - z**2 + ez * (4 - z)) / z**3
+        p1, p2 = (ez - 1) / z, (ez - 1 - z) / z**2
+    return {
+        "E": ez,
+        "E2": mpmath.exp(z / 2),
+        "Q": q,
+        "f1": f1,
+        "f2": f2,
+        "f3": f3,
+        "hphi1": h * p1,
+        "hphi2": h * p2,
+    }
 
+
+def etd_reference(z: float, h: float) -> dict:
+    """E, E2, Q, f1, f2 and f3 at z = L*h, rounded from ``etd_exact``.
+
+    The embedded pair's error weights, g1 = f1 - h phi1 + h phi2 on N_v and
+    g3 = f3 - h phi2 on N_c, are checked to equal -2 f2, the weight that
+    ``_Etdrk4.attempt`` gives them.
+    """
     with mpmath.workdps(90):
-        z, h = mpmath.mpf(z), mpmath.mpf(h)
-        ez = mpmath.exp(z)
-        if z == 0:  # the removable singularity: the limits
-            q, f1, f2, f3, p1, p2 = h / 2, h / 6, h / 6, h / 6, 1, mpmath.mpf(1) / 2
-        else:
-            q = h * (mpmath.exp(z / 2) - 1) / z
-            f1 = h * (-4 - z + ez * (4 - 3 * z + z**2)) / z**3
-            f2 = h * (2 + z + ez * (z - 2)) / z**3
-            f3 = h * (-4 - 3 * z - z**2 + ez * (4 - z)) / z**3
-            p1, p2 = (ez - 1) / z, (ez - 1 - z) / z**2
-        row = {
-            "E": ez,
-            "E2": mpmath.exp(z / 2),
-            "Q": q,
-            "f1": f1,
-            "f2": f2,
-            "f3": f3,
-            "g1": f1 - h * p1 + h * p2,
-            "g3": f3 - h * p2,
-        }
+        row = etd_exact(z, h)
+        hp1, hp2 = row.pop("hphi1"), row.pop("hphi2")
+        for g in (row["f1"] - hp1 + hp2, row["f3"] - hp2):
+            assert abs(g + 2 * row["f2"]) <= 1e-13 * abs(2 * row["f2"]), z
         return {name: float(value) for name, value in row.items()}
 
 
@@ -579,3 +594,53 @@ def test_etd_coefficients_match_mpmath(mode):
     assert near and far
     assert (0.0 in values) == (mode == mf.UNNORMALIZED)
     assert np.isclose(600.0 / np.abs(values).max() * values.min(), -600.0)
+
+
+@pytest.mark.parametrize("series", [True, False])
+def test_error_estimate_is_the_embedded_pairs_difference(monkeypatch, series):
+    # err is sup|u4 - u2|, with u2 = E v + h phi1 N_v + h phi2 (N_c - N_v)
+    # the embedded second-order solution: both are formed here from the
+    # stages' N-hat at 90 digits, so that E v cancels exactly.  h puts every
+    # L*h inside the Taylor series' disk, or most of them outside it.  The
+    # state is four times short_run_case's, so that the estimate stands well
+    # above the round-off of the sum that forms it
+    bg, phi0, cfg = short_run_case(1)
+    etd = solver._Etdrk4(bg, cfg.mode, mf.EPS_POS)
+    vk = bg.spectrum(4.0 * phi0)
+    ratio_k = solver._metric(bg, vk, mf.EPS_POS).ratio_k
+    h = 0.9 * solver._NEAR_ZERO / np.abs(etd.values).max() if series else 0.05
+    zs = h * etd.values
+    assert np.all(np.abs(zs) < solver._NEAR_ZERO) == series
+    stages = []
+    real_nonlinear = solver._Etdrk4.nonlinear
+
+    def nonlinear(self, vk):
+        stages.append(real_nonlinear(self, vk))
+        return stages[-1]
+
+    monkeypatch.setattr(solver._Etdrk4, "nonlinear", nonlinear)
+    err = etd.attempt(vk, ratio_k, h).err
+    na, nb, nc = stages
+    nv = ratio_k - etd.lap * vk
+    diff = np.empty_like(vk)
+    with mpmath.workdps(90):
+        weights = [etd_exact(z, h) for z in zs]
+        for i in np.ndindex(vk.shape):
+            w = weights[etd.index[i]]
+            v, n_v, n_a, n_b, n_c = (mpmath.mpc(x[i]) for x in (vk, nv, na, nb, nc))
+            u4 = w["E"] * v + w["f1"] * n_v + 2 * w["f2"] * (n_a + n_b) + w["f3"] * n_c
+            u2 = w["E"] * v + w["hphi1"] * n_v + w["hphi2"] * (n_c - n_v)
+            diff[i] = complex(u4 - u2)
+    want = float(np.abs(bg.field(diff)).max())
+    assert want > 0 and abs(err - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("query", [mf.ma_rhs, mf.current_cfl_bound])
+def test_pointwise_queries_transform_phi_alone(monkeypatch, query):
+    # neither reads the spectrum of log(det / Omega), so the one forward
+    # transform is the spectrum of phi
+    bg, phi0, cfg = short_run_case(1)
+    counts = {}
+    _counting(monkeypatch, mf.TorusBackground, "spectrum", counts, "spectrum")
+    query(bg, mf.initial_state(bg, phi0, cfg.mode))
+    assert counts == {"spectrum": 1}

@@ -6,6 +6,8 @@ import krflab.maflow as mf
 from krflab.maflow.background import MATRIX_MAX_N, _det_and_eigs, _trace_ratio
 from oracles import full_grid_tail_fraction, laplacian_multiplier, ricci_and_scalar
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_zero_field_has_zero_hessian():
     bg = mf.TorusBackground(n=1, N=16, g0=[[1.0]])
