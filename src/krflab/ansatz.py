@@ -174,8 +174,6 @@ class AnsatzTrajectory:
 
     def fiber_scale(self) -> np.ndarray:
         """Scale coefficient of the collapsing direction."""
-        if self.model.kind == ROUND_P1:
-            return self.coeffs[:, 0].copy()
         if self.model.kind == P1XP1:
             return self.coeffs.min(axis=1)
         return self.coeffs[:, 0].copy()
@@ -186,26 +184,14 @@ class AnsatzTrajectory:
         return np.sqrt(np.maximum(self.fiber_scale(), 0.0))
 
 
-def _rk4_step(c: float, normalized: bool, y: float, dt: float) -> float:
-    """One classical RK4 step of y' = c - y (normalized) or y' = c, on floats."""
-    if normalized:
-        k1 = c - y
-        k2 = c - (y + 0.5 * dt * k1)
-        k3 = c - (y + 0.5 * dt * k2)
-        k4 = c - (y + dt * k3)
-    else:
-        k1 = k2 = k3 = k4 = c
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _scale_samples(
     c: float, normalized: bool, y: float, runs: list[tuple[float, int]], limit: int
 ) -> list[float]:
-    """One scale's RK4 samples over at most ``limit`` steps of the runs.
+    """One scale's classical RK4 samples of y' = c - y (normalized) or y' = c,
+    over at most ``limit`` steps of the runs, each run a (step, count) pair.
 
-    The operations are :func:`_rk4_step`'s, with the step's constants
-    computed once per run.  Stops before the first step whose result is
-    <= 0, so fewer than ``limit + 1`` samples mean that step killed the scale.
+    Stops before the first step whose result is <= 0, so fewer than
+    ``limit + 1`` samples mean that step killed the scale.
     """
     col = [y]
     append = col.append
@@ -274,7 +260,11 @@ def integrate(model: AnsatzModel, t_end: float, dt: float = 1e-3) -> AnsatzTraje
             if hi - lo <= 1e-13:
                 break
             mid = 0.5 * (lo + hi)
-            if min(_rk4_step(c, normalized, yi, mid) for c, yi in zip(rates, y)) <= 0.0:
+            # one step of size mid: a single sample means it kills the scale
+            if any(
+                len(_scale_samples(c, normalized, yi, [(mid, 1)], 1)) == 1
+                for c, yi in zip(rates, y)
+            ):
                 hi = mid
             else:
                 lo = mid

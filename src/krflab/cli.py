@@ -5,7 +5,8 @@ metric positivity loss), 4 verification failure (a failed ``verify`` or
 ``flow`` check row).  Commands raise, and
 ``main`` alone maps errors to codes: ``UsageError`` exits 2, and
 ``cohomology.DomainError`` (the class engine's errors and maflow's
-``AdmissibilityError``, ``StepFailure`` and ``SpectralTailError``) exits 3.
+``AdmissibilityError`` and ``StepFailure``, of which ``SpectralTailError``
+is one) exits 3.
 Inputs are built inside ``_reading``, which turns an ``OSError``,
 ``ValueError``, ``LookupError`` or ``TypeError`` into a ``UsageError``.
 
@@ -229,6 +230,8 @@ def load_flow_config(
     n = ser.integer(cfg["n"], "n")
     N = ser.integer(cfg["N"], "N")
     g0 = np.array([[_g0_entry(cfg["g0"][i][j]) for j in range(n)] for i in range(n)])
+    if len(cfg["g0"]) != n or any(len(row) != n for row in cfg["g0"]):
+        raise ValueError(f"g0 must be {n}x{n}, got {cfg['g0']!r}")
     f_modes = _modes_from_config(cfg.get("f_modes"))
     f = field_from_modes(n, N, f_modes) if f_modes else None
     bg = mf.TorusBackground(n=n, N=N, g0=g0, f=f)
@@ -281,7 +284,7 @@ def cmd_flow(args) -> int:
             )
     try:
         final, series = mf.run(bg, run_cfg, phi0=phi0)
-    except (mf.StepFailure, mf.SpectralTailError) as err:
+    except mf.StepFailure as err:
         # keep the evidence: the diagnostics recorded up to the failure, and its own
         _write_run_record(out, args, err.series, failure=err.diagnostics)
         print(f"partial diagnostics written to {out}", file=sys.stderr)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
-from ..serialize import SCHEMA_VERSION, check_schema, integer, read_json, string
+from ..serialize import SCHEMA_VERSION, array, check_schema, integer, mapping, read_json, string
 from . import (
     ClassVector,
     ConeSpec,
@@ -241,8 +241,10 @@ def _encode(table: dict[tuple[int, ...], Fraction]) -> dict[str, str]:
     return {",".join(map(str, key)): str(v) for key, v in table.items()}
 
 
-def _decode(table: dict) -> dict[tuple[int, ...], Fraction]:
-    return {tuple(int(i) for i in key.split(",")): as_fraction(v) for key, v in table.items()}
+def _decode(data: dict, field: str) -> dict[tuple[int, ...], Fraction]:
+    """data[field], a JSON object written by ``_encode``."""
+    items = mapping(data[field], field).items()
+    return {tuple(int(i) for i in key.split(",")): as_fraction(v) for key, v in items}
 
 
 def model_to_dict(model: ManifoldModel) -> dict:
@@ -267,31 +269,29 @@ def model_to_dict(model: ManifoldModel) -> dict:
 
 
 def model_from_dict(data: dict) -> ManifoldModel:
-    if not isinstance(data, dict):
-        raise ValueError(f"a model must be a JSON object, got {data!r}")
-    check_schema(data, "model")
+    check_schema(mapping(data, "a model"), "model")
     n = integer(data["n"], "n")
-    basis = tuple(string(label, "basis label") for label in data["basis"])
+    basis = tuple(string(label, "basis label") for label in array(data["basis"], "basis"))
     kod = data["kodaira"]
     return ManifoldModel(
         name=string(data["name"], "model name"),
         n=n,
         basis=basis,
-        tensor=IntersectionTensor(n=n, dim=len(basis), entries=_decode(data["tensor"])),
-        c1twopi=ClassVector.of(data["c1twopi"]),
+        tensor=IntersectionTensor(n=n, dim=len(basis), entries=_decode(data, "tensor")),
+        c1twopi=ClassVector.of(array(data["c1twopi"], "c1twopi")),
         cone=ConeSpec(
             tuple(
-                (string(item["label"], "cone label"), PolyFunctional(_decode(item["monomials"])))
-                for item in data["cone"]
+                (string(item["label"], "cone label"), PolyFunctional(_decode(item, "monomials")))
+                for item in array(data["cone"], "cone")
             )
         ),
         catalogue=tuple(
             SubvarietyEntry(
                 label=string(item["label"], "subvariety label"),
                 dim=integer(item["dim"], f"[{item['label']}] dim"),
-                pairing=_decode(item["pairing"]),
+                pairing=_decode(item, "pairing"),
             )
-            for item in data["catalogue"]
+            for item in array(data["catalogue"], "catalogue")
         ),
         kodaira=None if kod == "minus-infinity" else integer(kod, "kodaira"),
         notes=data.get("notes", ""),

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .serialize import number
+from .serialize import array, number, string
 
 #: exhaustive search threshold on |X| * |Y|
 EXHAUSTIVE_LIMIT = 36
@@ -594,7 +594,7 @@ def space_to_dict(space: FiniteMetricSpace) -> dict:
 
 
 def space_from_dict(data: dict) -> FiniteMetricSpace:
-    labels = list(data["labels"])
+    labels = [string(label, "a point label") for label in array(data["labels"], "labels")]
     n = len(labels)
-    D = np.array([number(v, "a distance") for v in data["D"]]).reshape(n, n)
+    D = np.array([number(v, "a distance") for v in array(data["D"], "D")]).reshape(n, n)
     return FiniteMetricSpace.of(labels, D)

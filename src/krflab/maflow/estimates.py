@@ -10,7 +10,7 @@ import numpy as np
 
 from ..checks import Checks
 from .background import TorusBackground
-from .solver import NORMALIZED, UNNORMALIZED, DiagnosticsSeries, RunConfig
+from .solver import EPS_POS, NORMALIZED, UNNORMALIZED, DiagnosticsSeries, RunConfig
 
 #: tolerance on the scalar-curvature floor (discretization allowance), as
 #: its literal: the rows print it as their tolerance text
@@ -71,7 +71,7 @@ def estimate_report(series: DiagnosticsSeries, cfg: RunConfig, bg: TorusBackgrou
     sup|phi| stays within POTENTIAL_RTOL of the earlier max (a series of
     fewer than 8 records need only stay finite); (ii) scalar-floor, a fact
     of the untwisted unnormalized flow only; (iii) metric-equivalence: the
-    metric's min eigenvalue stays >= ``cfg.eps_pos``; (iv) normalized-decay,
+    metric's min eigenvalue stays >= ``EPS_POS``; (iv) normalized-decay,
     once a normalized run has converged.
     """
     if len(series) == 0:
@@ -90,8 +90,8 @@ def estimate_report(series: DiagnosticsSeries, cfg: RunConfig, bg: TorusBackgrou
     untwisted = bg.f is None or float(np.abs(bg.f).max()) < 1e-14
     if cfg.mode == UNNORMALIZED and untwisted:
         scalar_floor_row(checks, "scalar-floor", series)
-    checks.within("metric-equivalence", series.column("min_eig").min(), ">=", cfg.eps_pos,
-                  f"min eigenvalue >= {cfg.eps_pos:.1e}", "{:.6g}", f"{cfg.eps_pos:.1e}")
+    checks.within("metric-equivalence", series.column("min_eig").min(), ">=", EPS_POS,
+                  f"min eigenvalue >= {EPS_POS:.1e}", "{:.6g}", f"{EPS_POS:.1e}")
     if cfg.mode == NORMALIZED and series.converged:
         decay_rate_row(checks, "normalized-decay", series)
     return checks

@@ -44,7 +44,7 @@ UNNORMALIZED = "unnormalized"
 NORMALIZED = "normalized"
 MODES = (UNNORMALIZED, NORMALIZED)
 
-#: default positivity floor for the min eigenvalue of the evolving metric
+#: positivity floor for the min eigenvalue of the evolving metric
 EPS_POS = 1e-8
 #: abort threshold for spectral tail energy fraction
 TAIL_LIMIT = 1e-6
@@ -74,34 +74,29 @@ _TAYLOR = np.array(
 class StepFailure(DomainError):
     """A step kept losing metric positivity, or the step size collapsed.
 
-    ``termination`` names the reason; when ``run`` raises it, ``series``
-    holds the diagnostics recorded before the failure.
+    ``termination`` names the reason (the class's own unless one is given);
+    when ``run`` raises it, ``series`` holds the diagnostics recorded so far.
     """
 
+    termination = "step-failure"
     series: Optional["DiagnosticsSeries"] = None
 
     def __init__(
-        self, message: str, diagnostics: Optional[dict] = None, termination: str = "step-failure"
+        self, message: str, diagnostics: Optional[dict] = None, termination: Optional[str] = None
     ):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
-        self.termination = termination
+        self.termination = termination or self.termination
 
 
-class SpectralTailError(DomainError):
+class SpectralTailError(StepFailure):
     """Too much energy reached the top of the spectrum; the run is unresolved.
 
-    ``diagnostics`` holds the record time, the tail fraction and the limit.
-    When ``run`` raises it, ``series`` holds the diagnostics recorded up to
-    and including the offending record.
+    ``diagnostics`` holds the record time, the tail fraction and the limit,
+    and ``series`` ends with the offending record.
     """
 
     termination = "spectral-tail"
-    series: Optional["DiagnosticsSeries"] = None
-
-    def __init__(self, message: str, diagnostics: Optional[dict] = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
 
 @dataclass(frozen=True)
@@ -150,21 +145,19 @@ class StageMetric:
         return self.bg.spectrum(self.log_ratio)
 
 
-def _metric(bg: TorusBackground, vk: np.ndarray, eps_pos: float) -> StageMetric:
-    """The metric at phi = irfftn(vk); raises unless floor >= eps_pos (a NaN fails)."""
+def _metric(bg: TorusBackground, vk: np.ndarray) -> StageMetric:
+    """The metric at phi = irfftn(vk); raises unless floor >= EPS_POS (a NaN fails)."""
     g, det, eig_min = bg.fast_metric_fields(vk)
     floor = float(eig_min.min())
-    if not floor >= eps_pos:
+    if not floor >= EPS_POS:
         loc = np.unravel_index(int(np.argmin(eig_min)), eig_min.shape)
-        raise AdmissibilityError(floor, tuple(int(i) for i in loc), eps_pos)
+        raise AdmissibilityError(floor, tuple(int(i) for i in loc), EPS_POS)
     return StageMetric(bg, g, det, floor, np.log(det) - bg.log_density)
 
 
-def ma_rhs(
-    bg: TorusBackground, state: FlowState, eps_pos: float = EPS_POS
-) -> np.ndarray:
+def ma_rhs(bg: TorusBackground, state: FlowState) -> np.ndarray:
     """Instantaneous potential velocity at the state (admissibility checked)."""
-    metric = _metric(bg, bg.spectrum(state.phi), eps_pos)
+    metric = _metric(bg, bg.spectrum(state.phi))
     return _velocity(metric.log_ratio, state.phi, state.mode)
 
 
@@ -175,7 +168,7 @@ def _cfl_bound(bg: TorusBackground, min_eig: float) -> float:
 
 def current_cfl_bound(bg: TorusBackground, state: FlowState) -> float:
     """CFL bound at the state; raises AdmissibilityError unless it is admissible."""
-    return _cfl_bound(bg, _metric(bg, bg.spectrum(state.phi), EPS_POS).floor)
+    return _cfl_bound(bg, _metric(bg, bg.spectrum(state.phi)).floor)
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +252,7 @@ class DiagnosticsSeries:
 
 
 def snapshot(
-    bg: TorusBackground,
-    state: FlowState,
-    eps_pos: float = EPS_POS,
-    *,
-    metric: Optional[StageMetric] = None,
+    bg: TorusBackground, state: FlowState, *, metric: Optional[StageMetric] = None
 ) -> DiagnosticsRecord:
     """Diagnostics record of the state.
 
@@ -272,7 +261,7 @@ def snapshot(
     phi.
     """
     if metric is None:
-        metric = _metric(bg, bg.spectrum(state.phi), eps_pos)
+        metric = _metric(bg, bg.spectrum(state.phi))
     scal = _curvature(metric)[1]
     rhs = _velocity(metric.log_ratio, state.phi, state.mode)
     trace0 = _trace_ratio(bg._g0_parts, bg.det_g0, metric.g)
@@ -298,7 +287,6 @@ class RunConfig:
     # records are spaced by record_every nominal steps in simulated time, the
     # nominal step being the diffusive CFL bound at the record (or dt if smaller)
     record_every: int = 100
-    eps_pos: float = EPS_POS
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -306,14 +294,11 @@ class RunConfig:
         # serialize's JSON field types: a bool, a string or a list is a TypeError
         self.dt = None if self.dt is None else number(self.dt, "dt")
         self.t_end = number(self.t_end, "t_end")
-        self.eps_pos = number(self.eps_pos, "eps_pos")
         # written as "not x > 0" so that NaN fails too
         if self.dt is not None and not self.dt > 0:
             raise ValueError(f"dt must be positive or None, got {self.dt}")
         if not self.t_end > 0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if not self.eps_pos > 0:
-            raise ValueError(f"eps_pos must be positive, got {self.eps_pos}")
         if integer(self.record_every, "record_every") < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -365,8 +350,8 @@ class _Etdrk4:
     values of L*h, and gathered to the grid where they are used.
     """
 
-    def __init__(self, bg: TorusBackground, mode: str, eps_pos: float):
-        self.bg, self.eps_pos = bg, eps_pos
+    def __init__(self, bg: TorusBackground, mode: str):
+        self.bg = bg
         self.lap = bg.laplacian_symbol
         linear = self.lap - 1.0 if mode == NORMALIZED else self.lap
         self.values, index = np.unique(linear, return_inverse=True)
@@ -378,7 +363,7 @@ class _Etdrk4:
     def stage(self, vk: np.ndarray) -> StageMetric:
         """The metric at the half spectrum vk, counted as a kernel evaluation."""
         self.rhs_evals += 1
-        return _metric(self.bg, vk, self.eps_pos)
+        return _metric(self.bg, vk)
 
     def nonlinear(self, vk: np.ndarray) -> np.ndarray:
         """N-hat at the half spectrum vk."""
@@ -450,15 +435,15 @@ def run(
     sup|phidot| falls below CONVERGENCE_TOL.  The spectral tail is
     monitored at record times and the run aborts if more than TAIL_LIMIT
     of the fluctuation energy reaches the outer third of the spectrum.
-    A StepFailure or SpectralTailError raised here carries the series
-    recorded so far as ``err.series``, its termination set.
+    A StepFailure raised here, a SpectralTailError included, carries the
+    series recorded so far as ``err.series``, its termination set.
     """
     state = initial_state(bg, phi0, config.mode)
     series = DiagnosticsSeries()
-    etd = _Etdrk4(bg, config.mode, config.eps_pos)
+    etd = _Etdrk4(bg, config.mode)
     try:
         state = _integrate(bg, config, etd, state, series)
-    except (StepFailure, SpectralTailError) as err:
+    except StepFailure as err:
         series.termination = err.termination
         err.series = series
         raise
@@ -492,7 +477,7 @@ def _integrate(
     vk = bg.spectrum(state.phi)
     metric = etd.stage(vk)
     floor, ratio_k = metric.floor, metric.ratio_k
-    series.append(snapshot(bg, state, config.eps_pos, metric=metric))
+    series.append(snapshot(bg, state, metric=metric))
     del metric
     t_record = proposal = None
     while state.t < config.t_end - 1e-14:
@@ -565,7 +550,7 @@ def _integrate(
         )
         record = landed or converged
         if record:
-            series.append(snapshot(bg, state, config.eps_pos, metric=step.metric))
+            series.append(snapshot(bg, state, metric=step.metric))
         del step
         if record:
             t_record = None

@@ -1,8 +1,8 @@
 """Class coordinates, deterministic CSV/JSON emission, and run manifests.
 
 It owns the JSON format: every payload written leads with ``SCHEMA_VERSION``,
-every file read must carry it, and ``integer``, ``number`` and ``string``
-type a field.
+every file read must carry it, and ``integer``, ``number``, ``string``,
+``array`` and ``mapping`` type a field.
 Rationals travel as "p/q" strings end to end so the exact code paths are
 never contaminated by floats: ``str`` writes a Fraction and
 ``cohomology.as_fraction`` reads one back, here and in the model catalogue.
@@ -113,6 +113,20 @@ def string(x, what: str) -> str:
     if isinstance(x, str):
         return x
     raise TypeError(f"{what} must be a string, got {x!r}")
+
+
+def array(x, what: str) -> list:
+    """x if it is a JSON array; a string, a number, an object or null is a TypeError."""
+    if isinstance(x, list):
+        return x
+    raise TypeError(f"{what} must be a JSON array, got {x!r}")
+
+
+def mapping(x, what: str) -> dict:
+    """x if it is a JSON object; an array, a string, a number or null is a TypeError."""
+    if isinstance(x, dict):
+        return x
+    raise TypeError(f"{what} must be a JSON object, got {x!r}")
 
 
 def write_manifest(

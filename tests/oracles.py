@@ -90,7 +90,7 @@ def ricci_and_scalar(
     background's of log Omega.  Its scalar curvature feeds the
     ``inf_R``/``sup_R`` diagnostics.
     """
-    hess, scal = _curvature(_metric(bg, bg.spectrum(state.phi), mf.EPS_POS))
+    hess, scal = _curvature(_metric(bg, bg.spectrum(state.phi)))
     return _hermitian([-h for h in hess]), scal
 
 

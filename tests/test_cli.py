@@ -120,6 +120,18 @@ def test_zero_denominator_is_a_usage_error(tmp_path, capsys, argv, fields):
             {"catalogue": [{"label": "H", "dim": 1, "pairing": {"5": "1"}}]},
             "[H] needs pairing keys of 1 basis indices",
         ),
+        ({"basis": "ab"}, "basis must be a JSON array, got 'ab'"),
+        ({"c1twopi": "22"}, "c1twopi must be a JSON array, got '22'"),
+        ({"tensor": [1]}, "tensor must be a JSON object, got [1]"),
+        ({"tensor": "x"}, "tensor must be a JSON object, got 'x'"),
+        (
+            {"cone": [{"label": "a", "monomials": ["1,0"]}]},
+            "monomials must be a JSON object, got ['1,0']",
+        ),
+        (
+            {"catalogue": [{"label": "H", "dim": 1, "pairing": "0"}]},
+            "pairing must be a JSON object, got '0'",
+        ),
     ],
     ids=[
         "float-tensor",
@@ -127,13 +139,22 @@ def test_zero_denominator_is_a_usage_error(tmp_path, capsys, argv, fields):
         "negative-cone-exponent",
         "long-pairing-key",
         "pairing-key-out-of-basis",
+        "string-basis",
+        "string-c1twopi",
+        "array-tensor",
+        "string-tensor",
+        "array-monomials",
+        "string-pairing",
     ],
 )
 def test_catalogue_with_a_bad_value_or_key_is_a_usage_error(tmp_path, capsys, fields, message):
     # the float became 3602879701896397/36028797018963968, the short cone key was
     # truncated and the long pairing key read as a degree-2 form, all exiting 0;
     # the key outside the basis was an IndexError and the negative exponent a
-    # ZeroDivisionError (0.0 to a negative power), tracebacks with exit 1
+    # ZeroDivisionError (0.0 to a negative power), tracebacks with exit 1.
+    # The strings were iterated, so basis "ab" read as (a, b) and c1twopi "22"
+    # as (2, 2), exiting 0; an array or a string where a table belongs was an
+    # AttributeError traceback
     path = builtin_catalogue(tmp_path, "p1xp1", **fields)
     assert cli.main(["maxtime", "p1xp1", "1,1", "--catalogue", path]) == 2
     err = capsys.readouterr().err
@@ -234,7 +255,6 @@ def stationary_config(tmp_path, **overrides):
         "dt": None,
         "t_end": 0.05,
         "record_every": 8,
-        "eps_pos": 1e-8,
     }
     cfg.update(overrides)
     path = tmp_path / "config.json"
@@ -339,6 +359,15 @@ def test_flow_config_rejects_unknown_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_flow_config_with_a_positivity_floor_is_refused(tmp_path, capsys):
+    # the floor is the constant EPS_POS, no longer a run setting
+    cfg = stationary_config(tmp_path, eps_pos=1e-8)
+    out = tmp_path / "run"
+    assert cli.main(["--output-dir", str(out), "flow", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: bad flow config: unknown key(s) 'eps_pos'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "overrides, reason",
     [
@@ -358,6 +387,10 @@ def test_flow_config_rejects_unknown_key(tmp_path, capsys):
         ({"dt": True}, "dt must be a number, got True"),
         ({"t_end": "0.05"}, "t_end must be a number, got '0.05'"),
         ({"g0": [["1.0"]]}, "a g0 entry must be a number, got '1.0'"),
+        # g0[i][j] was read for i, j < n alone, so these ran with g0 = [[2.0]]
+        ({"g0": [[2.0, 0.5], [0.5, 2.0]]}, "g0 must be 1x1, got [[2.0, 0.5], [0.5, 2.0]]"),
+        ({"g0": [[2.0], [0.5]]}, "g0 must be 1x1"),
+        ({"g0": [[2.0, 0.5]]}, "g0 must be 1x1"),
         (
             {"f_modes": [{"freq": [1.5, 0], "cos": 0.01}]},
             "a mode frequency must be an integer, got 1.5",
@@ -487,6 +520,22 @@ def test_flow_failure_keeps_partial_diagnostics(tmp_path, capsys):
     assert not (out / "phi.bin").exists()
 
 
+def test_flow_spectral_tail_exits_3_and_keeps_its_series(tmp_path, capsys):
+    # a potential at the top of the spectrum fails the first record's tail check
+    cfg = stationary_config(
+        tmp_path, t_end=0.2, record_every=1, phi0_modes=[{"freq": [7, 5], "cos": 1e-4}]
+    )
+    out = tmp_path / "run"
+    assert cli.main(["--output-dir", str(out), "flow", str(cfg)]) == 3
+    assert "tail energy fraction" in capsys.readouterr().err
+    diag = _strict_json(out / "diagnostics.json")
+    assert diag["termination"] == "spectral-tail" and len(diag["rows"]) == 2
+    assert set(diag["failure"]) == {"t", "tail", "limit"}
+    assert diag["failure"]["t"] == diag["rows"][-1][0]
+    assert json.loads((out / "manifest.json").read_text())["termination"] == "spectral-tail"
+    assert not (out / "phi.bin").exists()
+
+
 def test_flow_failure_writes_its_non_finite_numbers_as_null(tmp_path, monkeypatch, capsys):
     # an error estimate of inf shrinks every attempt until the step stalls
     import krflab.maflow.solver as solver
@@ -606,6 +655,24 @@ def test_gh_bound_rejects_a_distance_that_is_not_a_number(tmp_path, capsys):
     code = cli.main(["--output-dir", str(tmp_path / "out"), "gh", "bound", str(path), str(path)])
     assert code == 2
     assert "a distance must be a number, got '0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ("pq", "labels must be a JSON array, got 'pq'"),
+        ([1, 2], "a point label must be a string, got 1"),
+    ],
+    ids=["string", "numbers"],
+)
+def test_gh_bound_rejects_labels_that_are_not_strings(tmp_path, capsys, labels, message):
+    # list() split "pq" into two points and kept the numbers, so both spaces
+    # loaded and gave epsilon = 0 with exit 0
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"schema": 1, "labels": labels, "D": [0, 1, 1, 0]}))
+    code = cli.main(["--output-dir", str(tmp_path / "out"), "gh", "bound", str(path), str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -225,11 +225,10 @@ def test_non_finite_potential_is_not_admissible():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("dt", float("nan")), ("dt", 0.0), ("dt", -1e-3), ("t_end", float("nan")),
-     ("eps_pos", float("nan"))],
+    [("dt", float("nan")), ("dt", 0.0), ("dt", -1e-3), ("t_end", float("nan"))],
 )
 def test_run_config_rejects_non_positive_values(field, value):
-    # NaN passed "<= 0" checks: a NaN dt or floor then failed as a positivity
+    # NaN passed "<= 0" checks: a NaN dt then failed as a positivity
     # loss, and a NaN t_end ended the run at t = 0 as if it had reached t_end
     with pytest.raises(ValueError, match=f"{field} must be positive"):
         mf.RunConfig(**{field: value})
@@ -302,7 +301,7 @@ def test_step_fails_after_max_halvings_of_lost_positivity(monkeypatch):
     def stage(self, vk):
         calls.append(vk)
         if len(calls) > 1:
-            raise mf.AdmissibilityError(1e-9, (3, 5), self.eps_pos)
+            raise mf.AdmissibilityError(1e-9, (3, 5), mf.EPS_POS)
         return real_stage(self, vk)
 
     monkeypatch.setattr(solver._Etdrk4, "stage", stage)
@@ -491,6 +490,20 @@ def test_series_tracks_the_accepted_step_sizes(monkeypatch, n):
     assert (empty.dt_min, empty.dt_max, empty.dt_last) == (None, None, None)
 
 
+def test_spectral_tail_error_is_a_step_failure():
+    # one failure type: a caller that catches StepFailure gets the tail abort
+    # too, with its own termination and the series up to the offending record
+    assert issubclass(mf.SpectralTailError, mf.StepFailure)
+    assert mf.SpectralTailError("tail").termination == "spectral-tail"
+    assert mf.StepFailure("step").termination == "step-failure"
+    bg = background(N=16)
+    rough = 1e-4 * np.random.default_rng(5).standard_normal(bg.shape)
+    with pytest.raises(mf.StepFailure) as info:
+        mf.run(bg, mf.RunConfig(t_end=0.2, record_every=1), phi0=rough)
+    assert type(info.value) is mf.SpectralTailError
+    assert info.value.termination == info.value.series.termination == "spectral-tail"
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_snapshot_from_the_accepted_stage_matches_the_one_from_phi(monkeypatch, n):
     import krflab.maflow.solver as solver
@@ -499,10 +512,10 @@ def test_snapshot_from_the_accepted_stage_matches_the_one_from_phi(monkeypatch, 
     original = solver.snapshot
     pairs = []
 
-    def both(bg, state, eps_pos=mf.EPS_POS, *, metric=None):
+    def both(bg, state, *, metric=None):
         assert metric is not None  # every record of a run reuses its stage
-        rec = original(bg, state, eps_pos, metric=metric)
-        pairs.append((rec.row(), original(bg, state, eps_pos).row()))
+        rec = original(bg, state, metric=metric)
+        pairs.append((rec.row(), original(bg, state).row()))
         return rec
 
     monkeypatch.setattr(solver, "snapshot", both)
@@ -569,7 +582,7 @@ def test_etd_coefficients_match_mpmath(mode):
     # values down to -600, where exp(z) is far below round-off, and steps
     # whose smallest nonzero |z| is 1e-12 or 1e-6, where the closed forms
     # cancel completely and only the series answers
-    etd = solver._Etdrk4(background(N=16, g0=[[2.0]]), mode, mf.EPS_POS)
+    etd = solver._Etdrk4(background(N=16, g0=[[2.0]]), mode)
     values = etd.values
     smallest = np.abs(values[values != 0]).min()
     steps = [
@@ -605,9 +618,9 @@ def test_error_estimate_is_the_embedded_pairs_difference(monkeypatch, series):
     # state is four times short_run_case's, so that the estimate stands well
     # above the round-off of the sum that forms it
     bg, phi0, cfg = short_run_case(1)
-    etd = solver._Etdrk4(bg, cfg.mode, mf.EPS_POS)
+    etd = solver._Etdrk4(bg, cfg.mode)
     vk = bg.spectrum(4.0 * phi0)
-    ratio_k = solver._metric(bg, vk, mf.EPS_POS).ratio_k
+    ratio_k = solver._metric(bg, vk).ratio_k
     h = 0.9 * solver._NEAR_ZERO / np.abs(etd.values).max() if series else 0.05
     zs = h * etd.values
     assert np.all(np.abs(zs) < solver._NEAR_ZERO) == series
