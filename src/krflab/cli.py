@@ -204,8 +204,18 @@ def _g0_entry(cell) -> complex:
     return complex(*(ser.number(x, "a g0 entry") for x in re_im))
 
 
-def _modes_from_config(entries) -> list[tuple]:
-    return [(item["freq"], item.get("cos", 0.0), item.get("sin", 0.0)) for item in entries or []]
+def _modes_from_config(cfg: dict, key: str) -> list[tuple]:
+    """(freq, cos, sin) of each entry of cfg[key]: a "freq", and "cos" and "sin" if given."""
+    modes = []
+    for item in ser.array(cfg.get(key) or [], key):
+        item = ser.mapping(item, f"an entry of {key}")
+        unknown = sorted(set(item) - {"freq", "cos", "sin"})
+        if unknown:
+            raise ValueError(f"unknown {key} key(s) {', '.join(map(repr, unknown))}")
+        if "freq" not in item:
+            raise ValueError(f"an entry of {key} needs a 'freq'")
+        modes.append((item["freq"], item.get("cos", 0.0), item.get("sin", 0.0)))
+    return modes
 
 
 #: the grid keys of a flow config; its other keys are ``RunConfig``'s fields
@@ -232,10 +242,10 @@ def load_flow_config(
     g0 = np.array([[_g0_entry(cfg["g0"][i][j]) for j in range(n)] for i in range(n)])
     if len(cfg["g0"]) != n or any(len(row) != n for row in cfg["g0"]):
         raise ValueError(f"g0 must be {n}x{n}, got {cfg['g0']!r}")
-    f_modes = _modes_from_config(cfg.get("f_modes"))
+    f_modes = _modes_from_config(cfg, "f_modes")
     f = field_from_modes(n, N, f_modes) if f_modes else None
     bg = mf.TorusBackground(n=n, N=N, g0=g0, f=f)
-    phi0 = field_from_modes(n, N, _modes_from_config(cfg.get("phi0_modes")))
+    phi0 = field_from_modes(n, N, _modes_from_config(cfg, "phi0_modes"))
     return bg, run_cfg, phi0, cfg.get("output")
 
 

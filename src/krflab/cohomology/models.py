@@ -294,7 +294,7 @@ def model_from_dict(data: dict) -> ManifoldModel:
             for item in array(data["catalogue"], "catalogue")
         ),
         kodaira=None if kod == "minus-infinity" else integer(kod, "kodaira"),
-        notes=data.get("notes", ""),
+        notes=string(data.get("notes", ""), "notes"),
     )
 
 

@@ -15,7 +15,9 @@ so it maps every point to point 0).  It runs on a stack of starts at
 once: every value of one coordinate, for every start still descending,
 is scored in one batch.  Only one row and one column of a distortion
 depend on the moving coordinate, so a batch costs O(S*(|X| + |Y|)**2)
-for S starts, not O(S*|Y|*|X|**2) when F[x] moves.  The starts share
+for S starts, not O(S*|Y|*|X|**2) when F[x] moves; the distortion
+blocks of the starts are kept through the search, and a move rewrites
+one row and one column of its block.  The starts share
 their pass orders, drawn once after the start maps.  They run in stacks
 whose largest temporary holds at most ``BLOCK_FLOATS`` entries, and the
 search stops after the first stack that reaches epsilon 0.  The result
@@ -25,8 +27,8 @@ order, so a move counts only when it lowers the worst defect or lowers
 the soft score by more than ``SOFT_RTOL`` of it.
 
 The exhaustive search scores the first pair in distortion order, then the
-map pairs that can beat it in blocks of at most ``PAIR_BLOCK`` entries; no
-seed enters it.
+map pairs that can beat it in blocks of at most ``PAIR_BLOCK`` entries,
+sorting only the maps that can still win; no seed enters it.
 
 The collapsing demonstration samples a two-torus whose fiber circle
 shrinks like exp(-t/2) and certifies convergence to the base circle with
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -156,33 +158,73 @@ def _anchor_seed(X: FiniteMetricSpace, Y: FiniteMetricSpace, x0: int, y0: int) -
     return F
 
 
-def _distortion(DA: np.ndarray, DB: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(max |defect|, sum of squared defects) of the distortion of each row of A: DA -> DB."""
-    d = np.ascontiguousarray(DA - DB[A[:, :, None], A[:, None, :]]).reshape(len(A), -1)
-    return np.abs(d).max(axis=1, initial=0.0), np.square(d).sum(axis=1)
+def _block(DA: np.ndarray, DB: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The distortion of each row of A: DA -> DB, entry by entry, |DA - DB[A, A]| (S x na x na)."""
+    return np.abs(DA - DB[A[:, :, None], A[:, None, :]])
+
+
+def _distortion(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(max |defect|, sum of squared defects) of each distortion of a ``_block``."""
+    d = block.reshape(len(block), -1)
+    return d.max(axis=1, initial=0.0), np.square(d).sum(axis=1)
+
+
+class _Side(NamedTuple):
+    """One direction of the local search, maps DA -> DB, and what every batch of its moves reads."""
+
+    DA: np.ndarray
+    DB: np.ndarray
+    DBt: np.ndarray  # DB.T, contiguous
+    padded: np.ndarray  # DB and a row of zeros: gathering row nb gives zeros
+    starts_a: np.ndarray  # flat index of the start of each row of DA
+    starts_b: np.ndarray  # flat index of the start of each row of DB
+    points_b: np.ndarray  # the points of DB as a column
+
+    @staticmethod
+    def of(DA: np.ndarray, DB: np.ndarray) -> "_Side":
+        na, nb = len(DA), len(DB)
+        return _Side(
+            DA,
+            DB,
+            np.ascontiguousarray(DB.T),
+            np.vstack([DB, np.zeros(nb)]),
+            np.arange(0, na * na, na),
+            np.arange(0, nb * nb, nb),
+            np.arange(nb)[:, None],
+        )
+
+    def rewrite(self, block: np.ndarray, A: np.ndarray, rows: np.ndarray, a: int) -> None:
+        """Rewrite row and column a of the ``_block`` of those rows of A, after A[rows, a] moved."""
+        Ar = A[rows]
+        here = Ar[:, a, None]
+        block[rows, a, :] = np.abs(self.DA[a] - self.DB[here, Ar])
+        block[rows, :, a] = np.abs(self.DA[:, a] - self.DB[Ar, here])
 
 
 def _moves(
-    DA: np.ndarray, DB: np.ndarray, A: np.ndarray, B: np.ndarray, a: int
+    side: _Side, A: np.ndarray, B: np.ndarray, block: np.ndarray, a: int
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Score every value of A[:, a] at once, for a stack of map pairs.
 
-    Row s of A (S x na) maps DA -> DB and row s of B (S x nb) maps DB -> DA.
-    Entry [s, c] of each family is that family with A[s, a] = c: the
-    distortion of A (na*na values), the round trip DA[i, B[A[i]]] (na) and
-    the round trip DB[j, A[B[j]]] (nb).  Returns (max, sum of squares) per
-    family, each S x nb.  Only row and column a of the distortion, entry a
-    of the first round trip and the entries j with B[j] = a of the second
-    depend on c.  So each family is the current pair's entries that stay,
-    reduced once per row, combined with the new entries of every candidate,
-    which are laid out with the reduced axis first.  The maxima are exact;
-    the sums are summed in another order than one candidate's family alone.
-    No temporary holds more than S * max(na, nb)**2 entries.
+    Row s of A (S x na) maps DA -> DB and row s of B (S x nb) maps DB -> DA;
+    ``block`` is the ``_block`` of A.  Entry [s, c] of each family is that
+    family with A[s, a] = c: the distortion of A (na*na values), the round
+    trip DA[i, B[A[i]]] (na) and the round trip DB[j, A[B[j]]] (nb).
+    Returns (max, sum of squares) per family, each S x nb.  Only row and
+    column a of the distortion, entry a of the first round trip and the
+    entries j with B[j] = a of the second depend on c.  So each family is
+    the current pair's entries that stay (for the distortion, a copy of
+    the block with row and column a zeroed), reduced once per row,
+    combined with the new entries of every candidate, which are laid out
+    with the reduced axis first.  The maxima are exact; the sums are
+    summed in another order than one candidate's family alone.  No
+    temporary holds more than S * max(na, nb)**2 entries.
     """
+    DA, DB = side.DA, side.DB
     S, na = A.shape
     nb = len(DB)
     # the current distortion without row and column a
-    kept = np.abs(DA - DB.take(A[:, :, None] * nb + A[:, None, :]))
+    kept = block.copy()
     kept[:, a, :] = 0.0
     kept[:, :, a] = 0.0
     kept = kept.reshape(S, na * na)
@@ -191,7 +233,7 @@ def _moves(
     # row a, DA[a, j] - DB[c, A[j]], and column a, DA[i, a] - DB[A[i], c],
     # for every candidate, (na, S, nb); their entry a is DA[a, a] - DB[c, c] = 0
     At = A.T
-    line = np.abs(DA[a, :, None, None] - np.ascontiguousarray(DB.T).take(At, axis=0))
+    line = np.abs(DA[a, :, None, None] - side.DBt.take(At, axis=0))
     column = np.abs(DA[:, a, None, None] - DB.take(At, axis=0))
     line[a] = column[a] = 0.0
     worst = np.maximum(line.max(axis=0), column.max(axis=0))
@@ -204,17 +246,17 @@ def _moves(
     )
     # the round trip from DA: entry a becomes DA[a, B[c]]
     rows = np.arange(S)[:, None]
-    there = DA.take(np.arange(0, na * na, na) + B.take(rows * nb + A))
+    there = DA.take(side.starts_a + B.take(rows * nb + A))
     there[:, a] = 0.0
     new = DA[a, B]
     there_max = np.maximum(there.max(axis=1)[:, None], new)
     there_sum = np.square(there, out=there).sum(axis=1)[:, None] + np.square(new)
     # the round trip from DB: entry j with B[j] = a becomes DB[j, c]
-    back = DB.take(np.arange(0, nb * nb, nb) + A.take(rows * na + B))
+    back = DB.take(side.starts_b + A.take(rows * na + B))
     hit = B.T == a  # (nb, S)
     back[hit.T] = 0.0
     # (nb, S, nb): row j of DB where B[j] = a, else a row of zeros
-    new = np.vstack([DB, np.zeros(nb)]).take(np.where(hit, np.arange(nb)[:, None], nb), axis=0)
+    new = side.padded.take(np.where(hit, side.points_b, nb), axis=0)
     back_max = np.maximum(back.max(axis=1)[:, None], new.max(axis=0))
     new *= new
     back_sum = np.square(back, out=back).sum(axis=1)[:, None] + new.sum(axis=0)
@@ -222,28 +264,29 @@ def _moves(
 
 
 def _candidate_scores(
-    X: FiniteMetricSpace,
-    Y: FiniteMetricSpace,
+    sides: tuple[_Side, _Side],
     F: np.ndarray,
     G: np.ndarray,
     fixed: tuple[np.ndarray, np.ndarray],
+    block: np.ndarray,
     x: int | None = None,
     y: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(worst, soft) of each row of (F, G) with F[:, x], or else G[:, y], set to each value.
 
-    F and G are stacks of maps, one pair per row, and the scores are
-    S x |Y| (or S x |X|).  ``fixed`` is ``_distortion`` of the map that
-    does not move.  The soft score is summed as ((d1 + d2) + d3) + d4 for
-    either move, d1/d2 being the X/Y distortions and d3/d4 the round trips
-    starting in X/Y.
+    ``sides`` are X -> Y and Y -> X.  F and G are stacks of maps, one pair
+    per row, and the scores are S x |Y| (or S x |X|).  ``block`` is the
+    ``_block`` of the map that moves and ``fixed`` the ``_distortion`` of
+    the one that does not.  The soft score is summed as
+    ((d1 + d2) + d3) + d4 for either move, d1/d2 being the X/Y distortions
+    and d3/d4 the round trips starting in X/Y.
     """
     wf, sf = (v[:, None] for v in fixed)
     if y is None:
-        (w1, s1), (w3, s3), (w4, s4) = _moves(X.D, Y.D, F, G, x)
+        (w1, s1), (w3, s3), (w4, s4) = _moves(sides[0], F, G, block, x)
         w2, s2 = wf, sf
     else:
-        (w2, s2), (w4, s4), (w3, s3) = _moves(Y.D, X.D, G, F, y)
+        (w2, s2), (w4, s4), (w3, s3) = _moves(sides[1], G, F, block, y)
         w1, s1 = wf, sf
     return np.maximum(np.maximum(w1, w2), np.maximum(w3, w4)), ((s1 + s2) + s3) + s4
 
@@ -263,51 +306,58 @@ def _improve(
     permutation from ``orders``, then G's in the order of its Y one, and
     every row follows the same orders.  Each coordinate is one candidate
     batch over the live rows: all |Y| (|X|) values of F[:, x] (G[:, y])
-    are scored together, and the distortion of the map that does not move
-    is scored once per phase.  A row takes the first lexicographic minimum
-    of (worst, soft) over its values other than the current one (masked
-    to inf; scores are finite because distances are).  It moves there if
-    that lowers its best worst defect so far, or keeps it and lowers its
-    best soft score by more than ``SOFT_RTOL`` of it: the worst defects
-    are exact, but a soft score summed in a batch can differ from the same
-    pair's score in another batch in its last bits, and a move to a pair
-    that only ties the current one must not count.  A row that makes no
-    move in a full pass is at a local minimum of every single-coordinate
-    move and drops out.  Rows never mix and each row's scores are reduced
-    on their own, so a row ends where the search from that start alone
-    ends.
+    are scored together.  The distortion blocks of the live rows' F and G
+    (``_block``) are kept through the search: a move rewrites row and
+    column x (y) of its row's block, and each phase reduces the block of
+    the map that does not move once.  A row takes the first lexicographic
+    minimum of (worst, soft) over its values other than the current one
+    (masked to inf; scores are finite because distances are).  It moves
+    there if that lowers its best worst defect so far, or keeps it and
+    lowers its best soft score by more than ``SOFT_RTOL`` of it: the worst
+    defects are exact, but a soft score summed in a batch can differ from
+    the same pair's score in another batch in its last bits, and a move to
+    a pair that only ties the current one must not count.  A row that
+    makes no move in a full pass is at a local minimum of every
+    single-coordinate move and drops out.  Rows never mix and each row's
+    scores are reduced on their own, so a row ends where the search from
+    that start alone ends.
     """
     F, G = np.array(F), np.array(G)
     eps = np.empty(len(F))
-    # the rows still descending: their indices, maps and best scores
+    sides = fwd, bwd = _Side.of(X.D, Y.D), _Side.of(Y.D, X.D)
+    # the rows still descending: their indices, maps, distortion blocks and best scores
     live = np.arange(len(F))
     f, g = F.copy(), G.copy()
+    ef, eg = _block(X.D, Y.D, f), _block(Y.D, X.D, g)
     # entry F[:, 0] of the candidates for F[:, 0] scores each pair as it stands
-    worst, soft = _candidate_scores(X, Y, f, g, _distortion(Y.D, X.D, g), x=0)
+    worst, soft = _candidate_scores(sides, f, g, _distortion(eg), ef, x=0)
     best_w, best_s = worst[live, f[:, 0]], soft[live, f[:, 0]]
 
-    def descend(maps, k, scores, improved):
+    def descend(side, maps, block, k, scores, improved):
         worst, soft = scores
         rows = np.arange(len(maps))
         worst[rows, maps[:, k]] = np.inf
         c = np.lexsort((soft, worst))[:, 0]
         w, s = worst[rows, c], soft[rows, c]
-        moved = (w < best_w) | ((w == best_w) & (s < best_s * (1.0 - SOFT_RTOL)))
-        maps[moved, k] = c[moved]
-        best_w[moved], best_s[moved] = w[moved], s[moved]
-        improved |= moved
+        moved = np.flatnonzero((w < best_w) | ((w == best_w) & (s < best_s * (1.0 - SOFT_RTOL))))
+        if len(moved):
+            maps[moved, k] = c[moved]
+            best_w[moved], best_s[moved] = w[moved], s[moved]
+            improved[moved] = True
+            side.rewrite(block, maps, moved, k)
 
     for order_x, order_y in orders:
         improved = np.zeros(len(f), dtype=bool)
-        fixed = _distortion(Y.D, X.D, g)
+        fixed = _distortion(eg)
         for x in order_x:
-            descend(f, x, _candidate_scores(X, Y, f, g, fixed, x=x), improved)
-        fixed = _distortion(X.D, Y.D, f)
+            descend(fwd, f, ef, x, _candidate_scores(sides, f, g, fixed, ef, x=x), improved)
+        fixed = _distortion(ef)
         for y in order_y:
-            descend(g, y, _candidate_scores(X, Y, f, g, fixed, y=y), improved)
+            descend(bwd, g, eg, y, _candidate_scores(sides, f, g, fixed, eg, y=y), improved)
         done = live[~improved]
         F[done], G[done], eps[done] = f[~improved], g[~improved], best_w[~improved]
         live, f, g = live[improved], f[improved], g[improved]
+        ef, eg = ef[improved], eg[improved]
         best_w, best_s = best_w[improved], best_s[improved]
         if not len(live):
             break
@@ -368,20 +418,56 @@ def _map_rows(idx, src: int, dst: int) -> np.ndarray:
 def _distortions(DA: np.ndarray, DB: np.ndarray) -> np.ndarray:
     """Distortion of every map DA -> DB, flat in itertools.product order.
 
-    On the (|B|,)*|A| grid of maps, point pair a < b adds, along axes a and
-    b, the larger of |DA[a, b] - DB| and |DA[b, a] - DB.T|: both
-    orientations, as ``gh_epsilon`` reads them, so a space that is
-    symmetric only within ``TRIANGLE_TOL`` gets the same distortion.
+    The (|B|,)*|A| grid of maps grows one point of A at a time: point b
+    adds the last axis, and each pair a < b adds, along axes a and b of
+    that (|B|,)*(b+1) grid, the larger of |DA[a, b] - DB| and
+    |DA[b, a] - DB.T|.  Both orientations count, as ``gh_epsilon`` reads
+    them, so a space that is symmetric only within ``TRIANGLE_TOL`` gets
+    the same distortion; a max is exact in any order.
     """
     na, nb = len(DA), len(DB)
-    d = np.zeros((nb,) * na)
-    for a in range(na):
-        for b in range(a + 1, na):
-            shape = [1] * na
+    d = np.zeros(nb)
+    for b in range(1, na):
+        d = d[..., None]
+        for a in range(b):
+            shape = [1] * (b + 1)
             shape[a] = shape[b] = nb
-            pair = np.maximum(np.abs(DA[a, b] - DB), np.abs(DA[b, a] - DB.T))
-            np.maximum(d, pair.reshape(shape), out=d)
+            pair = np.maximum(np.abs(DA[a, b] - DB), np.abs(DA[b, a] - DB.T)).reshape(shape)
+            d = np.maximum(d, pair) if a == 0 else np.maximum(d, pair, out=d)
     return d.ravel()
+
+
+class _SortedBelow:
+    """The indices of d below a bound in stable (value, index) order, sorted a chunk at a time.
+
+    ``values`` holds those values sorted, from one sort of the values
+    alone, and so gives every chunk its edge.  ``order`` holds the indices
+    sorted so far: every index whose value is at most the last edge.  A
+    chunk is every index whose value lies above the last edge and at most
+    the new one, ties included, stably sorted; so the chunks join into one
+    stable sort.  Each chunk at least doubles ``order``.
+    """
+
+    def __init__(self, d: np.ndarray, bound: float):
+        self.d = d
+        self.values = np.sort(d[d < bound])
+        self.order = np.empty(0, dtype=np.intp)
+
+    def count(self, bound: float) -> int:
+        """How many values lie below bound."""
+        return int(np.searchsorted(self.values, bound, side="left"))
+
+    def sort(self, n: int) -> None:
+        """Sort chunks until ``order`` holds n indices, or all of them."""
+        while len(self.order) < min(n, len(self.values)):
+            done = len(self.order)
+            edge = self.values[min(max(n, 2 * done), len(self.values)) - 1]
+            chunk = self.d <= edge
+            if done:
+                chunk &= self.d > self.values[done - 1]
+            chunk = np.flatnonzero(chunk)
+            chunk = chunk[np.argsort(self.d[chunk], kind="stable")]
+            self.order = np.concatenate([self.order, chunk])
 
 
 def _exhaustive_bound(
@@ -389,50 +475,52 @@ def _exhaustive_bound(
 ) -> tuple[float, CorrespondencePair]:
     """Smallest epsilon over all map pairs, and the first pair that reaches it.
 
-    F and G are sorted stably by their distortions d1 and d2, and the first
-    pair in that order is scored first.  Only an F whose d1 and a G whose
-    d2 is below the best epsilon so far can beat it.  Pairs are scored in
-    (F, G) order, in blocks of at most ``PAIR_BLOCK`` round-trip entries
-    built from the maps' indices, and replace the best only when strictly
-    smaller: the result is the first pair with the smallest epsilon.
+    F and G are ordered stably by their distortions d1 and d2, and the
+    first pair in that order is scored first.  Only an F whose d1 and a G
+    whose d2 is below the best epsilon so far can beat it, and only those
+    are sorted, a chunk at a time as the scoring reaches them
+    (``_SortedBelow``).  Pairs are scored in (F, G) order, in blocks of at
+    most ``PAIR_BLOCK`` round-trip entries built from the maps' indices:
+    several F against every G that can still win, or one F against those
+    G in pieces, each at most as long as the G sorted so far.  A pair
+    replaces the best only when strictly smaller, so the result is the
+    first pair with the smallest epsilon, however the blocks fall.
     """
     nx, ny = len(X), len(Y)
     d1, d2 = _distortions(X.D, Y.D), _distortions(Y.D, X.D)
     # argmin takes the first of equal minima: the first pair in order
     best_pair = CorrespondencePair(_map_rows(d1.argmin(), nx, ny), _map_rows(d2.argmin(), ny, nx))
     best_eps = gh_epsilon(X, Y, best_pair)
-    # only the maps below it, in stable order: their indices ascend, so ties keep index order
-    order_f, order_g = np.flatnonzero(d1 < best_eps), np.flatnonzero(d2 < best_eps)
-    order_f = order_f[np.argsort(d1[order_f], kind="stable")]
-    order_g = order_g[np.argsort(d2[order_g], kind="stable")]
-    d1, d2 = d1[order_f], d2[order_g]
+    fs, gs = _SortedBelow(d1, best_eps), _SortedBelow(d2, best_eps)
     # round trips D[i, G[F[i]]] as flat indices, the point i along the first axis
     there = (np.arange(nx) * nx)[:, None, None]
     back = (np.arange(ny) * ny)[:, None, None]
     m = max(nx, ny)
     lo = 0
-    while lo < len(order_f) and d1[lo] < best_eps:
-        ng = int(np.searchsorted(d2, best_eps, side="left"))
+    while lo < fs.count(best_eps):
+        ng = gs.count(best_eps)
         if ng == 0:
             break
-        # several F against all ng G, or one F against ng G in pieces
+        # several F against all ng G, or one F against the G in pieces as they are sorted
         rows = max(1, PAIR_BLOCK // (ng * m))
         cols = max(1, PAIR_BLOCK // (rows * m))
-        F = _map_rows(order_f[lo : lo + rows], nx, ny)
-        for g0 in range(0, ng, cols):
-            if d2[g0] >= best_eps:
-                break
-            G = _map_rows(order_g[g0 : min(g0 + cols, ng)], ny, nx)
+        fs.sort(lo + rows)
+        F = _map_rows(fs.order[lo : lo + rows], nx, ny)
+        g0 = 0
+        while g0 < ng and gs.values[g0] < best_eps:
+            gs.sort(g0 + 1 if rows == 1 else ng)
+            G = _map_rows(gs.order[g0 : min(g0 + cols, ng)], ny, nx)
             d3 = X.D.take(there + G.T[F.T]).max(axis=0)  # (F, G)
             d4 = Y.D.take(back + F.T[G.T]).max(axis=0).T
             eps = np.maximum(
-                np.maximum(d1[lo : lo + len(F), None], d2[None, g0 : g0 + len(G)]),
+                np.maximum(fs.values[lo : lo + len(F), None], gs.values[None, g0 : g0 + len(G)]),
                 np.maximum(d3, d4),
             )
             f, g = np.unravel_index(eps.argmin(), eps.shape)
             if eps[f, g] < best_eps:
                 best_eps = float(eps[f, g])
                 best_pair = CorrespondencePair(F[f].copy(), G[g].copy())
+            g0 += len(G)
         lo += len(F)
     return best_eps, best_pair
 
@@ -462,7 +550,13 @@ def gh_upper_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace, seed: int = 0) ->
 def _warped_torus_distances(ts: Sequence[float], n_base: int, n_fiber: int) -> np.ndarray:
     """Distance matrices of ``sample_warped_torus`` at each t, stacked (T, n, n).
 
-    Not validated here; a test pins that they pass over a grid of (t, n_base, n_fiber).
+    The squared distance is the minimum over shifts (k, l) in {-1, 0, 1}^2
+    of a_k + w * b_l, with a_k = (dx + k)^2, b_l = (dy + l)^2 and
+    w = exp(-t).  Rounded + and * are monotone on nonnegative values, so
+    that minimum is min_k a_k + w * min_l b_l, bit for bit: one term
+    across and one along the fiber, then one product and sum per t.
+    Not validated here; a test pins that they pass over a grid of
+    (t, n_base, n_fiber).
     """
     if n_base < 1 or n_fiber < 1:
         raise ValueError("need at least one sample per direction")
@@ -474,14 +568,10 @@ def _warped_torus_distances(ts: Sequence[float], n_base: int, n_fiber: int) -> n
     px, py = gx.ravel(), gy.ravel()
     dx = px[:, None] - px[None, :]
     dy = py[:, None] - py[None, :]
+    across = np.minimum(np.minimum((dx - 1.0) ** 2, dx**2), (dx + 1.0) ** 2)
+    along = np.minimum(np.minimum((dy - 1.0) ** 2, dy**2), (dy + 1.0) ** 2)
     warp = np.array([math.exp(-t) for t in ts])[:, None, None]
-    best = None
-    for k in (-1.0, 0.0, 1.0):
-        across = (dx + k) ** 2
-        for l in (-1.0, 0.0, 1.0):
-            cand = across + warp * (dy + l) ** 2
-            best = cand if best is None else np.minimum(best, cand)
-    D = np.sqrt(best)
+    D = np.sqrt(across + warp * along)
     n = len(px)
     D[:, np.arange(n), np.arange(n)] = 0.0
     return D

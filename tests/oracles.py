@@ -11,6 +11,10 @@ coordinates and multiply each constraint out along the flow line, apart
 from the integer kernels of ``krflab.cohomology``; the ansatz oracle
 steps RK4 on numpy arrays, the reference for the per-component float
 steps of ``ansatz.integrate``.
+
+The Gromov-Hausdorff oracles build what ``krflab.ghmetric`` builds the
+long way: every map pair, one candidate move or one point pair at a
+time, and the warped-torus distances from all nine lattice shifts.
 """
 
 from __future__ import annotations
@@ -196,6 +200,49 @@ def map_distortions(DA, DB, maps) -> np.ndarray:
             if a1 != a2:
                 np.maximum(d, np.abs(DA[a1, a2] - DB[maps[:, a1], maps[:, a2]]), out=d)
     return d
+
+
+def pairwise_distortions(DA, DB) -> np.ndarray:
+    """Distortion of every map DA -> DB, flat in itertools.product order, one point pair at a time.
+
+    Reference for ``krflab.ghmetric._distortions``, which grows the grid of
+    maps one point at a time: here each pair a < b is applied on the full
+    (|B|,)*|A| grid, in both orientations.
+    """
+    na, nb = len(DA), len(DB)
+    d = np.zeros((nb,) * na)
+    for a in range(na):
+        for b in range(a + 1, na):
+            shape = [1] * na
+            shape[a] = shape[b] = nb
+            pair = np.maximum(np.abs(DA[a, b] - DB), np.abs(DA[b, a] - DB.T))
+            np.maximum(d, pair.reshape(shape), out=d)
+    return d.ravel()
+
+
+def warped_torus_distances(ts, n_base: int, n_fiber: int) -> np.ndarray:
+    """Warped-torus distance matrices (T, n, n), the minimum over all nine shifts (k, l).
+
+    Reference for ``krflab.ghmetric._warped_torus_distances``, which takes
+    the minimum of the across and the along term each on its own.
+    """
+    xs = np.arange(n_base) / n_base
+    ys = np.arange(n_fiber) / n_fiber
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    px, py = gx.ravel(), gy.ravel()
+    dx = px[:, None] - px[None, :]
+    dy = py[:, None] - py[None, :]
+    warp = np.array([math.exp(-t) for t in ts])[:, None, None]
+    best = None
+    for k in (-1.0, 0.0, 1.0):
+        across = (dx + k) ** 2
+        for l in (-1.0, 0.0, 1.0):
+            cand = across + warp * (dy + l) ** 2
+            best = cand if best is None else np.minimum(best, cand)
+    D = np.sqrt(best)
+    n = len(px)
+    D[:, np.arange(n), np.arange(n)] = 0.0
+    return D
 
 
 def exhaustive_loop(X, Y):

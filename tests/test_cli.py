@@ -172,8 +172,9 @@ def test_catalogue_with_a_bad_value_or_key_is_a_usage_error(tmp_path, capsys, fi
             [{"label": 7, "dim": 1, "pairing": {"0": "1"}}],
             "subvariety label must be a string, got 7",
         ),
+        ("notes", ["x", 1], "notes must be a string, got ['x', 1]"),
     ],
-    ids=["basis", "name", "cone-label", "subvariety-label"],
+    ids=["basis", "name", "cone-label", "subvariety-label", "notes"],
 )
 @pytest.mark.parametrize("argv", [["models"], ["maxtime", "cp1", "1"]], ids=["models", "maxtime"])
 def test_catalogue_with_a_label_that_is_not_a_string_is_a_usage_error(
@@ -181,7 +182,8 @@ def test_catalogue_with_a_label_that_is_not_a_string_is_a_usage_error(
 ):
     # a label of 1 loaded: models ended in a TypeError traceback from
     # ", ".join(model.basis) (exit 1) and maxtime exited 0; a name of 7 loaded
-    # as a model that no maxtime argument can name
+    # as a model that no maxtime argument can name; notes of ["x", 1] loaded,
+    # and models printed the list with exit 0
     path = builtin_catalogue(tmp_path, "cp1", **{field: value})
     assert cli.main([*argv, "--catalogue", path]) == 2
     err = capsys.readouterr().err
@@ -395,6 +397,14 @@ def test_flow_config_with_a_positivity_floor_is_refused(tmp_path, capsys):
             {"f_modes": [{"freq": [1.5, 0], "cos": 0.01}]},
             "a mode frequency must be an integer, got 1.5",
         ),
+        # a mode entry's other keys were ignored, so "sine" ran with sin = 0
+        (
+            {"phi0_modes": [{"freq": [1, 0], "cos": 0.1, "sine": 0.1}]},
+            "unknown phi0_modes key(s) 'sine'",
+        ),
+        ({"f_modes": [{"freq": [1, 0], "amp": 0.1}]}, "unknown f_modes key(s) 'amp'"),
+        ({"f_modes": [{"cos": 0.1}]}, "an entry of f_modes needs a 'freq'"),
+        ({"phi0_modes": [[1, 0]]}, "an entry of phi0_modes must be a JSON object, got [1, 0]"),
         # the modes are evaluated before the background is built, so the
         # dimension is checked first
         (

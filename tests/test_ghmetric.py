@@ -16,7 +16,9 @@ from oracles import (
     exhaustive_loop,
     gh_scores,
     map_distortions,
+    pairwise_distortions,
     sequential_improve,
+    warped_torus_distances,
 )
 
 
@@ -216,11 +218,13 @@ def test_candidate_scores_equal_single_candidate_scores():
 
     # every move of every row of two stacks of random pairs: a wrong order
     # shows in a few percent
+    sides = gh._Side.of(X.D, Y.D), gh._Side.of(Y.D, X.D)
     for rows in (3, 4):
         F = rng.integers(0, len(Y), size=(rows, len(X)))
         G = rng.integers(0, len(X), size=(rows, len(Y)))
+        EF, EG = gh._block(X.D, Y.D, F), gh._block(Y.D, X.D, G)
         for x in range(len(X)):
-            worst, soft = gh._candidate_scores(X, Y, F, G, gh._distortion(Y.D, X.D, G), x=x)
+            worst, soft = gh._candidate_scores(sides, F, G, gh._distortion(EG), EF, x=x)
             assert worst.shape == soft.shape == (rows, len(Y))
             for s, c in itertools.product(range(rows), range(len(Y))):
                 Fc = F[s].copy()
@@ -229,7 +233,7 @@ def test_candidate_scores_equal_single_candidate_scores():
                 assert worst[s, c] == want_worst
                 assert soft[s, c] == pytest.approx(want_soft, rel=1e-13, abs=0.0)
         for y in range(len(Y)):
-            worst, soft = gh._candidate_scores(X, Y, F, G, gh._distortion(X.D, Y.D, F), y=y)
+            worst, soft = gh._candidate_scores(sides, F, G, gh._distortion(EF), EG, y=y)
             assert worst.shape == soft.shape == (rows, len(X))
             for s, c in itertools.product(range(rows), range(len(X))):
                 Gc = G[s].copy()
@@ -249,8 +253,9 @@ def test_moves_score_each_family_of_each_candidate():
     G = rng.integers(0, 6, size=(3, 5))
     for DA, DB, A, B in ((DX, DY, F, G), (DY, DX, G, F)):
         na, nb = len(DA), len(DB)
+        side, block = gh._Side.of(DA, DB), gh._block(DA, DB, A)
         for a in range(na):
-            families = gh._moves(DA, DB, A, B, a)
+            families = gh._moves(side, A, B, block, a)
             for s, c in itertools.product(range(3), range(nb)):
                 Ac = A[s].copy()
                 Ac[a] = c
@@ -288,9 +293,9 @@ def _accepted_moves(X, Y, seed):
     improve, scores = gh._improve, gh._candidate_scores
     states, moves = [], []
 
-    def record(X, Y, F, G, fixed, x=None, y=None):
+    def record(sides, F, G, fixed, block, x=None, y=None):
         states.append((F[0].copy(), G[0].copy()))
-        return scores(X, Y, F, G, fixed, x=x, y=y)
+        return scores(sides, F, G, fixed, block, x=x, y=y)
 
     def one_at_a_time(X, Y, F, G, orders):
         found = []
@@ -382,6 +387,29 @@ def test_stacked_descent_rows_match_each_start_alone(case):
         assert np.array_equal(Fs[s], F1[0]) and np.array_equal(Gs[s], G1[0])
         assert eps[s] == gh.gh_epsilon(X, Y, gh.CorrespondencePair(Fs[s], Gs[s]))
 
+
+
+@pytest.mark.parametrize("case", list(_search_cases()))
+def test_kept_distortion_blocks_match_a_fresh_gather(case, monkeypatch):
+    # the local search keeps the distortion block of each live row through
+    # its moves: every batch must read |DA - DB[A, A]| of the maps as they stand
+    X, Y, seed = _search_cases()[case]
+    moves, stacks = gh._moves, {}
+
+    def check(side, A, B, block, a):
+        fresh = np.abs(side.DA - side.DB[A[:, :, None], A[:, None, :]])
+        assert np.array_equal(block, fresh)
+        stacks.setdefault(id(side.DA), []).append(A.copy())
+        return moves(side, A, B, block, a)
+
+    monkeypatch.setattr(gh, "_moves", check)
+    gh._heuristic_bound(X, Y, seed)
+    # moves were accepted and read back on both sides
+    for seen in stacks.values():
+        assert any(
+            a.shape == b.shape and not np.array_equal(a, b) for a, b in zip(seen, seen[1:])
+        )
+    assert len(stacks) == 2
 
 def _exhaustive_cases():
     cases = {
@@ -499,9 +527,88 @@ def test_exhaustive_blocks_match_the_loop_on_random_spaces(data):
         _assert_same_bound(found, _first_best_pair(X, Y))
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_distortions_grown_point_by_point_match_the_full_grid(data):
+    # a max is exact in any order, so the grid grown one point at a time is
+    # the full grid to the bit, also where DA is symmetric only within the tolerance
+    na, nb = data.draw(st.integers(1, 6), label="na"), data.draw(st.integers(1, 6), label="nb")
+    A, B = data.draw(_small_spaces(na), label="A"), data.draw(_small_spaces(nb), label="B")
+    if data.draw(st.booleans(), label="nearly symmetric"):
+        A = gh.FiniteMetricSpace.of(list(A.labels), A.D + np.triu(np.full(A.D.shape, 9e-13), 1))
+    assert np.array_equal(gh._distortions(A.D, B.D), pairwise_distortions(A.D, B.D))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.lists(st.integers(0, 5), min_size=1, max_size=60),
+    bound=st.integers(0, 6),
+    reads=st.lists(st.integers(1, 70), max_size=6),
+)
+def test_sorted_below_is_a_prefix_of_the_stable_sort(values, bound, reads):
+    # few distinct values: chunk edges fall inside runs of ties
+    d = np.array(values, dtype=float)
+    stream = gh._SortedBelow(d, bound)
+    want = np.argsort(d, kind="stable")[: int((d < bound).sum())]
+    assert np.array_equal(stream.values, d[want])
+    for n in reads:
+        stream.sort(n)
+        assert len(stream.order) >= min(n, len(want))
+        assert np.array_equal(stream.order, want[: len(stream.order)])
+
+
+def test_exhaustive_sorts_few_of_the_maps_below_the_first_epsilon(monkeypatch):
+    # the gh-search 6-vs-6 pair: the first pair's epsilon lets through nearly
+    # every map, the final one few; the search must still find the loop's pair
+    X, Y = gh.sample_warped_torus(1.2, 2, 3), gh.circle_space(6)
+    init, streams = gh._SortedBelow.__init__, []
+
+    def record(self, d, bound):
+        init(self, d, bound)
+        streams.append((self, d, bound))
+
+    monkeypatch.setattr(gh._SortedBelow, "__init__", record)
+    found = gh._exhaustive_bound(X, Y)
+    _assert_same_bound(found, exhaustive_loop(X, Y))
+    assert len(streams) == 2
+    for stream, d, first in streams:
+        assert first > 1.5 * found[0]
+        assert len(stream.values) > 10_000
+        assert len(stream.order) < len(stream.values) / 10
+        assert np.array_equal(stream.order, np.argsort(d, kind="stable")[: len(stream.order)])
+
+
+@pytest.mark.parametrize("block", [gh.PAIR_BLOCK, 5 * 6, 1])
+def test_exhaustive_chunks_take_every_tie_at_their_edge(block, monkeypatch):
+    # simplex against circle: a handful of distortion values, so the chunks
+    # the search asks for end inside runs of exact ties
+    X, Y = _simplex(6), gh.circle_space(6)
+    sort, crossed = gh._SortedBelow.sort, []
+
+    def record(self, n):
+        sort(self, n)
+        k = len(self.order)
+        assert k == len(self.values) or self.values[k] > self.values[k - 1]
+        crossed.append(0 < n < k and self.values[n - 1] == self.values[n])
+
+    monkeypatch.setattr(gh, "PAIR_BLOCK", block)
+    monkeypatch.setattr(gh._SortedBelow, "sort", record)
+    _assert_same_bound(gh._exhaustive_bound(X, Y), exhaustive_loop(X, Y))
+    assert any(crossed)
+
 # ---------------------------------------------------------------------------
 # warped torus
 # ---------------------------------------------------------------------------
+
+
+def test_warped_distances_are_the_nine_shift_minimum():
+    # rounded + and * are monotone on nonnegative values: the minimum of each
+    # direction's term alone gives the nine-shift minimum to the bit
+    ts = [0.0, 1e-3, 1.0, 30.0]
+    for nb, nf in itertools.product((1, 2, 3, 4, 5, 8), repeat=2):
+        want = warped_torus_distances(ts, nb, nf)
+        assert np.array_equal(gh._warped_torus_distances(ts, nb, nf), want), (nb, nf)
 
 
 def test_warped_distances_closed_form():
