@@ -246,7 +246,8 @@ def load_flow_config(
     f = field_from_modes(n, N, f_modes) if f_modes else None
     bg = mf.TorusBackground(n=n, N=N, g0=g0, f=f)
     phi0 = field_from_modes(n, N, _modes_from_config(cfg, "phi0_modes"))
-    return bg, run_cfg, phi0, cfg.get("output")
+    output = cfg.get("output")
+    return bg, run_cfg, phi0, None if output is None else ser.string(output, "output")
 
 
 def _write_run_record(out: Path, args, series: mf.DiagnosticsSeries, **extra) -> None:

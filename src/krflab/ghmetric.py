@@ -8,31 +8,31 @@ a given pair of maps; ``gh_upper_bound`` searches over maps, exhaustively
 (exact, whatever the seed) when |X|*|Y| <= 36 and by a seeded local
 search (upper bound only) otherwise.
 
-The local search is coordinate descent on one coordinate of F or G at a
-time, from anchor-aligned and random start maps (matching distance
-profiles gives no start: on a homogeneous space all profiles are equal,
-so it maps every point to point 0).  It runs on a stack of starts at
-once: every value of one coordinate, for every start still descending,
-is scored in one batch.  Only one row and one column of a distortion
-depend on the moving coordinate, so a batch costs O(S*(|X| + |Y|)**2)
-for S starts, not O(S*|Y|*|X|**2) when F[x] moves; the distortion
-blocks of the starts are kept through the search, and a move rewrites
-one row and one column of its block.  The starts share
-their pass orders, drawn once after the start maps.  They run in stacks
-whose largest temporary holds at most ``BLOCK_FLOATS`` entries, and the
-search stops after the first stack that reaches epsilon 0.  The result
-is the first start, in order, with the smallest epsilon.  A batch's
-worst defects are exact and its soft scores are summed in their own
-order, so a move counts only when it lowers the worst defect or lowers
-the soft score by more than ``SOFT_RTOL`` of it.
+The local search is coordinate descent from anchor-aligned and random
+start maps (matching distance profiles gives no start: on a homogeneous
+space all profiles are equal).  The starts descend together: every value
+of one coordinate of F or G, for every start still descending, is scored
+in one batch, through one path for either map.  Only one row and one
+column of a distortion depend on the moving coordinate, so each start
+keeps its distortion blocks |D_X - D_Y[F, F]| and |D_Y - D_X[G, G]|, a
+batch reads the moving map's block with that row and column set aside,
+and a move rewrites them: O(S*(|X| + |Y|)**2) per batch of S starts.
+The starts run in stacks whose largest temporary holds at most
+``BLOCK_FLOATS`` entries, and the search stops after the first stack
+that reaches epsilon 0.
 
-The exhaustive search scores the first pair in distortion order, then the
-map pairs that can beat it in blocks of at most ``PAIR_BLOCK`` entries,
-sorting only the maps that can still win; no seed enters it.
+The exhaustive search builds the distortion of every map one point of
+its domain at a time and scores the first pair in distortion order.
+Only maps whose distortion is below the best epsilon so far can beat it,
+and only those are sorted, a chunk at a time as the scoring reaches
+them; pairs are scored in blocks built from the maps' indices.
 
 The collapsing demonstration samples a two-torus whose fiber circle
 shrinks like exp(-t/2) and certifies convergence to the base circle with
 the explicit projection/section maps, at every sampled time at once.
+Rounded + and * are monotone on nonnegative values, so its distances take
+the shortest lattice shift across and along the fiber each on its own,
+bit for bit as the minimum over all nine shifts.
 """
 
 from __future__ import annotations
@@ -174,6 +174,7 @@ class _Side(NamedTuple):
 
     DA: np.ndarray
     DB: np.ndarray
+    from_x: bool  # DA is X's, so the round trip that starts in X is DA's
     DBt: np.ndarray  # DB.T, contiguous
     padded: np.ndarray  # DB and a row of zeros: gathering row nb gives zeros
     starts_a: np.ndarray  # flat index of the start of each row of DA
@@ -181,11 +182,12 @@ class _Side(NamedTuple):
     points_b: np.ndarray  # the points of DB as a column
 
     @staticmethod
-    def of(DA: np.ndarray, DB: np.ndarray) -> "_Side":
+    def of(DA: np.ndarray, DB: np.ndarray, from_x: bool) -> "_Side":
         na, nb = len(DA), len(DB)
         return _Side(
             DA,
             DB,
+            from_x,
             np.ascontiguousarray(DB.T),
             np.vstack([DB, np.zeros(nb)]),
             np.arange(0, na * na, na),
@@ -202,23 +204,23 @@ class _Side(NamedTuple):
 
 
 def _moves(
-    side: _Side, A: np.ndarray, B: np.ndarray, block: np.ndarray, a: int
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Score every value of A[:, a] at once, for a stack of map pairs.
+    side: _Side,
+    A: np.ndarray,
+    B: np.ndarray,
+    block: np.ndarray,
+    fixed: tuple[np.ndarray, np.ndarray],
+    a: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(worst, soft) of each row of a stack of map pairs with A[:, a] set to each value.
 
-    Row s of A (S x na) maps DA -> DB and row s of B (S x nb) maps DB -> DA;
-    ``block`` is the ``_block`` of A.  Entry [s, c] of each family is that
-    family with A[s, a] = c: the distortion of A (na*na values), the round
-    trip DA[i, B[A[i]]] (na) and the round trip DB[j, A[B[j]]] (nb).
-    Returns (max, sum of squares) per family, each S x nb.  Only row and
-    column a of the distortion, entry a of the first round trip and the
-    entries j with B[j] = a of the second depend on c.  So each family is
-    the current pair's entries that stay (for the distortion, a copy of
-    the block with row and column a zeroed), reduced once per row,
-    combined with the new entries of every candidate, which are laid out
-    with the reduced axis first.  The maxima are exact; the sums are
-    summed in another order than one candidate's family alone.  No
-    temporary holds more than S * max(na, nb)**2 entries.
+    Row s of A (S x na) maps DA -> DB and row s of B (S x nb) maps back;
+    ``block`` is the ``_block`` of A and ``fixed`` the ``_distortion`` of
+    B.  Entry [s, c] scores row s with A[s, a] = c, both S x nb.  worst is
+    the exact max defect; soft, the sum of squared defects, is summed as
+    ((d_moving + d_fixed) + d3) + d4 in both directions, d3 being the
+    round trip that starts in X, and can differ in its last bits from one
+    pair's sum alone.  No temporary holds more than S * max(na, nb)**2
+    entries.
     """
     DA, DB = side.DA, side.DB
     S, na = A.shape
@@ -236,14 +238,12 @@ def _moves(
     line = np.abs(DA[a, :, None, None] - side.DBt.take(At, axis=0))
     column = np.abs(DA[:, a, None, None] - DB.take(At, axis=0))
     line[a] = column[a] = 0.0
-    worst = np.maximum(line.max(axis=0), column.max(axis=0))
+    edge = np.maximum(line.max(axis=0), column.max(axis=0))
+    moving_max = np.maximum(kept_max[:, None], edge)
     line *= line
     column *= column
     line += column
-    distortion = (
-        np.maximum(kept_max[:, None], worst),
-        kept_sum[:, None] + line.sum(axis=0),
-    )
+    moving_sum = kept_sum[:, None] + line.sum(axis=0)
     # the round trip from DA: entry a becomes DA[a, B[c]]
     rows = np.arange(S)[:, None]
     there = DA.take(side.starts_a + B.take(rows * nb + A))
@@ -260,35 +260,11 @@ def _moves(
     back_max = np.maximum(back.max(axis=1)[:, None], new.max(axis=0))
     new *= new
     back_sum = np.square(back, out=back).sum(axis=1)[:, None] + new.sum(axis=0)
-    return distortion, (there_max, there_sum), (back_max, back_sum)
-
-
-def _candidate_scores(
-    sides: tuple[_Side, _Side],
-    F: np.ndarray,
-    G: np.ndarray,
-    fixed: tuple[np.ndarray, np.ndarray],
-    block: np.ndarray,
-    x: int | None = None,
-    y: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(worst, soft) of each row of (F, G) with F[:, x], or else G[:, y], set to each value.
-
-    ``sides`` are X -> Y and Y -> X.  F and G are stacks of maps, one pair
-    per row, and the scores are S x |Y| (or S x |X|).  ``block`` is the
-    ``_block`` of the map that moves and ``fixed`` the ``_distortion`` of
-    the one that does not.  The soft score is summed as
-    ((d1 + d2) + d3) + d4 for either move, d1/d2 being the X/Y distortions
-    and d3/d4 the round trips starting in X/Y.
-    """
-    wf, sf = (v[:, None] for v in fixed)
-    if y is None:
-        (w1, s1), (w3, s3), (w4, s4) = _moves(sides[0], F, G, block, x)
-        w2, s2 = wf, sf
-    else:
-        (w2, s2), (w4, s4), (w3, s3) = _moves(sides[1], G, F, block, y)
-        w1, s1 = wf, sf
-    return np.maximum(np.maximum(w1, w2), np.maximum(w3, w4)), ((s1 + s2) + s3) + s4
+    trips = (there_max, there_sum), (back_max, back_sum)
+    (w3, s3), (w4, s4) = trips if side.from_x else trips[::-1]
+    fixed_max, fixed_sum = (v[:, None] for v in fixed)
+    worst = np.maximum(np.maximum(moving_max, fixed_max), np.maximum(w3, w4))
+    return worst, ((moving_sum + fixed_sum) + s3) + s4
 
 
 def _improve(
@@ -301,59 +277,44 @@ def _improve(
     """Coordinate descent on (max defect, sum of squared defects), for a stack of starts.
 
     F (S x |X|) and G (S x |Y|) hold one starting pair per row; returns
-    the improved stacks and each row's max defect, without touching the
-    inputs.  Each pass visits F's coordinates in the order of its X
-    permutation from ``orders``, then G's in the order of its Y one, and
-    every row follows the same orders.  Each coordinate is one candidate
-    batch over the live rows: all |Y| (|X|) values of F[:, x] (G[:, y])
-    are scored together.  The distortion blocks of the live rows' F and G
-    (``_block``) are kept through the search: a move rewrites row and
-    column x (y) of its row's block, and each phase reduces the block of
-    the map that does not move once.  A row takes the first lexicographic
-    minimum of (worst, soft) over its values other than the current one
-    (masked to inf; scores are finite because distances are).  It moves
-    there if that lowers its best worst defect so far, or keeps it and
-    lowers its best soft score by more than ``SOFT_RTOL`` of it: the worst
-    defects are exact, but a soft score summed in a batch can differ from
-    the same pair's score in another batch in its last bits, and a move to
-    a pair that only ties the current one must not count.  A row that
-    makes no move in a full pass is at a local minimum of every
-    single-coordinate move and drops out.  Rows never mix and each row's
-    scores are reduced on their own, so a row ends where the search from
-    that start alone ends.
+    the improved stacks and each row's max defect, inputs untouched.  Each
+    pass visits F's coordinates in its X order from ``orders``, then G's
+    in its Y order.  A row takes the first lexicographic minimum of
+    (worst, soft) over the values other than its current one, and moves
+    there if that lowers its best worst defect, or ties it and lowers its
+    best soft score by more than ``SOFT_RTOL`` of it (a tie in another
+    batch's rounding is no move).  A row with no move in a pass drops
+    out.  Rows never mix: each ends where the search from its start alone
+    ends.
     """
     F, G = np.array(F), np.array(G)
     eps = np.empty(len(F))
-    sides = fwd, bwd = _Side.of(X.D, Y.D), _Side.of(Y.D, X.D)
+    fwd, bwd = _Side.of(X.D, Y.D, True), _Side.of(Y.D, X.D, False)
     # the rows still descending: their indices, maps, distortion blocks and best scores
     live = np.arange(len(F))
     f, g = F.copy(), G.copy()
     ef, eg = _block(X.D, Y.D, f), _block(Y.D, X.D, g)
     # entry F[:, 0] of the candidates for F[:, 0] scores each pair as it stands
-    worst, soft = _candidate_scores(sides, f, g, _distortion(eg), ef, x=0)
+    worst, soft = _moves(fwd, f, g, ef, _distortion(eg), 0)
     best_w, best_s = worst[live, f[:, 0]], soft[live, f[:, 0]]
-
-    def descend(side, maps, block, k, scores, improved):
-        worst, soft = scores
-        rows = np.arange(len(maps))
-        worst[rows, maps[:, k]] = np.inf
-        c = np.lexsort((soft, worst))[:, 0]
-        w, s = worst[rows, c], soft[rows, c]
-        moved = np.flatnonzero((w < best_w) | ((w == best_w) & (s < best_s * (1.0 - SOFT_RTOL))))
-        if len(moved):
-            maps[moved, k] = c[moved]
-            best_w[moved], best_s[moved] = w[moved], s[moved]
-            improved[moved] = True
-            side.rewrite(block, maps, moved, k)
-
     for order_x, order_y in orders:
         improved = np.zeros(len(f), dtype=bool)
-        fixed = _distortion(eg)
-        for x in order_x:
-            descend(fwd, f, ef, x, _candidate_scores(sides, f, g, fixed, ef, x=x), improved)
-        fixed = _distortion(ef)
-        for y in order_y:
-            descend(bwd, g, eg, y, _candidate_scores(sides, f, g, fixed, eg, y=y), improved)
+        rows = np.arange(len(f))
+        phases = (fwd, f, g, ef, eg, order_x), (bwd, g, f, eg, ef, order_y)
+        for side, A, B, block, other, order in phases:
+            fixed = _distortion(other)
+            for k in order:
+                worst, soft = _moves(side, A, B, block, fixed, k)
+                worst[rows, A[:, k]] = np.inf
+                c = np.lexsort((soft, worst))[:, 0]
+                w, s = worst[rows, c], soft[rows, c]
+                better = (w < best_w) | ((w == best_w) & (s < best_s * (1.0 - SOFT_RTOL)))
+                moved = np.flatnonzero(better)
+                if len(moved):
+                    A[moved, k] = c[moved]
+                    best_w[moved], best_s[moved] = w[moved], s[moved]
+                    improved[moved] = True
+                    side.rewrite(block, A, moved, k)
         done = live[~improved]
         F[done], G[done], eps[done] = f[~improved], g[~improved], best_w[~improved]
         live, f, g = live[improved], f[improved], g[improved]
@@ -370,15 +331,11 @@ def _heuristic_bound(
 ) -> tuple[float, CorrespondencePair]:
     """Best pair the local search reaches from its starts, and its epsilon.
 
-    The starts are up to 8 x 8 anchor alignments and ``RESTARTS`` random
-    pairs.  After the start maps, the rng draws ``PASSES`` pass orders
-    (one permutation of X and one of Y each), shared by every start.
-    ``_improve`` runs the starts as stacks of at most
-    ``BLOCK_FLOATS // max(|X|, |Y|)**2`` rows, one start at the least, so
-    no temporary of a batch holds more than ``BLOCK_FLOATS`` entries up to
-    512 points.  The search stops after the first stack that reaches
-    epsilon 0.  The result is the first start, in order, with the smallest
-    epsilon.
+    The starts are up to 8 x 8 anchor alignments, then ``RESTARTS`` random
+    pairs; after them the rng draws ``PASSES`` pass orders, shared by
+    every start.  A stack holds at most ``BLOCK_FLOATS // max(|X|, |Y|)**2``
+    starts, one at the least.  The result is the first start, in order,
+    with the smallest epsilon.
     """
     rng = np.random.default_rng(seed)
     nx, ny = len(X), len(Y)
@@ -418,15 +375,14 @@ def _map_rows(idx, src: int, dst: int) -> np.ndarray:
 def _distortions(DA: np.ndarray, DB: np.ndarray) -> np.ndarray:
     """Distortion of every map DA -> DB, flat in itertools.product order.
 
-    The (|B|,)*|A| grid of maps grows one point of A at a time: point b
-    adds the last axis, and each pair a < b adds, along axes a and b of
-    that (|B|,)*(b+1) grid, the larger of |DA[a, b] - DB| and
-    |DA[b, a] - DB.T|.  Both orientations count, as ``gh_epsilon`` reads
-    them, so a space that is symmetric only within ``TRIANGLE_TOL`` gets
-    the same distortion; a max is exact in any order.
+    Both orientations of each point pair count, as ``gh_epsilon`` reads
+    them, so a space symmetric only within ``TRIANGLE_TOL`` gets the same
+    distortion bit for bit.
     """
     na, nb = len(DA), len(DB)
     d = np.zeros(nb)
+    # point b adds the last axis, and each pair a < b the larger of
+    # |DA[a, b] - DB| and |DA[b, a] - DB.T| along axes a and b
     for b in range(1, na):
         d = d[..., None]
         for a in range(b):
@@ -440,12 +396,9 @@ def _distortions(DA: np.ndarray, DB: np.ndarray) -> np.ndarray:
 class _SortedBelow:
     """The indices of d below a bound in stable (value, index) order, sorted a chunk at a time.
 
-    ``values`` holds those values sorted, from one sort of the values
-    alone, and so gives every chunk its edge.  ``order`` holds the indices
-    sorted so far: every index whose value is at most the last edge.  A
-    chunk is every index whose value lies above the last edge and at most
-    the new one, ties included, stably sorted; so the chunks join into one
-    stable sort.  Each chunk at least doubles ``order``.
+    ``values`` holds those values sorted.  ``order`` holds the indices
+    sorted so far: every index whose value is at most the last chunk's
+    edge, ties included.  Each chunk at least doubles ``order``.
     """
 
     def __init__(self, d: np.ndarray, bound: float):
@@ -475,16 +428,9 @@ def _exhaustive_bound(
 ) -> tuple[float, CorrespondencePair]:
     """Smallest epsilon over all map pairs, and the first pair that reaches it.
 
-    F and G are ordered stably by their distortions d1 and d2, and the
-    first pair in that order is scored first.  Only an F whose d1 and a G
-    whose d2 is below the best epsilon so far can beat it, and only those
-    are sorted, a chunk at a time as the scoring reaches them
-    (``_SortedBelow``).  Pairs are scored in (F, G) order, in blocks of at
-    most ``PAIR_BLOCK`` round-trip entries built from the maps' indices:
-    several F against every G that can still win, or one F against those
-    G in pieces, each at most as long as the G sorted so far.  A pair
-    replaces the best only when strictly smaller, so the result is the
-    first pair with the smallest epsilon, however the blocks fall.
+    The order is (F, G), F and G each stable in order of distortion.  A
+    pair replaces the best only when strictly smaller, however the blocks
+    of at most ``PAIR_BLOCK`` round-trip entries fall.
     """
     nx, ny = len(X), len(Y)
     d1, d2 = _distortions(X.D, Y.D), _distortions(Y.D, X.D)
@@ -528,12 +474,9 @@ def _exhaustive_bound(
 def gh_upper_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace, seed: int = 0) -> GHBound:
     """Minimize gh_epsilon over map pairs.
 
-    Exact (full enumeration with sound pruning) when |X|*|Y| is at most
-    36; otherwise an anchor-seeded local search with 64 random
-    restarts, which only certifies an upper bound and is flagged
-    "heuristic" (see ``_heuristic_bound``).  The seed steers the local
-    search only: the enumeration returns the first pair in distortion
-    order with the smallest epsilon (see ``_exhaustive_bound``).
+    Flagged "exact" when |X|*|Y| <= ``EXHAUSTIVE_LIMIT``: the first pair
+    in distortion order with the smallest epsilon, whatever the seed.
+    Otherwise the seeded local search's upper bound, flagged "heuristic".
     """
     if len(X) * len(Y) <= EXHAUSTIVE_LIMIT:
         eps, pair = _exhaustive_bound(X, Y)
@@ -550,13 +493,8 @@ def gh_upper_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace, seed: int = 0) ->
 def _warped_torus_distances(ts: Sequence[float], n_base: int, n_fiber: int) -> np.ndarray:
     """Distance matrices of ``sample_warped_torus`` at each t, stacked (T, n, n).
 
-    The squared distance is the minimum over shifts (k, l) in {-1, 0, 1}^2
-    of a_k + w * b_l, with a_k = (dx + k)^2, b_l = (dy + l)^2 and
-    w = exp(-t).  Rounded + and * are monotone on nonnegative values, so
-    that minimum is min_k a_k + w * min_l b_l, bit for bit: one term
-    across and one along the fiber, then one product and sum per t.
-    Not validated here; a test pins that they pass over a grid of
-    (t, n_base, n_fiber).
+    Bit for bit the minimum over all nine lattice shifts.  Not validated
+    here; a test pins that they pass over a grid of (t, n_base, n_fiber).
     """
     if n_base < 1 or n_fiber < 1:
         raise ValueError("need at least one sample per direction")
@@ -611,7 +549,6 @@ class CollapseSeries:
     epsilons: np.ndarray
     n_base: int
     n_fiber: int
-    flag: str = "fibration-maps"
     #: distance defect at the largest sampled time (discretization floor)
     floor: float = 0.0
     #: fitted coefficient of the exp(-t/2) envelope above the floor
@@ -620,6 +557,7 @@ class CollapseSeries:
     def rows(self):
         return [[float(t), float(e), self.flag] for t, e in zip(self.ts, self.epsilons)]
 
+    flag = "fibration-maps"
     header = ("t", "epsilon", "flag")
 
 

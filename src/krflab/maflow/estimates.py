@@ -132,7 +132,8 @@ def gap_constant(n: int) -> float:
 class GapCheck:
     lhs: np.ndarray  # ||A - Id||^2
     bound: np.ndarray  # C(n) * eps
-    passed: bool
+    violations: int  # samples over bound + min(1e-12, CHAIN_TOL * bound + 1e-15); NaN counts
+    passed: bool  # no violation, and the chain holds
     chain_ok: bool
     s_values: np.ndarray  # normalized symmetric means S_1..S_n, last axis
 
@@ -188,8 +189,12 @@ def matrix_gap_check(A: np.ndarray, eps) -> GapCheck:
     s2 = s[..., 1] if n >= 2 else s1**2  # n = 1: S_2 term has zero weight
     lhs = n**2 * s1**2 - 2 * n * s1 - n * (n - 1) * s2 + n
     bound = gap_constant(n) * eps_arr
-    passed = bool(np.all(lhs <= bound * (1.0 + CHAIN_TOL) + 1e-15)) and chain_ok
-    return GapCheck(lhs=lhs, bound=bound, passed=passed, chain_ok=chain_ok, s_values=s)
+    slack = np.minimum(1e-12, bound * CHAIN_TOL + 1e-15)
+    violations = int(np.count_nonzero(~(lhs <= bound + slack)))
+    passed = violations == 0 and chain_ok
+    return GapCheck(
+        lhs=lhs, bound=bound, violations=violations, passed=passed, chain_ok=chain_ok, s_values=s
+    )
 
 
 @dataclass

@@ -248,12 +248,8 @@ def criterion_matrix_gap(opts: VerifyOptions, res: CriterionResult) -> None:
     for n in (1, 2, 3):
         A, eps = sample_gap_matrices(rng, count, n)
         chk = mf.matrix_gap_check(A, eps)
-        # a sample violates when it fails the 1e-12 slack or matrix_gap_check's own
-        # relative one; NaN violates
-        slack = np.minimum(1e-12, chk.bound * mf.estimates.CHAIN_TOL + 1e-15)
-        violations = np.count_nonzero(~(chk.lhs <= chk.bound + slack))
         res.within(f"n={n}: ||A-Id||^2 <= {mf.gap_constant(n):g}*eps over {count} samples",
-                   violations, "<=", 0, "0 violations", "{:.0f} violations",
+                   chk.violations, "<=", 0, "0 violations", "{:.0f} violations",
                    "exact bound, 1e-12 slack")
         res.holds(f"n={n}: normalized symmetric-means chain", chk.chain_ok, "holds",
                   "holds" if chk.chain_ok else "violated", "1e-11 relative")

@@ -14,7 +14,9 @@ steps of ``ansatz.integrate``.
 
 The Gromov-Hausdorff oracles build what ``krflab.ghmetric`` builds the
 long way: every map pair, one candidate move or one point pair at a
-time, and the warped-torus distances from all nine lattice shifts.
+time, and the warped-torus distances from all nine lattice shifts; the
+batched move scores are also kept one defect family at a time, in the
+summation order the search's scores must match bit for bit.
 """
 
 from __future__ import annotations
@@ -183,6 +185,72 @@ def sequential_improve(X, Y, F, G, orders):
         if not improved:
             break
     return F, G, best[0]
+
+
+def family_moves(DA, DB, A, B, block, a):
+    """Each defect family of every value of A[:, a], scored on its own.
+
+    Row s of A (S x na) maps DA -> DB, row s of B (S x nb) maps back, and
+    ``block`` is |DA - DB[A, A]| per row.  Entry [s, c] of each family is
+    that family with A[s, a] = c: the distortion of A, the round trip
+    DA[i, B[A[i]]] and the round trip DB[j, A[B[j]]].  Returns
+    (max, sum of squares) per family, each S x nb, summed in the order
+    that ``candidate_scores`` combines bit for bit.
+    """
+    S, na = A.shape
+    nb = len(DB)
+    kept = block.copy()
+    kept[:, a, :] = 0.0
+    kept[:, :, a] = 0.0
+    kept = kept.reshape(S, na * na)
+    kept_max = kept.max(axis=1)
+    kept_sum = np.square(kept, out=kept).sum(axis=1)
+    At = A.T
+    line = np.abs(DA[a, :, None, None] - np.ascontiguousarray(DB.T).take(At, axis=0))
+    column = np.abs(DA[:, a, None, None] - DB.take(At, axis=0))
+    line[a] = column[a] = 0.0
+    worst = np.maximum(line.max(axis=0), column.max(axis=0))
+    line *= line
+    column *= column
+    line += column
+    distortion = (
+        np.maximum(kept_max[:, None], worst),
+        kept_sum[:, None] + line.sum(axis=0),
+    )
+    rows = np.arange(S)[:, None]
+    there = DA.take(np.arange(0, na * na, na) + B.take(rows * nb + A))
+    there[:, a] = 0.0
+    new = DA[a, B]
+    there_max = np.maximum(there.max(axis=1)[:, None], new)
+    there_sum = np.square(there, out=there).sum(axis=1)[:, None] + np.square(new)
+    back = DB.take(np.arange(0, nb * nb, nb) + A.take(rows * na + B))
+    hit = B.T == a
+    back[hit.T] = 0.0
+    padded = np.vstack([DB, np.zeros(nb)])
+    new = padded.take(np.where(hit, np.arange(nb)[:, None], nb), axis=0)
+    back_max = np.maximum(back.max(axis=1)[:, None], new.max(axis=0))
+    new *= new
+    back_sum = np.square(back, out=back).sum(axis=1)[:, None] + new.sum(axis=0)
+    return distortion, (there_max, there_sum), (back_max, back_sum)
+
+
+def candidate_scores(DX, DY, F, G, fixed, block, x=None, y=None):
+    """(worst, soft) of each row of (F, G) with F[:, x], or else G[:, y], set to each value.
+
+    Reference for ``krflab.ghmetric._moves``: ``block`` is the distortion
+    block of the map that moves and ``fixed`` the (max, sum of squares) of
+    the one that does not.  The soft score is ((d1 + d2) + d3) + d4 for
+    either move, d1/d2 the X/Y distortions and d3/d4 the round trips that
+    start in X/Y.
+    """
+    wf, sf = (v[:, None] for v in fixed)
+    if y is None:
+        (w1, s1), (w3, s3), (w4, s4) = family_moves(DX, DY, F, G, block, x)
+        w2, s2 = wf, sf
+    else:
+        (w2, s2), (w4, s4), (w3, s3) = family_moves(DY, DX, G, F, block, y)
+        w1, s1 = wf, sf
+    return np.maximum(np.maximum(w1, w2), np.maximum(w3, w4)), ((s1 + s2) + s3) + s4
 
 
 def all_maps(src: int, dst: int) -> np.ndarray:

@@ -5,6 +5,7 @@ per criterion (the whole gate takes a few minutes; criteria 3 and 4 carry
 real flow integrations).  The same checks back `krflab verify`.
 """
 
+import dataclasses
 import types
 
 import numpy as np
@@ -137,6 +138,54 @@ def test_criterion_4_floor_row_fails_on_a_drop_of_2e_4(monkeypatch):
     assert rows[1].check == "run 2 (n=1, N=64): inf R floor" and rows[1].got == "2.000e-04"
 
 
+def _criterion_4_runs(monkeypatch):
+    """(background, config, phi0) of each of c4's runs, recorded without running the flow."""
+    runs = []
+
+    def run(bg, cfg, phi0=None):
+        runs.append((bg, cfg, phi0))
+        return None, types.SimpleNamespace(column=lambda name: np.ones(2))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(V.mf, "run", run)
+        V.run_criterion(4, V.VerifyOptions())
+    return runs
+
+
+@pytest.mark.parametrize(
+    "run, g0, phi0, record_every, scale",
+    [
+        # phi0 = 0.02 cos 2 pi x1: the flow stays a function of x1 alone
+        (4, 1.0, lambda x: 0.02 * np.cos(2 * np.pi * x), 20, 1.0),
+        # phi0 = 0.015 sin 2 pi (y1 + x2): a function of y1 + x2 alone, whose
+        # reduction has g0 = 1/2 and half the n=2 min_eig and volume
+        (5, 0.5, lambda x: 0.015 * np.sin(2 * np.pi * x), 40, 2.0),
+    ],
+    ids=["run 4", "run 5"],
+)
+def test_criterion_4_n2_run_matches_its_n1_reduction(
+    monkeypatch, run, g0, phi0, record_every, scale
+):
+    bg, cfg, phi = _criterion_4_runs(monkeypatch)[run - 1]
+    assert bg.n == 2 and cfg.t_end == 0.4
+    _, wide = mf.run(bg, cfg, phi0=phi)
+    line = mf.TorusBackground(n=1, N=bg.N, g0=[[g0]])
+    x, _ = line.coordinates()
+    _, narrow = mf.run(line, dataclasses.replace(cfg, record_every=record_every), phi0=phi0(x))
+    counts = (wide.steps, wide.rejected, wide.rhs_evals, len(wide.rows()))
+    assert counts == (narrow.steps, narrow.rejected, narrow.rhs_evals, len(narrow.rows()))
+
+    def gap(name, factor=1.0, offset=0.0):
+        reduced = factor * np.asarray(narrow.column(name)) + offset
+        return np.abs(np.asarray(wide.column(name)) - reduced).max()
+
+    for name in ("t", "sup_phi", "sup_phidot", "inf_R", "sup_R", "energy"):
+        assert gap(name) <= 1e-10, name
+    assert gap("sup_trace", offset=1.0) <= 1e-10
+    assert gap("min_eig", factor=scale) <= 1e-10
+    assert gap("volume", factor=scale) <= 1e-10
+
+
 def test_criterion_5_gap_row_fails_on_a_smaller_constant(monkeypatch):
     # matrix_gap_check reads gap_constant from its own module
     real = mf.estimates.gap_constant
@@ -145,6 +194,22 @@ def test_criterion_5_gap_row_fails_on_a_smaller_constant(monkeypatch):
     assert [r.passed for r in rows] == [True, True, False, True, True, True]
     assert rows[2].check == "n=2: ||A-Id||^2 <= 5*eps over 100000 samples"
     assert rows[2].got != "0 violations" and rows[2].value > 0
+
+
+def test_criterion_5_counts_the_violations_of_matrix_gap_check(monkeypatch):
+    # an n=2 constant that puts c5's sample of largest lhs/eps 3e-12 over its bound
+    opts = V.VerifyOptions()
+    rng = np.random.default_rng(opts.seed + 5)
+    A, eps = [V.sample_gap_matrices(rng, 10**5, n) for n in (1, 2, 3)][1]
+    lhs = mf.matrix_gap_check(A, eps).lhs
+    k = np.argmax(lhs / eps)
+    low, real = (lhs[k] - 3e-12) / eps[k], mf.estimates.gap_constant
+    monkeypatch.setattr(mf.estimates, "gap_constant", lambda n: low if n == 2 else real(n))
+    chk = mf.matrix_gap_check(A, eps)
+    assert chk.violations > 0 and not chk.passed
+    rows = V.run_criterion(5, opts).rows
+    assert [r.passed for r in rows] == [True, True, False, True, True, True]
+    assert rows[2].value == chk.violations
 
 
 def test_criterion_8_monotone_row_fails_on_an_increasing_series(monkeypatch):

@@ -405,6 +405,11 @@ def test_flow_config_with_a_positivity_floor_is_refused(tmp_path, capsys):
         ({"f_modes": [{"freq": [1, 0], "amp": 0.1}]}, "unknown f_modes key(s) 'amp'"),
         ({"f_modes": [{"cos": 0.1}]}, "an entry of f_modes needs a 'freq'"),
         ({"phi0_modes": [[1, 0]]}, "an entry of phi0_modes must be a JSON object, got [1, 0]"),
+        # "output" was passed to Path unread: with --output-dir it was never
+        # read, and without it a TypeError ended the run in a traceback
+        ({"output": 5}, "output must be a string, got 5"),
+        ({"output": ["a"]}, "output must be a string, got ['a']"),
+        ({"output": True}, "output must be a string, got True"),
         # the modes are evaluated before the background is built, so the
         # dimension is checked first
         (
@@ -432,6 +437,17 @@ def test_explicit_output_dir_wins_over_the_config_output(tmp_path, monkeypatch, 
     assert not (tmp_path / "named").exists()
     assert cli.main(["flow", str(cfg)]) == 0
     assert (tmp_path / "named" / "diagnostics.json").exists()
+
+
+def test_flow_config_output_is_a_string_or_null(tmp_path, monkeypatch, capsys):
+    # without --output-dir, "output": 5 reached Path(5) after the run and
+    # ended in a TypeError traceback, exit 1
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["flow", str(stationary_config(tmp_path, output=5))]) == 2
+    assert "output must be a string, got 5" in capsys.readouterr().err
+    assert not (tmp_path / "krflab-out").exists()
+    assert cli.main(["flow", str(stationary_config(tmp_path, output=None))]) == 0
+    assert (tmp_path / "krflab-out" / "diagnostics.json").exists()
 
 
 def test_flow_config_with_a_short_g0_is_a_usage_error(tmp_path, capsys):

@@ -12,8 +12,10 @@ from oracles import (
     all_maps,
     all_pair_epsilons,
     brute_force_gh_bound,
+    candidate_scores,
     collapse_epsilons,
     exhaustive_loop,
+    family_moves,
     gh_scores,
     map_distortions,
     pairwise_distortions,
@@ -218,13 +220,13 @@ def test_candidate_scores_equal_single_candidate_scores():
 
     # every move of every row of two stacks of random pairs: a wrong order
     # shows in a few percent
-    sides = gh._Side.of(X.D, Y.D), gh._Side.of(Y.D, X.D)
+    fwd, bwd = gh._Side.of(X.D, Y.D, True), gh._Side.of(Y.D, X.D, False)
     for rows in (3, 4):
         F = rng.integers(0, len(Y), size=(rows, len(X)))
         G = rng.integers(0, len(X), size=(rows, len(Y)))
         EF, EG = gh._block(X.D, Y.D, F), gh._block(Y.D, X.D, G)
         for x in range(len(X)):
-            worst, soft = gh._candidate_scores(sides, F, G, gh._distortion(EG), EF, x=x)
+            worst, soft = gh._moves(fwd, F, G, EF, gh._distortion(EG), x)
             assert worst.shape == soft.shape == (rows, len(Y))
             for s, c in itertools.product(range(rows), range(len(Y))):
                 Fc = F[s].copy()
@@ -233,7 +235,7 @@ def test_candidate_scores_equal_single_candidate_scores():
                 assert worst[s, c] == want_worst
                 assert soft[s, c] == pytest.approx(want_soft, rel=1e-13, abs=0.0)
         for y in range(len(Y)):
-            worst, soft = gh._candidate_scores(sides, F, G, gh._distortion(EF), EG, y=y)
+            worst, soft = gh._moves(bwd, G, F, EG, gh._distortion(EF), y)
             assert worst.shape == soft.shape == (rows, len(X))
             for s, c in itertools.product(range(rows), range(len(X))):
                 Gc = G[s].copy()
@@ -244,8 +246,9 @@ def test_candidate_scores_equal_single_candidate_scores():
 
 
 def test_moves_score_each_family_of_each_candidate():
-    # distances may be asymmetric within the tolerance, so that row a and
-    # column a of a distortion differ; the maxima must still be exact
+    # the oracle that ``_moves`` equals bit for bit, checked family by
+    # family: distances may be asymmetric within the tolerance, so that
+    # row a and column a of a distortion differ; the maxima must still be exact
     rng = np.random.default_rng(8)
     DX, DY = _euclidean(rng, 6).D, _euclidean(rng, 5).D
     DX[np.triu_indices(6, 1)] += 9e-13
@@ -253,9 +256,9 @@ def test_moves_score_each_family_of_each_candidate():
     G = rng.integers(0, 6, size=(3, 5))
     for DA, DB, A, B in ((DX, DY, F, G), (DY, DX, G, F)):
         na, nb = len(DA), len(DB)
-        side, block = gh._Side.of(DA, DB), gh._block(DA, DB, A)
+        block = gh._block(DA, DB, A)
         for a in range(na):
-            families = gh._moves(side, A, B, block, a)
+            families = family_moves(DA, DB, A, B, block, a)
             for s, c in itertools.product(range(3), range(nb)):
                 Ac = A[s].copy()
                 Ac[a] = c
@@ -267,6 +270,39 @@ def test_moves_score_each_family_of_each_candidate():
                 for (worst, soft), v in zip(families, entries):
                     assert worst[s, c] == v.max()
                     assert soft[s, c] == pytest.approx(np.square(v).sum(), rel=1e-13, abs=0.0)
+
+
+def _move_cases():
+    rng = np.random.default_rng(8)
+    DX, DY = _euclidean(rng, 6).D, _euclidean(rng, 5).D
+    DX[np.triu_indices(6, 1)] += 9e-13
+    return {
+        "torus 12 vs euclidean 9": (gh.sample_warped_torus(1.3, 4, 3).D, _euclidean(rng, 9).D),
+        "asymmetric euclidean 6 vs 5": (DX, DY),
+        "simplex 10 vs circle 4": (_simplex(10).D, gh.circle_space(4).D),
+    }
+
+
+@pytest.mark.parametrize("case", list(_move_cases()))
+def test_moves_equal_the_family_oracle_bit_for_bit(case):
+    # an output comparison does not see a soft score summed in another
+    # order, such as a G move reading its round trips in the F move's order
+    DX, DY = _move_cases()[case]
+    rng = np.random.default_rng(9)
+    fwd, bwd = gh._Side.of(DX, DY, True), gh._Side.of(DY, DX, False)
+    for rows in (1, 3, 4):
+        F = rng.integers(0, len(DY), size=(rows, len(DX)))
+        G = rng.integers(0, len(DX), size=(rows, len(DY)))
+        EF, EG = gh._block(DX, DY, F), gh._block(DY, DX, G)
+        fixed_g, fixed_f = gh._distortion(EG), gh._distortion(EF)
+        for x in range(len(DX)):
+            found = gh._moves(fwd, F, G, EF, fixed_g, x)
+            want = candidate_scores(DX, DY, F, G, fixed_g, EF, x=x)
+            assert all(np.array_equal(v, w) for v, w in zip(found, want))
+        for y in range(len(DY)):
+            found = gh._moves(bwd, G, F, EG, fixed_f, y)
+            want = candidate_scores(DX, DY, F, G, fixed_f, EG, y=y)
+            assert all(np.array_equal(v, w) for v, w in zip(found, want))
 
 
 def _one_by_one(X, Y, F, G, orders):
@@ -290,12 +326,13 @@ def _accepted_moves(X, Y, seed):
     The search runs with each start alone, so the maps of consecutive
     candidate batches differ exactly by the moves accepted in between.
     """
-    improve, scores = gh._improve, gh._candidate_scores
+    improve, scores = gh._improve, gh._moves
     states, moves = [], []
 
-    def record(sides, F, G, fixed, block, x=None, y=None):
+    def record(side, A, B, block, fixed, a):
+        F, G = (A, B) if side.from_x else (B, A)
         states.append((F[0].copy(), G[0].copy()))
-        return scores(sides, F, G, fixed, block, x=x, y=y)
+        return scores(side, A, B, block, fixed, a)
 
     def one_at_a_time(X, Y, F, G, orders):
         found = []
@@ -312,7 +349,7 @@ def _accepted_moves(X, Y, seed):
         return tuple(np.array(column) for column in zip(*found))
 
     with mock.patch.object(gh, "_improve", one_at_a_time), mock.patch.object(
-        gh, "_candidate_scores", record
+        gh, "_moves", record
     ):
         gh._heuristic_bound(X, Y, seed)
     return moves
@@ -392,15 +429,18 @@ def test_stacked_descent_rows_match_each_start_alone(case):
 @pytest.mark.parametrize("case", list(_search_cases()))
 def test_kept_distortion_blocks_match_a_fresh_gather(case, monkeypatch):
     # the local search keeps the distortion block of each live row through
-    # its moves: every batch must read |DA - DB[A, A]| of the maps as they stand
+    # its moves: every batch must read |DA - DB[A, A]| of the maps as they
+    # stand, and the distortion of the map that stays fixed
     X, Y, seed = _search_cases()[case]
     moves, stacks = gh._moves, {}
 
-    def check(side, A, B, block, a):
+    def check(side, A, B, block, fixed, a):
         fresh = np.abs(side.DA - side.DB[A[:, :, None], A[:, None, :]])
         assert np.array_equal(block, fresh)
-        stacks.setdefault(id(side.DA), []).append(A.copy())
-        return moves(side, A, B, block, a)
+        other = gh._distortion(np.abs(side.DB - side.DA[B[:, :, None], B[:, None, :]]))
+        assert all(np.array_equal(v, w) for v, w in zip(fixed, other))
+        stacks.setdefault(side.from_x, []).append(A.copy())
+        return moves(side, A, B, block, fixed, a)
 
     monkeypatch.setattr(gh, "_moves", check)
     gh._heuristic_bound(X, Y, seed)

@@ -221,6 +221,17 @@ def test_gap_check_balanced_diagonal():
     assert abs(float(chk.lhs) - 2 * d * d) < d**3 * 10
 
 
+def test_gap_check_slack_is_at_most_1e_12(monkeypatch):
+    # lhs = 0.81 over a bound 3e-12 lower: inside CHAIN_TOL * bound = 8.1e-12,
+    # the relative slack that passed used to allow
+    A, e = np.array([[0.1]]), 0.9
+    lhs = float(mf.matrix_gap_check(A, e).lhs)
+    monkeypatch.setattr(mf.estimates, "gap_constant", lambda n: (lhs - 3e-12) / e)
+    chk = mf.matrix_gap_check(A, e)
+    assert chk.chain_ok
+    assert chk.violations == 1 and not chk.passed
+
+
 def test_gap_check_precondition_enforced():
     with pytest.raises(ValueError):
         mf.matrix_gap_check(np.diag([2.0, 1.0]), 0.5)  # trace too large
