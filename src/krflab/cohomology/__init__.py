@@ -326,6 +326,8 @@ class ManifoldModel:
             raise ValueError("c1 coordinates do not match basis length")
         if self.tensor.dim != dim or self.tensor.n != self.n:
             raise ValueError("tensor shape does not match model")
+        if self.kodaira is not None and not 0 <= self.kodaira <= self.n:
+            raise ValueError(f"kodaira dimension {self.kodaira} is outside 0..{self.n}")
         for label, f in self.cone.constraints:
             if any(len(expo) != dim or min(expo, default=0) < 0 for expo in f.monomials):
                 raise ValueError(f"cone constraint [{label}] needs {dim} nonnegative exponents")

@@ -14,198 +14,87 @@ from typing import Union
 
 from ..serialize import SCHEMA_VERSION, array, check_schema, integer, mapping, read_json, string
 from . import (
-    ClassVector,
-    ConeSpec,
-    IntersectionTensor,
-    ManifoldModel,
-    PolyFunctional,
-    SubvarietyEntry,
+    ClassVector, ConeSpec, IntersectionTensor, ManifoldModel, PolyFunctional, SubvarietyEntry,
     as_fraction,
-    volume_functional,
 )
 
 
-def _linear(coeffs: dict[int, Fraction], dim: int) -> PolyFunctional:
-    return PolyFunctional(
-        {tuple(int(j == i) for j in range(dim)): c for i, c in coeffs.items()}
-    )
-
-
-def riemann_surface(genus: int) -> ManifoldModel:
-    """Compact Riemann surface; the single basis class is the area class.
-
-    The area class is normalized to total area 1, so volumes of
-    lambda * (basis) read lambda.  Curvature conventions: the round sphere
-    metric has Ricci form twice itself, the flat torus zero, hyperbolic
-    minus twice itself, so 2*pi*c1 has coordinate 2, 0, resp. -2.
-    """
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
-    if genus == 0:
-        name, c1, kod, basis = "cp1", 2, None, "fs"
-    elif genus == 1:
-        name, c1, kod, basis = "torus1", 0, 0, "flat"
-    else:
-        name, c1, kod, basis = f"genus{genus}", -2, 1, "hyp"
-    tensor = IntersectionTensor(n=1, dim=1, entries={(0,): Fraction(1)})
-    return ManifoldModel(
-        name=name,
-        n=1,
-        basis=(basis,),
-        tensor=tensor,
-        c1twopi=ClassVector.of([c1]),
-        cone=ConeSpec(((basis, _linear({0: Fraction(1)}, 1)),)),
-        catalogue=(),
-        kodaira=kod,
-        notes=f"genus {genus} curve; area class normalized to unit total area",
-    )
-
-
-def torus(n: int) -> ManifoldModel:
-    """Complex n-torus, presented on the ray spanned by a flat Kahler class.
-
-    The full (1,1) cohomology is n^2-dimensional; this model tracks only
-    the flow-invariant ray through the chosen flat metric (c1 = 0 so the
-    flow never moves the class).
-    """
-    if n < 1:
-        raise ValueError("complex dimension must be positive")
-    tensor = IntersectionTensor(n=n, dim=1, entries={(0,) * n: Fraction(1)})
-    return ManifoldModel(
-        name=f"torus{n}",
-        n=n,
-        basis=("flat",),
-        tensor=tensor,
-        c1twopi=ClassVector.of([0]),
-        cone=ConeSpec((("flat", _linear({0: Fraction(1)}, 1)),)),
-        catalogue=(),
-        kodaira=0,
-        notes="flat-class ray of a complex n-torus; volume normalized to lambda^n",
-    )
-
-
-def product_p1_p1() -> ManifoldModel:
-    """P1 x P1 with basis the two ruling classes a, b.
-
-    Intersections stored in units with a.b = 1 (i.e. both rulings
-    normalized to unit area), a^2 = b^2 = 0; a class is Kahler iff both
-    coordinates are positive.  2*pi*c1 = 2(a + b).
-    """
-    tensor = IntersectionTensor(
-        n=2, dim=2, entries={(0, 1): Fraction(1)}
-    )
-    catalogue = (
-        # horizontal ruling P1 x {pt}: pairs with the first coordinate
-        SubvarietyEntry("H", 1, {(0,): Fraction(1)}),
-        # vertical ruling {pt} x P1: pairs with the second coordinate
-        SubvarietyEntry("F", 1, {(1,): Fraction(1)}),
-    )
-    cone = ConeSpec(
-        (
-            ("a", _linear({0: Fraction(1)}, 2)),
-            ("b", _linear({1: Fraction(1)}, 2)),
-        )
-    )
-    return ManifoldModel(
-        name="p1xp1",
-        n=2,
-        basis=("a", "b"),
-        tensor=tensor,
-        c1twopi=ClassVector.of([2, 2]),
-        cone=cone,
-        catalogue=catalogue,
-        kodaira=None,
-        notes="ruling classes with unit pairing; volume of (m1, m2) is 2*m1*m2",
-    )
-
-
-def blowup_p2() -> ManifoldModel:
-    """P2 blown up at a point, in the 2*pi-scaled basis (h, e).
-
-    h is the pullback of the hyperplane class scaled so h^2 = 1 and e is
-    the class of the exceptional curve E with e^2 = -1, h.e = 0; then
-    2*pi*c1 = 3h - e has rational coordinates.  Coordinate dictionary: in
-    the normalization where the hyperplane class integrates to 2*pi over a
-    line, a class l1*H + l2*E has coordinates (m1, m2) = (l1, l2)/(2*pi)
-    here, the flow time parameter is unchanged, and volumes here are
-    1/(2*pi)^2 times volumes there.
-
-    The Kahler cone is the Nakai-Moishezon region: positive volume and
-    positive pairing with both h and e, which reduces to 0 < -m2 < m1.
-    """
-    tensor = IntersectionTensor(
-        n=2,
-        dim=2,
-        entries={(0, 0): Fraction(1), (1, 1): Fraction(-1)},
-    )
-    cone = ConeSpec(
-        (
-            ("volume", volume_functional(tensor)),  # m1^2 - m2^2 > 0
-            ("H", _linear({0: Fraction(1)}, 2)),  # pairing with h: m1 > 0
-            ("E", _linear({1: Fraction(-1)}, 2)),  # pairing with e: -m2 > 0
-        )
-    )
-    catalogue = (
-        # exceptional curve: integral of m1*h + m2*e is -m2
-        SubvarietyEntry("E", 1, {(1,): Fraction(-1)}),
-        # line avoiding the blown-up point: integral is m1
-        SubvarietyEntry("H", 1, {(0,): Fraction(1)}),
-    )
-    return ManifoldModel(
-        name="blowup-p2",
-        n=2,
-        basis=("h", "e"),
-        tensor=tensor,
-        c1twopi=ClassVector.of([3, -1]),
-        cone=cone,
-        catalogue=catalogue,
-        kodaira=None,
-        notes="2*pi-scaled basis; Kahler region 0 < -m2 < m1",
-    )
-
-
-def product_ec() -> ManifoldModel:
-    """Product of an elliptic curve E and a genus-2 curve C.
-
-    Basis (e, c): the two factor area classes with unit pairing e.c = 1.
-    The hyperbolic factor carries Ricci form minus twice itself, so
-    2*pi*c1 = -2c; the flow expands the base factor forever while the
-    fiber class is frozen.
-    """
-    tensor = IntersectionTensor(n=2, dim=2, entries={(0, 1): Fraction(1)})
-    cone = ConeSpec(
-        (
-            ("e", _linear({0: Fraction(1)}, 2)),
-            ("c", _linear({1: Fraction(1)}, 2)),
-        )
-    )
-    catalogue = (
-        # elliptic fiber E x {pt}: pairs with the fiber coordinate
-        SubvarietyEntry("E-fiber", 1, {(0,): Fraction(1)}),
-        # base section {pt} x C: pairs with the base coordinate
-        SubvarietyEntry("C-section", 1, {(1,): Fraction(1)}),
-    )
-    return ManifoldModel(
-        name="product-ec",
-        n=2,
-        basis=("e", "c"),
-        tensor=tensor,
-        c1twopi=ClassVector.of([0, -2]),
-        cone=cone,
-        catalogue=catalogue,
-        kodaira=1,
-        notes="elliptic x genus-2 product; intermediate kodaira dimension 1",
-    )
-
-
-#: builders of the six catalogued models, keyed by CLI name
-_BUILTINS = {
-    "cp1": lambda: riemann_surface(0),
-    "torus1": lambda: riemann_surface(1),
-    "genus2": lambda: riemann_surface(2),
-    "p1xp1": product_p1_p1,
-    "blowup-p2": blowup_p2,
-    "product-ec": product_ec,
+#: the six built-in models, keyed by CLI name: catalogue entries as ``model_to_dict`` writes
+#: them, less ``schema`` and ``name``; ``get_model`` reads them with ``model_from_dict``.  The
+#: comment on a subvariety gives the integral over it of the class with coordinates (m1, m2)
+_TABLE: dict[str, dict] = {
+    # Compact Riemann surfaces: the single basis class is the area class, normalized to total
+    # area 1, so volumes of lambda * (basis) read lambda.  Curvature conventions: the round
+    # sphere metric has Ricci form twice itself, the flat torus zero, hyperbolic minus twice
+    # itself, so 2*pi*c1 has coordinate 2, 0, resp. -2.
+    "cp1": {
+        "n": 1, "basis": ["fs"], "tensor": {"0": "1"}, "c1twopi": ["2"], "catalogue": [],
+        "cone": [{"label": "fs", "monomials": {"1": "1"}}], "kodaira": "minus-infinity",
+        "notes": "genus 0 curve; area class normalized to unit total area",
+    },
+    "torus1": {
+        "n": 1, "basis": ["flat"], "tensor": {"0": "1"}, "c1twopi": ["0"], "catalogue": [],
+        "cone": [{"label": "flat", "monomials": {"1": "1"}}], "kodaira": 0,
+        "notes": "genus 1 curve; area class normalized to unit total area",
+    },
+    "genus2": {
+        "n": 1, "basis": ["hyp"], "tensor": {"0": "1"}, "c1twopi": ["-2"], "catalogue": [],
+        "cone": [{"label": "hyp", "monomials": {"1": "1"}}], "kodaira": 1,
+        "notes": "genus 2 curve; area class normalized to unit total area",
+    },
+    # P1 x P1 with basis the two ruling classes a, b.  Intersections stored in units with
+    # a.b = 1 (i.e. both rulings normalized to unit area), a^2 = b^2 = 0; a class is Kahler iff
+    # both coordinates are positive.  2*pi*c1 = 2(a + b).
+    "p1xp1": {
+        "n": 2, "basis": ["a", "b"], "tensor": {"0,1": "1"}, "c1twopi": ["2", "2"],
+        "cone": [
+            {"label": "a", "monomials": {"1,0": "1"}},
+            {"label": "b", "monomials": {"0,1": "1"}},
+        ],
+        "catalogue": [
+            {"label": "H", "dim": 1, "pairing": {"0": "1"}},  # horizontal ruling P1 x {pt}: m1
+            {"label": "F", "dim": 1, "pairing": {"1": "1"}},  # vertical ruling {pt} x P1: m2
+        ],
+        "kodaira": "minus-infinity",
+        "notes": "ruling classes with unit pairing; volume of (m1, m2) is 2*m1*m2",
+    },
+    # P2 blown up at a point, in the 2*pi-scaled basis (h, e).  h is the pullback of the
+    # hyperplane class scaled so h^2 = 1 and e is the class of the exceptional curve E with
+    # e^2 = -1, h.e = 0; then 2*pi*c1 = 3h - e has rational coordinates.  Coordinate
+    # dictionary: in the normalization where the hyperplane class integrates to 2*pi over a
+    # line, a class l1*H + l2*E has coordinates (m1, m2) = (l1, l2)/(2*pi) here, the flow time
+    # parameter is unchanged, and volumes here are 1/(2*pi)^2 times volumes there.
+    # The Kahler cone is the Nakai-Moishezon region: positive volume and positive pairing with
+    # both h and e, which reduces to 0 < -m2 < m1.
+    "blowup-p2": {
+        "n": 2, "basis": ["h", "e"], "tensor": {"0,0": "1", "1,1": "-1"},
+        "c1twopi": ["3", "-1"],
+        "cone": [
+            {"label": "volume", "monomials": {"2,0": "1", "0,2": "-1"}},  # m1^2 - m2^2 > 0
+            {"label": "H", "monomials": {"1,0": "1"}},  # pairing with h: m1 > 0
+            {"label": "E", "monomials": {"0,1": "-1"}},  # pairing with e: -m2 > 0
+        ],
+        "catalogue": [
+            {"label": "E", "dim": 1, "pairing": {"1": "-1"}},  # exceptional curve: -m2
+            {"label": "H", "dim": 1, "pairing": {"0": "1"}},  # line missing the blown-up point: m1
+        ],
+        "kodaira": "minus-infinity", "notes": "2*pi-scaled basis; Kahler region 0 < -m2 < m1",
+    },
+    # Product of an elliptic curve E and a genus-2 curve C.  Basis (e, c): the factor area
+    # classes, with unit pairing e.c = 1.  The hyperbolic factor carries Ricci form minus twice
+    # itself, so 2*pi*c1 = -2c; the flow expands the base forever while the fiber class is frozen.
+    "product-ec": {
+        "n": 2, "basis": ["e", "c"], "tensor": {"0,1": "1"}, "c1twopi": ["0", "-2"],
+        "cone": [
+            {"label": "e", "monomials": {"1,0": "1"}},
+            {"label": "c", "monomials": {"0,1": "1"}},
+        ],
+        "catalogue": [
+            {"label": "E-fiber", "dim": 1, "pairing": {"0": "1"}},  # elliptic fiber E x {pt}: m1
+            {"label": "C-section", "dim": 1, "pairing": {"1": "1"}},  # base section {pt} x C: m2
+        ],
+        "kodaira": 1, "notes": "elliptic x genus-2 product; intermediate kodaira dimension 1",
+    },
 }
 
 
@@ -216,18 +105,17 @@ _BUILT: dict[str, ManifoldModel] = {}
 
 def builtin_models() -> dict[str, ManifoldModel]:
     """The six catalogued models, keyed by CLI name; the same instances on every call."""
-    return {name: get_model(name) for name in _BUILTINS}
+    return {name: get_model(name) for name in _TABLE}
 
 
 def get_model(name: str) -> ManifoldModel:
-    """The one built-in model of that name, built on first use."""
+    """The one built-in model of that name, built from its table entry on first use."""
     model = _BUILT.get(name)
     if model is None:
-        if name not in _BUILTINS:
-            raise KeyError(
-                f"unknown model {name!r}; built-ins: {', '.join(sorted(_BUILTINS))}"
-            )
-        model = _BUILT[name] = _BUILTINS[name]()
+        if name not in _TABLE:
+            raise KeyError(f"unknown model {name!r}; built-ins: {', '.join(sorted(_TABLE))}")
+        entry = {"schema": SCHEMA_VERSION, "name": name, **_TABLE[name]}
+        model = _BUILT[name] = model_from_dict(entry)
     return model
 
 
@@ -305,5 +193,8 @@ def catalogue_to_dict(models: dict[str, ManifoldModel]) -> dict:
 
 def load_catalogue(path: Union[str, Path]) -> dict[str, ManifoldModel]:
     payload = read_json(path, "catalogue")
-    models = [model_from_dict(item) for item in payload["models"]]
-    return {m.name: m for m in models}
+    models: dict[str, ManifoldModel] = {}
+    for model in map(model_from_dict, payload["models"]):
+        if models.setdefault(model.name, model) is not model:
+            raise ValueError(f"the catalogue names model {model.name!r} twice")
+    return models

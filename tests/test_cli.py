@@ -196,13 +196,16 @@ def test_catalogue_with_a_label_that_is_not_a_string_is_a_usage_error(
         ("n", 2.7, "n must be an integer, got 2.7"),
         ("dim", 1.9, "dim must be an integer, got 1.9"),
         ("kodaira", 0.5, "kodaira must be an integer, got 0.5"),
+        ("kodaira", 7, "kodaira dimension 7 is outside 0..2"),
+        ("kodaira", -1, "kodaira dimension -1 is outside 0..2"),
     ],
 )
 def test_catalogue_with_a_non_integer_count_is_a_usage_error(
     tmp_path, capsys, field, value, message
 ):
     # int() truncated these, so "n": 2.7 and "dim": 1.9 read as the built-in
-    # p1xp1 and maxtime printed T = 1/2 with exit 0
+    # p1xp1 and maxtime printed T = 1/2 with exit 0; a kodaira dimension of 7
+    # or -1, outside 0..n, loaded and models printed it with exit 0
     model = coh_models.model_to_dict(coh_models.get_model("p1xp1"))
     if field == "dim":
         fields = {"catalogue": [dict(model["catalogue"][0], dim=value), *model["catalogue"][1:]]}
@@ -212,6 +215,18 @@ def test_catalogue_with_a_non_integer_count_is_a_usage_error(
     assert cli.main(["maxtime", "p1xp1", "1,1", "--catalogue", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [["models"], ["maxtime", "cp1", "1"]], ids=["models", "maxtime"])
+def test_catalogue_with_a_duplicate_model_name_is_a_usage_error(tmp_path, capsys, argv):
+    # a later cp1 silently replaced the first: with a second cp1 of 2*pi*c1 = 4,
+    # maxtime printed T = 1/4 and models printed 2*pi*c1: (4), both with exit 0
+    payload = coh_models.catalogue_to_dict(coh_models.builtin_models())
+    payload["models"].append(dict(payload["models"][0], c1twopi=["4"]))
+    path = tmp_path / "catalogue.json"
+    ser.write_json(path, payload)
+    assert cli.main([*argv, "--catalogue", str(path)]) == 2
+    assert capsys.readouterr().err == "error: the catalogue names model 'cp1' twice\n"
 
 
 @pytest.mark.parametrize(
@@ -990,7 +1005,7 @@ def test_maxtime_reports_flagged_approximation(tmp_path, capsys):
         c1twopi=coh.ClassVector.of([0, -1]),
         cone=coh.ConeSpec(
             (
-                ("volume", coh_models.volume_functional(tensor)),
+                ("volume", coh.volume_functional(tensor)),
                 ("u", coh.PolyFunctional({(1, 0): F(1)})),
             )
         ),

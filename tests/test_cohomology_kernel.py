@@ -313,27 +313,34 @@ def test_class_vector_identity_ignores_its_integers():
     assert C.ClassVector.of([]).cleared == ((), 1)
 
 
-def test_get_model_builds_only_the_named_model(monkeypatch):
-    def refuse():
-        raise AssertionError("built a model nobody asked for")
-
+def _record_reads(monkeypatch) -> list:
+    """The names that ``model_from_dict`` reads from now on, in a process with no model built."""
+    read, names = models.model_from_dict, []
     monkeypatch.setattr(models, "_BUILT", {})  # nothing built yet, as in a fresh process
-    for name in list(models._BUILTINS):
-        if name != "cp1":
-            monkeypatch.setitem(models._BUILTINS, name, refuse)
+    monkeypatch.setattr(
+        models, "model_from_dict", lambda data: names.append(data["name"]) or read(data)
+    )
+    return names
+
+
+def test_get_model_builds_only_the_named_model(monkeypatch):
+    built = _record_reads(monkeypatch)
     assert models.get_model("cp1").name == "cp1"
+    assert built == ["cp1"]
     with pytest.raises(KeyError):
         models.get_model("p2")
 
 
-def test_builtin_models_are_built_once_and_shared():
+def test_builtin_models_are_built_once_and_shared(monkeypatch):
+    built = _record_reads(monkeypatch)
     cp1 = models.get_model("cp1")
     assert models.get_model("cp1") is cp1
     first, second = models.builtin_models(), models.builtin_models()
-    assert list(first) == list(models._BUILTINS) and first is not second
+    assert list(first) == list(models._TABLE) and first is not second
     assert all(first[name] is second[name] is models.get_model(name) for name in first)
     first["cp1"] = None  # the caller's dict, not the shared models
     assert models.builtin_models()["cp1"] is cp1
+    assert built == list(models._TABLE)
 
 
 def test_catalogue_models_and_kernels_stay_per_instance(tmp_path):
