@@ -322,6 +322,8 @@ class ManifoldModel:
 
     def __post_init__(self):
         dim = len(self.basis)
+        if self.n < 1:
+            raise ValueError(f"complex dimension {self.n} is below 1")
         if len(self.c1twopi) != dim:
             raise ValueError("c1 coordinates do not match basis length")
         if self.tensor.dim != dim or self.tensor.n != self.n:
@@ -332,6 +334,10 @@ class ManifoldModel:
             if any(len(expo) != dim or min(expo, default=0) < 0 for expo in f.monomials):
                 raise ValueError(f"cone constraint [{label}] needs {dim} nonnegative exponents")
         for entry in self.catalogue:
+            if not 1 <= entry.dim <= self.n:
+                raise ValueError(
+                    f"subvariety [{entry.label}] dimension {entry.dim} is outside 1..{self.n}"
+                )
             if any(len(k) != entry.dim or not all(0 <= i < dim for i in k) for k in entry.pairing):
                 raise ValueError(
                     f"subvariety [{entry.label}] needs pairing keys of {entry.dim} basis indices"

@@ -193,6 +193,7 @@ class TorusBackground:
             )
             for sym in self._symbols
         ]
+        self._any_odd = any(self._odd_symbols)
         base = np.log(self.det_g0)
         self._log_density = (
             np.full(self.shape, base) if self.f is None else base + self.f
@@ -254,7 +255,7 @@ class TorusBackground:
         The package's one Hessian transform: psi = field(psik) for any half
         spectrum psik, and each real component is one ``field``.
         """
-        planes = self._even_planes(psik) if any(self._odd_symbols) else []
+        planes = self._even_planes(psik) if self._any_odd else []
         parts = []
         for sym, odd in zip(self._symbols, self._odd_symbols):
             product = sym * psik

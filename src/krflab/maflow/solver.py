@@ -13,8 +13,10 @@ by the metric kernel straight from each stage's half spectrum.  The
 exponential coefficients are real, since L is: closed forms, or near
 L*h = 0, where those cancel, the Taylor series of the phi-functions
 (Hochbruck & Ostermann, Acta Numerica 19, 2010), evaluated once per step
-size.  An embedded second-order solution controls the step: its
-difference from the fourth-order one is 2 f2 (N_a + N_b - N_v - N_c).
+size.  An attempt gathers each coefficient table from those values to
+the grid once, and frees it after its last use.  An embedded
+second-order solution controls the step: its difference from the
+fourth-order one is 2 f2 (N_a + N_b - N_v - N_c).
 Records are spaced in simulated time as ``record_every`` steps of the
 explicit scheme would be.  A state's metric is one ``StageMetric``, which
 forms log(det / Omega) once and takes its one forward FFT only when a
@@ -26,7 +28,6 @@ accept/shrink rule sits in ``run``'s one stepping loop, ``_integrate``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from math import factorial
 from typing import Optional
 
@@ -131,7 +132,8 @@ class StageMetric:
     """The metric g0 + H(phi) of one state on the background bg: components g
     ([a] or [a, d, p, q]), det, min eigenvalue floor, log_ratio = log(det /
     Omega), and ratio_k, its rfftn half spectrum, from which a stage forms
-    N-hat and a record R.  ratio_k is transformed on first read.
+    N-hat and a record R.  ratio_k is transformed on first read and kept in
+    a plain field (functools.cached_property would take a lock per instance).
     """
 
     bg: TorusBackground
@@ -139,10 +141,13 @@ class StageMetric:
     det: np.ndarray
     floor: float
     log_ratio: np.ndarray
+    _ratio_k: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
-    @cached_property
+    @property
     def ratio_k(self) -> np.ndarray:
-        return self.bg.spectrum(self.log_ratio)
+        if self._ratio_k is None:
+            self._ratio_k = self.bg.spectrum(self.log_ratio)
+        return self._ratio_k
 
 
 def _metric(bg: TorusBackground, vk: np.ndarray) -> StageMetric:
@@ -152,7 +157,9 @@ def _metric(bg: TorusBackground, vk: np.ndarray) -> StageMetric:
     if not floor >= EPS_POS:
         loc = np.unravel_index(int(np.argmin(eig_min)), eig_min.shape)
         raise AdmissibilityError(floor, tuple(int(i) for i in loc), EPS_POS)
-    return StageMetric(bg, g, det, floor, np.log(det) - bg.log_density)
+    log_ratio = np.log(det)
+    log_ratio -= bg.log_density
+    return StageMetric(bg, g, det, floor, log_ratio)
 
 
 def ma_rhs(bg: TorusBackground, state: FlowState) -> np.ndarray:
@@ -347,13 +354,19 @@ class _Etdrk4:
     inverse transform per Hessian component and one forward transform of
     log(det / Omega); the result stage adds the inverse that forms phi.
     The coefficients are held for the current h alone, on the distinct
-    values of L*h, and gathered to the grid where they are used.
+    values of L*h.  An attempt gathers each table to the grid once and
+    drops it after its last use: E2, Q and E2 * v-hat live through stage
+    a, E2 and Q through stage b, 2 * f2 alone through stage c, and E, f1
+    and f3 are gathered in the update that reads them.
     """
 
     def __init__(self, bg: TorusBackground, mode: str):
         self.bg = bg
-        self.lap = bg.laplacian_symbol
-        linear = self.lap - 1.0 if mode == NORMALIZED else self.lap
+        lap = bg.laplacian_symbol
+        linear = lap - 1.0 if mode == NORMALIZED else lap
+        # numpy casts a real factor of a product with a spectrum to complex
+        # (x + 0j) in every product; cast once, the products are the same
+        self.lap = lap.astype(complex)
         self.values, index = np.unique(linear, return_inverse=True)
         self.index = index.reshape(linear.shape)
         self.h: Optional[float] = None
@@ -377,13 +390,15 @@ class _Etdrk4:
         u2 = E v + h phi1(z) N_v + h phi2(z) (N_c - N_v), and both error
         weights of u4 - u2, f1 - h phi1 + h phi2 on N_v and f3 - h phi2 on
         N_c, equal -2 f2: u4 - u2 = 2 f2 (N_a + N_b - N_v - N_c).  L <= 0,
-        and ``values`` ascend.
+        and ``values`` ascend.  The real values are held cast to complex,
+        as ``lap`` is.
         """
         if h != self.h:
             z = h * self.values
             half = np.exp(0.5 * z)
-            q, f1, f2, f3 = h * _etd_terms(z, half)
-            self.table = {"E": np.exp(z), "E2": half, "Q": q, "f1": f1, "f2": f2, "f3": f3}
+            rows = np.empty((6, z.size), dtype=complex)
+            rows[0], rows[1], rows[2:] = np.exp(z), half, h * _etd_terms(z, half)
+            self.table = dict(zip(("E", "E2", "Q", "f1", "f2", "f3"), rows))
             self.h = h
         return self.table
 
@@ -394,29 +409,30 @@ class _Etdrk4:
         the error is within ETD_TOL.  Stage arrays are freed as soon as
         they are spent, since the kernel's own fields dominate peak memory.
         """
-        table = self.coefficients(h)
-
-        def at(name: str) -> np.ndarray:
-            # gathered to the grid per use, so that no grid-sized
-            # coefficient lives through a stage's kernel
-            return table[name][self.index]
-
+        table, index = self.coefficients(h), self.index
+        e2, q = table["E2"][index], table["Q"][index]
         nv = ratio_k - self.lap * vk
-        a = at("E2") * vk + at("Q") * nv
+        e2v = e2 * vk
+        a = e2v + q * nv
         na = self.nonlinear(a)
-        nb = self.nonlinear(at("E2") * vk + at("Q") * na)
-        c = at("E2") * a + at("Q") * (2.0 * nb - nv)
-        del a
-        nab = 2.0 * at("f2") * (na + nb)
+        b = e2v + q * na
+        del e2v
+        nb = self.nonlinear(b)
+        del b
+        c = e2 * a + q * (2.0 * nb - nv)
+        del a, e2, q
+        two_f2 = 2.0 * table["f2"][index]
+        nab = two_f2 * (na + nb)
         del na, nb
         nc = self.nonlinear(c)
         del c
-        diff = nab - 2.0 * at("f2") * (nv + nc)
+        diff = nab - two_f2 * (nv + nc)
+        del two_f2
         err = float(np.abs(self.bg.field(diff)).max())
         del diff
         if not err <= ETD_TOL:
             return _Step(err)
-        vk1 = at("E") * vk + at("f1") * nv + nab + at("f3") * nc
+        vk1 = table["E"][index] * vk + table["f1"][index] * nv + nab + table["f3"][index] * nc
         del nab, nc, nv
         metric = self.stage(vk1)
         return _Step(err, vk1, self.bg.field(vk1), metric)

@@ -4,7 +4,10 @@ These deliberately avoid the solver's time-stepping path: the elliptic
 solver below is a preconditioned Newton iteration for the stationary
 problem, the RK4 step is a second scheme to hold ``maflow.run`` against,
 the tail fraction is measured on the full complex spectrum, and the
-symbolic Hessian builds derivative fields from sympy expressions.
+symbolic Hessian builds derivative fields from sympy expressions.  The
+ETDRK4 attempt is also kept in a plainer form that gathers a coefficient
+table to the grid at each use; ``_Etdrk4.attempt``, which gathers each
+table once, must match it bit for bit.
 
 The class-engine oracles evaluate every polynomial on ``Fraction``
 coordinates and multiply each constraint out along the flow line, apart
@@ -32,7 +35,7 @@ import krflab.cohomology as coh
 import krflab.maflow as mf
 from krflab.cohomology import poly
 from krflab.maflow.background import _hermitian
-from krflab.maflow.solver import _curvature, _metric
+from krflab.maflow.solver import ETD_TOL, _curvature, _Etdrk4, _metric, _Step
 
 
 def laplacian_multiplier(bg: mf.TorusBackground) -> np.ndarray:
@@ -83,6 +86,37 @@ def rk4_step(bg: mf.TorusBackground, state: mf.FlowState, dt: float) -> mf.FlowS
     k4 = rhs(phi + dt * k3)
     phi1 = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return mf.FlowState(t=state.t + dt, phi=phi1, mode=state.mode)
+
+
+def etd_attempt(etd: _Etdrk4, vk: np.ndarray, ratio_k: np.ndarray, h: float) -> _Step:
+    """``etd.attempt(vk, ratio_k, h)`` with a gather of its table per use.
+
+    Every product keeps the operands and the grouping of the solver's
+    attempt, so the two agree to the bit.  The coefficients and the
+    Laplacian enter as real arrays, which numpy casts to complex in each
+    product, where the solver casts them once.
+    """
+    table, lap = etd.coefficients(h), etd.lap.real
+
+    def at(name: str) -> np.ndarray:
+        return table[name].real[etd.index]
+
+    def nonlinear(wk: np.ndarray) -> np.ndarray:
+        return etd.stage(wk).ratio_k - lap * wk
+
+    nv = ratio_k - lap * vk
+    a = at("E2") * vk + at("Q") * nv
+    na = nonlinear(a)
+    nb = nonlinear(at("E2") * vk + at("Q") * na)
+    c = at("E2") * a + at("Q") * (2.0 * nb - nv)
+    nab = 2.0 * at("f2") * (na + nb)
+    nc = nonlinear(c)
+    diff = nab - 2.0 * at("f2") * (nv + nc)
+    err = float(np.abs(etd.bg.field(diff)).max())
+    if not err <= ETD_TOL:
+        return _Step(err)
+    vk1 = at("E") * vk + at("f1") * nv + nab + at("f3") * nc
+    return _Step(err, vk1, etd.bg.field(vk1), etd.stage(vk1))
 
 
 def ricci_and_scalar(

@@ -188,6 +188,22 @@ def test_criterion_4_n2_run_matches_its_n1_reduction(
     assert gap("volume", factor=scale) <= 1e-10
 
 
+def test_criterion_4_run_6_is_two_decoupled_n1_flows(monkeypatch):
+    # phi0 = 0.01 cos 2 pi x1 + 0.008 cos 2 pi (x2 - y2), a z1 term plus a z2
+    # term: the flow keeps phi a sum, so H_01 stays zero and det factors.
+    # Measured: a non-additive part of 1.6e-18, sup |Re H_01| 5.8e-17 and
+    # sup |Im H_01| 4.9e-17
+    bg, cfg, phi = _criterion_4_runs(monkeypatch)[5]
+    assert bg.n == 2 and cfg.t_end == 0.4
+    final, series = mf.run(bg, cfg, phi0=phi)
+    assert series.termination == "t_end"
+    phi = final.phi
+    additive = phi.mean(axis=(2, 3), keepdims=True) + phi.mean(axis=(0, 1), keepdims=True)
+    assert np.abs(phi - additive + phi.mean()).max() <= 1e-12
+    h01 = bg.complex_hessian(phi)[..., 0, 1]
+    assert np.abs(h01.real).max() <= 1e-12 and np.abs(h01.imag).max() <= 1e-12
+
+
 def test_criterion_5_gap_row_fails_on_a_smaller_constant(monkeypatch):
     # matrix_gap_check reads gap_constant from its own module
     real = mf.estimates.gap_constant

@@ -198,6 +198,13 @@ def test_catalogue_with_a_label_that_is_not_a_string_is_a_usage_error(
         ("kodaira", 0.5, "kodaira must be an integer, got 0.5"),
         ("kodaira", 7, "kodaira dimension 7 is outside 0..2"),
         ("kodaira", -1, "kodaira dimension -1 is outside 0..2"),
+        ("n", 0, "complex dimension 0 is below 1"),
+        ("n", -1, "complex dimension -1 is below 1"),
+        (
+            "catalogue",
+            [{"label": "X3", "dim": 3, "pairing": {"0,0,1": "1"}}],
+            "subvariety [X3] dimension 3 is outside 1..2",
+        ),
     ],
 )
 def test_catalogue_with_a_non_integer_count_is_a_usage_error(
@@ -205,16 +212,25 @@ def test_catalogue_with_a_non_integer_count_is_a_usage_error(
 ):
     # int() truncated these, so "n": 2.7 and "dim": 1.9 read as the built-in
     # p1xp1 and maxtime printed T = 1/2 with exit 0; a kodaira dimension of 7
-    # or -1, outside 0..n, loaded and models printed it with exit 0
+    # or -1, outside 0..n, loaded and models printed it with exit 0.  With
+    # "n": 0 maxtime printed T = 1/2 and with -1 it ended in a TypeError
+    # traceback from the volume; a 3-dimensional subvariety of the surface
+    # loaded, and maxtime listed it in the null locus.  An n row empties the
+    # tensor, whose keys are n-tuples, so that only the dimension is wrong
     model = coh_models.model_to_dict(coh_models.get_model("p1xp1"))
     if field == "dim":
         fields = {"catalogue": [dict(model["catalogue"][0], dim=value), *model["catalogue"][1:]]}
+    elif field == "catalogue":
+        fields = {"catalogue": model["catalogue"] + value}
+    elif field == "n":
+        fields = {"n": value, "tensor": {}}
     else:
         fields = {field: value}
     path = builtin_catalogue(tmp_path, "p1xp1", **fields)
-    assert cli.main(["maxtime", "p1xp1", "1,1", "--catalogue", path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    for argv in (["models"], ["maxtime", "p1xp1", "1,1"]):
+        assert cli.main([*argv, "--catalogue", path]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, argv
 
 
 @pytest.mark.parametrize("argv", [["models"], ["maxtime", "cp1", "1"]], ids=["models", "maxtime"])

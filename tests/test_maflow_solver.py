@@ -6,7 +6,7 @@ import krflab.maflow as mf
 import krflab.maflow.solver as solver
 from krflab.maflow.background import field_from_modes
 from krflab.maflow.solver import _cfl_bound
-from oracles import ricci_and_scalar, rk4_step, solve_stationary_normalized
+from oracles import etd_attempt, ricci_and_scalar, rk4_step, solve_stationary_normalized
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -600,6 +600,8 @@ def test_etd_coefficients_match_mpmath(mode):
         far += int(np.sum(np.abs(z) >= solver._NEAR_ZERO))
         table = etd.coefficients(h)
         assert sorted(table) == sorted(etd_reference(0.0, 1.0))
+        # held cast to complex, for the products with a spectrum
+        assert not any(value.imag.any() for value in table.values())
         for i, zi in enumerate(z):
             want = etd_reference(zi, h)
             for name, value in table.items():
@@ -646,6 +648,51 @@ def test_error_estimate_is_the_embedded_pairs_difference(monkeypatch, series):
             diff[i] = complex(u4 - u2)
     want = float(np.abs(bg.field(diff)).max())
     assert want > 0 and abs(err - want) <= 1e-12 * want
+
+
+def flow_n1_seed1_background():
+    """The benchmark's flow-n1 background of seed 1, round 0: a mean-zero
+    twist a cos(2 pi x + alpha) + b cos(2 pi y + beta), a + b = 0.13."""
+    rng = np.random.default_rng([1, 0, sum(map(ord, "flow-n1"))])
+    share = rng.uniform(0.3, 0.7)
+    alpha, beta = rng.uniform(0.0, 2.0 * np.pi, size=2)
+    x, y = background(N=16).coordinates()
+    f = 0.13 * share * np.cos(2 * np.pi * x + alpha)
+    f += 0.13 * (1.0 - share) * np.cos(2 * np.pi * y + beta)
+    return background(N=16, g0=[[2.0]], f=f - f.mean())
+
+
+@pytest.mark.parametrize(
+    "n, h, accepted",
+    [(1, 0.03, True), (1, 0.1, False), (2, 3e-3, True), (2, 0.01, False)],
+    ids=["n1-accepted", "n1-rejected", "n2-accepted", "n2-rejected"],
+)
+def test_attempt_matches_the_per_use_gather_oracle_bit_for_bit(n, h, accepted):
+    # the attempt gathers each coefficient table once and keeps the operands
+    # and grouping of every product, so its error, new state and new metric
+    # are the oracle's to the bit.  n=1 is flow-n1's normalized twisted start;
+    # n=2 has a complex g0, so that the Nyquist projection of the odd
+    # symbols is in play
+    if n == 1:
+        bg, phi, mode = flow_n1_seed1_background(), np.zeros((16, 16)), mf.NORMALIZED
+    else:
+        bg, phi, cfg = short_run_case(2)
+        mode = cfg.mode
+        assert bg._any_odd
+    vk = bg.spectrum(phi)
+    ratio_k = solver._metric(bg, vk).ratio_k
+    got_etd, want_etd = solver._Etdrk4(bg, mode), solver._Etdrk4(bg, mode)
+    got = got_etd.attempt(vk, ratio_k, h)
+    want = etd_attempt(want_etd, vk, ratio_k, h)
+    assert got.err == want.err and (got.err <= solver.ETD_TOL) == accepted
+    assert got_etd.rhs_evals == want_etd.rhs_evals == (4 if accepted else 3)
+    if not accepted:
+        assert got.vk is got.phi is got.metric is want.vk is None
+        return
+    assert np.array_equal(got.vk, want.vk) and np.array_equal(got.phi, want.phi)
+    for name in ("det", "log_ratio", "ratio_k"):
+        assert np.array_equal(getattr(got.metric, name), getattr(want.metric, name)), name
+    assert got.metric.floor == want.metric.floor
 
 
 @pytest.mark.parametrize("query", [mf.ma_rhs, mf.current_cfl_bound])
