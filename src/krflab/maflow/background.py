@@ -8,11 +8,15 @@ exp(2*pi*i*(k.x + l.y)) the operator d/dz_j d/dzbar_k acts as
 -pi^2 * w_j * conj(w_k) with w = l + i*k.
 
 One kernel computes every metric quantity from the rfftn half spectrum
-of the potential: each real component of the Hessian (H_00, and for
-n = 2 also H_11, Re H_01, Im H_01) is one inverse real transform
-(``field``) of that spectrum times a real symbol table.  The metric
-g0 + H, its determinant, eigenvalues, inverse and traces, and the Ricci
-form -H(log det) follow pointwise from these components.  ``spectrum`` is
+vk of the potential.  For n = 1 the one Hessian component H_00 is one
+inverse real transform (``field``) of vk times its symbol table.  For
+n = 2 the kernel forms phi = field(vk) once and applies real circulant
+matrices to it along one axis at a time (``_axis_hessian``), the
+spectral operator to round-off, Nyquist terms included, with no
+transform per component; at n = 1's sizes the extra passes would cost
+more than the one transform they replace.  The metric g0 + H, its
+determinant, eigenvalues, inverse and traces, and the Ricci form
+-H(log det) follow pointwise from these components.  ``spectrum`` is
 rfftn to the bit, and ``field`` gives irfftn's field, by DFT matrices on
 grids of up to MATRIX_MAX_N points per axis.  Nyquist convention: the half
 spectrum carries the wavenumber N/2 as -N/2 (numpy's fftfreq), and the
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -173,35 +177,32 @@ class TorusBackground:
 
         g0 = self.g0
         self._axes = tuple(range(2 * n))
-        self._symbols = [symbol(0, 0).real]
+        symbols = [symbol(0, 0).real]
         self._g0_parts = [g0[0, 0].real]
         if n == 2:
             off = symbol(0, 1)
-            self._symbols += [symbol(1, 1).real, off.real, off.imag]
+            symbols += [symbol(1, 1).real, off.real, off.imag]
             self._g0_parts += [g0[1, 1].real, g0[0, 1].real, g0[0, 1].imag]
-        # irfftn reads only the conjugate-even part of the self-conjugate
-        # planes (last index 0 and N/2), on which _mirror maps k to -k; a
-        # symbol that is odd there (Re and Im H_01 on Nyquist entries) would
-        # carry the rest into what irfftn keeps, so _hessian_parts projects psik
-        # for those symbols (an even one keeps only what irfftn keeps anyway)
+        self._laplacian = _trace_ratio(self._g0_parts, self.det_g0, symbols)
+        self._laplacian.flags.writeable = False
+        # n = 1 differentiates by its one symbol, held complex so that numpy
+        # does not cast it in each product with a spectrum; n = 2 keeps no
+        # symbol table once the Laplacian is formed (see _axis_hessian)
+        self._symbol = symbols[0].astype(complex) if n == 1 else None
+        # _mirror maps k to -k on the self-conjugate planes (last index 0
+        # and N/2), of which irfftn reads only the conjugate-even part
         plane = np.arange(N ** (2 * n - 1)).reshape((N,) * (2 * n - 1))
         self._mirror = np.roll(np.flip(plane), 1, axis=tuple(range(2 * n - 1)))
-        self._odd_symbols = [
-            any(
-                not np.array_equal(sym[..., j], np.take(sym[..., j], self._mirror))
-                for j in (0, -1)
-            )
-            for sym in self._symbols
-        ]
-        self._any_odd = any(self._odd_symbols)
         base = np.log(self.det_g0)
         self._log_density = (
             np.full(self.shape, base) if self.f is None else base + self.f
         )
-        # the spectrum of log det that a record reads is the stage's spectrum
-        # of log(det / Omega) plus this; without a twist log Omega is a
-        # constant, which no Hessian sees
-        self._log_density_k = None if self.f is None else self.spectrum(self._log_density)
+        # the spectrum of log det that an n = 1 record reads is the stage's
+        # spectrum of log(det / Omega) plus this; without a twist log Omega
+        # is a constant, which no Hessian sees
+        self._log_density_k = (
+            self.spectrum(self._log_density) if n == 1 and self.f is not None else None
+        )
 
     def spectrum(self, psi: np.ndarray) -> np.ndarray:
         """rfftn half spectrum of a real field on the grid, to the bit.
@@ -249,34 +250,88 @@ class TorusBackground:
             for plane in (psik[..., 0], psik[..., -1])
         ]
 
-    def _hessian_parts(self, psik: np.ndarray) -> list[np.ndarray]:
-        """Components of H(psi): [H_00], or [H_00, H_11, Re H_01, Im H_01].
+    def _spectral_hessian(self, psik: np.ndarray) -> list[np.ndarray]:
+        """[H_00] of psi = irfftn(psik) for n = 1: one product and one ``field``."""
+        return [self.field(self._symbol * psik)]
 
-        The package's one Hessian transform: psi = field(psik) for any half
-        spectrum psik, and each real component is one ``field``.
+    def _axis_hessian(self, phi: np.ndarray) -> list[np.ndarray]:
+        """[H_00, H_11, Re H_01, Im H_01] of a real n = 2 field, in physical space.
+
+        With the circulants S, D, H and A of ``_axis_operators`` along the
+        axes (x_1, y_1, x_2, y_2) = 0..3, subscripted by axis, h = N/2, and
+        Pi_j y = sign_j * alt_j(y) / N, alt_j the alternating sum along j:
+
+          H_00 = pi^2 (S_0 + S_1) phi,  H_11 = pi^2 (S_2 + S_3) phi,
+          H_01 = pi^2 [(D_1 + i D_0)(u - i v) + (Pi_1 + i Pi_0)(a + i b)],
+
+        u = D_3 phi, v = (D_2 - h Pi_2 H_3) phi, a = h A_3 phi and b = h (D_2
+        H_3 + h Pi_2) phi.  The Pi terms are the half grid's: the spectral
+        operator takes the Nyquist wavenumber of axes 0..2 as -N/2 where the
+        half-axis wavenumber is 1..N/2-1, mirrors that to the other half, and
+        averages the two on the planes 0 and N/2.  Pi_0 rides on the axis-0
+        passes as one more input row; Pi_1 and Pi_2 are added as alternating
+        rows.  phi.flat[0] is subtracted first, so that a constant field
+        gives exact zeros.
         """
-        planes = self._even_planes(psik) if self._any_odd else []
-        parts = []
-        for sym, odd in zip(self._symbols, self._odd_symbols):
-            product = sym * psik
-            if odd:  # on the planes, times the half spectrum of psi
-                for j, plane in zip((0, -1), planes):
-                    np.multiply(sym[..., j], plane, out=product[..., j])
-            parts.append(self.field(product))
-        return parts
+        N, h, shape = self.N, self.N // 2, self.shape
+        ops = _axis_operators(N)
+        x = phi - phi.flat[0]
+        # alternating sums along axes 0, 1 and 2, over the other three axes
+        alt = [
+            np.matmul(ops.sign, x.reshape(N**j, N, -1)).reshape(N, N, N) for j in range(3)
+        ]
+        u = np.empty((N + 1,) + shape[1:])
+        v = np.empty((N + 1,) + shape[1:])
+        _along(ops.first, x, 3, out=u[:N].reshape(-1, N))
+        _along(ops.first, x, 2, out=v[:N].reshape(N * N, N, N))
+        _add_alternating(v[:N], 2, (-h / N) * (alt[2] @ ops.hilbert.T))
+        # alt_0 and alt_1 of a and b, from those of phi
+        ab = []
+        for alt_j in alt[:2]:  # over the axes (0 or 1, 2, 3)
+            a = h * (alt_j @ ops.absolute.T)
+            b = h * np.matmul(ops.first, alt_j @ ops.hilbert.T)
+            b += (h * h / N) * ops.sign[:, None] * np.matmul(ops.sign, alt_j)[:, None, :]
+            ab.append((a, b))
+        (a0, b0), (a1, b1) = ab
+        u[N], v[N] = a0, -b0
+        closing, inner = ops.closing, ops.closing[:, :N]
+        re = np.matmul(inner, u[:N].reshape(N, N, -1)).reshape(shape)
+        im = (closing @ u.reshape(N + 1, -1)).reshape(shape)
+        # u is spent: the later passes land in it, so none allocates a
+        # temporary grid
+        spare = u[:N]
+        np.matmul(closing, v.reshape(N + 1, -1), out=spare.reshape(N, -1))
+        re += spare
+        np.matmul(inner, v[:N].reshape(N, N, -1), out=spare.reshape(N, N, -1))
+        im -= spare
+        del v
+        _add_alternating(re, 1, (np.pi**2 / N) * a1)
+        _add_alternating(im, 1, (np.pi**2 / N) * b1)
+        h00 = _along(ops.second, x, 0).reshape(shape)
+        h00 += _along(ops.second, x, 1, out=spare.reshape(N, N, -1)).reshape(shape)
+        h11 = _along(ops.second, x, 2).reshape(shape)
+        h11 += _along(ops.second, x, 3, out=spare.reshape(-1, N)).reshape(shape)
+        return [h00, h11, re, im]
 
     def fast_metric_fields(
         self, vk: np.ndarray
-    ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-        """(components, det, min eigenvalue) of g0 + H(phi), phi = irfftn(vk).
+    ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """(components, det, min eigenvalue, phi) of g0 + H(phi), phi = irfftn(vk).
 
         The components are [a] or [a, d, p, q], see ``_det_and_min_eig``.
+        n = 1 differentiates vk, one product and one ``field``, and returns
+        phi as None; n = 2 forms phi, its one ``field``, and differentiates
+        it along each axis.
         """
-        g = self._hessian_parts(vk)
+        if self.n == 1:
+            phi, g = None, self._spectral_hessian(vk)
+        else:
+            phi = self.field(vk)
+            g = self._axis_hessian(phi)
         for part, base in zip(g, self._g0_parts):
             part += base
         det, eig_min = _det_and_min_eig(g)
-        return g, det, eig_min
+        return g, det, eig_min, phi
 
     def complex_hessian(self, phi: np.ndarray) -> np.ndarray:
         """Mixed complex Hessian of a real field, shape grid + (n, n).
@@ -286,7 +341,9 @@ class TorusBackground:
         phi = np.asarray(phi, dtype=float)
         if phi.shape != self.shape:
             raise ValueError(f"field must have shape {self.shape}")
-        return _hermitian(self._hessian_parts(self.spectrum(phi)))
+        if self.n == 1:
+            return _hermitian(self._spectral_hessian(self.spectrum(phi)))
+        return _hermitian(self._axis_hessian(phi))
 
     def tail_energy_fraction(self, vk: np.ndarray) -> float:
         """Spectral energy fraction of irfftn(vk) in the outer third of wavenumbers.
@@ -309,13 +366,13 @@ class TorusBackground:
 
     @property
     def laplacian_symbol(self) -> np.ndarray:
-        """Fourier symbol of the g0-Laplacian on the rfftn half grid (real, <= 0).
+        """Fourier symbol of the g0-Laplacian on the rfftn half grid (real, <= 0, read-only).
 
         The Laplacian of g0 is tr(g0^{-1} H), so on each grid mode it acts
         as the trace of g0^{-1} against the Hessian symbol, which is
         -pi^2 <w, g0^{-1} w> with w = l + i*k.
         """
-        return _trace_ratio(self._g0_parts, self.det_g0, self._symbols)
+        return self._laplacian
 
 
 @lru_cache(maxsize=None)
@@ -348,6 +405,84 @@ def _inverse_dft_tables(N: int) -> tuple[np.ndarray, np.ndarray]:
     for table in (inverse, half):
         table.flags.writeable = False  # shared by every background with this N
     return inverse, half
+
+
+class _AxisOperators(NamedTuple):
+    """The real N x N circulants of ``_axis_hessian`` (see ``_axis_operators``)."""
+
+    second: np.ndarray
+    first: np.ndarray
+    hilbert: np.ndarray
+    absolute: np.ndarray
+    closing: np.ndarray
+    sign: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _axis_operators(N: int) -> _AxisOperators:
+    """The operators of ``_axis_hessian`` on N points, by their multipliers
+    on the integer wavenumber k, with h = N/2 the Nyquist one.
+
+    second is pi^2 S, S <-> -k^2; first is D <-> i k, 0 at h; hilbert is
+    H <-> i sgn k, 0 at 0 and h; absolute is A <-> |k|, -h at h.  closing
+    is pi^2 D with the column pi^2 sign / N appended, for the last pass of
+    H_01 along axis 0 with one more input row (its first N columns serve
+    the last pass along axis 1).  sign is the row (-1)^m, so that the
+    Nyquist projector is outer(sign, sign) / N.  Entry (m, m') of the
+    circulant of multipliers c_k is (1/N) sum_k c_k exp(2 pi i k (m - m')
+    / N), real for each of these, read off ``_inverse_dft_tables``.
+    """
+    inverse, _ = _inverse_dft_tables(N)
+    k = np.fft.fftfreq(N) * N  # the Nyquist wavenumber as -h
+    h = N // 2
+    first = np.where(k == -h, 0.0, k)
+    absolute = np.abs(k)
+    absolute[h] = -h
+    lag = (np.arange(N)[:, None] - np.arange(N)) % N
+
+    def circulant(multipliers):
+        return (inverse @ multipliers).real[lag]
+
+    sign = (-1.0) ** np.arange(N)
+    ops = _AxisOperators(
+        second=circulant(-(np.pi**2) * k * k + 0j),
+        first=circulant(1j * first),
+        hilbert=circulant(1j * np.sign(first)),
+        absolute=circulant(absolute + 0j),
+        closing=np.column_stack([np.pi**2 * circulant(1j * first), (np.pi**2 / N) * sign]),
+        sign=sign,
+    )
+    for table in ops:
+        table.flags.writeable = False  # shared by every background with this N
+    return ops
+
+
+def _along(M: np.ndarray, x: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """M times the C-ordered grid array x along one axis, as one matmul.
+
+    The result keeps the matmul's shape, which reshapes to the grid.
+    """
+    N = x.shape[axis]
+    if axis == x.ndim - 1:
+        return np.matmul(x.reshape(-1, N), M.T, out=out)
+    return np.matmul(M, x.reshape(N**axis, N, -1), out=out)
+
+
+def _add_alternating(out: np.ndarray, axis: int, r: np.ndarray) -> None:
+    """out += sign_axis * r in place, r holding out's shape without that axis.
+
+    The rows along the axis are taken in (even, odd) pairs, so that r
+    enters as one small (+r, -r) block; out must be C-contiguous (setting
+    the shape of a view raises otherwise).
+    """
+    N = out.shape[axis]
+    before = int(np.prod(out.shape[:axis], dtype=int))
+    after = r.size // before
+    pairs = out.view()
+    pairs.shape = (before, N // 2, 2 * after)
+    pairs += (r.reshape(before, 1, after) * np.array([1.0, -1.0])[:, None]).reshape(
+        before, 1, 2 * after
+    )
 
 
 # A pointwise Hermitian field is carried as its real components: [a] for

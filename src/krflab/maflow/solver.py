@@ -131,9 +131,10 @@ def _velocity(log_ratio: np.ndarray, phi: np.ndarray, mode: str) -> np.ndarray:
 class StageMetric:
     """The metric g0 + H(phi) of one state on the background bg: components g
     ([a] or [a, d, p, q]), det, min eigenvalue floor, log_ratio = log(det /
-    Omega), and ratio_k, its rfftn half spectrum, from which a stage forms
-    N-hat and a record R.  ratio_k is transformed on first read and kept in
-    a plain field (functools.cached_property would take a lock per instance).
+    Omega), ratio_k, its rfftn half spectrum, from which a stage forms N-hat
+    and a record R, and phi when the kernel formed it (n = 2; None at n = 1).
+    ratio_k is transformed on first read and kept in a plain field
+    (functools.cached_property would take a lock per instance).
     """
 
     bg: TorusBackground
@@ -141,6 +142,7 @@ class StageMetric:
     det: np.ndarray
     floor: float
     log_ratio: np.ndarray
+    phi: Optional[np.ndarray] = None
     _ratio_k: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     @property
@@ -152,14 +154,14 @@ class StageMetric:
 
 def _metric(bg: TorusBackground, vk: np.ndarray) -> StageMetric:
     """The metric at phi = irfftn(vk); raises unless floor >= EPS_POS (a NaN fails)."""
-    g, det, eig_min = bg.fast_metric_fields(vk)
+    g, det, eig_min, phi = bg.fast_metric_fields(vk)
     floor = float(eig_min.min())
     if not floor >= EPS_POS:
         loc = np.unravel_index(int(np.argmin(eig_min)), eig_min.shape)
         raise AdmissibilityError(floor, tuple(int(i) for i in loc), EPS_POS)
     log_ratio = np.log(det)
     log_ratio -= bg.log_density
-    return StageMetric(bg, g, det, floor, log_ratio)
+    return StageMetric(bg, g, det, floor, log_ratio, phi)
 
 
 def ma_rhs(bg: TorusBackground, state: FlowState) -> np.ndarray:
@@ -185,13 +187,21 @@ def current_cfl_bound(bg: TorusBackground, state: FlowState) -> float:
 
 def _curvature(metric: StageMetric) -> tuple:
     """(hess, R) of the metric: hess holds the components of H(log det), minus
-    the Ricci form, and R is the scalar curvature tr(g^{-1} Ric).  The
-    spectrum of log det is ratio_k plus the background's of log Omega.
+    the Ricci form, and R is the scalar curvature tr(g^{-1} Ric).  log det
+    is log_ratio plus the background's log Omega: at n = 1 through their
+    spectra, ratio_k and the background's, and at n = 2 as a field, which
+    the kernel differentiates with no transform.
     """
-    bg, log_det_k = metric.bg, metric.ratio_k
-    if bg._log_density_k is not None:
-        log_det_k = log_det_k + bg._log_density_k
-    hess = bg._hessian_parts(log_det_k)
+    bg = metric.bg
+    if bg.n == 1:
+        log_det_k = metric.ratio_k
+        if bg._log_density_k is not None:
+            log_det_k = log_det_k + bg._log_density_k
+        hess = bg._spectral_hessian(log_det_k)
+    else:
+        # without a twist log Omega is a constant, which no Hessian sees
+        log_det = metric.log_ratio if bg.f is None else metric.log_ratio + bg.log_density
+        hess = bg._axis_hessian(log_det)
     return hess, -_trace_ratio(metric.g, metric.det, hess)
 
 
@@ -351,8 +361,9 @@ class _Etdrk4:
     L is the background Laplacian symbol, minus one in normalized mode, and
     N-hat = ratio_k - lap * phi-hat, with ratio_k the stage metric's
     spectrum of log(det / Omega).  A stage is one kernel evaluation: one
-    inverse transform per Hessian component and one forward transform of
-    log(det / Omega); the result stage adds the inverse that forms phi.
+    inverse transform, of the Hessian at n = 1 and of phi at n = 2, and one
+    forward transform of log(det / Omega); at n = 1 the result stage adds
+    the inverse that forms phi.
     The coefficients are held for the current h alone, on the distinct
     values of L*h.  An attempt gathers each table to the grid once and
     drops it after its last use: E2, Q and E2 * v-hat live through stage
@@ -435,7 +446,8 @@ class _Etdrk4:
         vk1 = table["E"][index] * vk + table["f1"][index] * nv + nab + table["f3"][index] * nc
         del nab, nc, nv
         metric = self.stage(vk1)
-        return _Step(err, vk1, self.bg.field(vk1), metric)
+        phi = self.bg.field(vk1) if metric.phi is None else metric.phi
+        return _Step(err, vk1, phi, metric)
 
 
 def run(

@@ -13,7 +13,11 @@ The class-engine oracles evaluate every polynomial on ``Fraction``
 coordinates and multiply each constraint out along the flow line, apart
 from the integer kernels of ``krflab.cohomology``; the ansatz oracle
 steps RK4 on numpy arrays, the reference for the per-component float
-steps of ``ansatz.integrate``.
+steps of ``ansatz.integrate``.  The spectral Hessian is kept as the
+solver once computed it for every n: one inverse real transform of each
+real symbol table times the half spectrum, with the planes 0 and N/2
+projected onto their conjugate-even part; the n=2 kernel, which applies
+real operators along one axis at a time, must match it to round-off.
 
 The Gromov-Hausdorff oracles build what ``krflab.ghmetric`` builds the
 long way: every map pair, one candidate move or one point pair at a
@@ -117,6 +121,34 @@ def etd_attempt(etd: _Etdrk4, vk: np.ndarray, ratio_k: np.ndarray, h: float) -> 
         return _Step(err)
     vk1 = at("E") * vk + at("f1") * nv + nab + at("f3") * nc
     return _Step(err, vk1, etd.bg.field(vk1), etd.stage(vk1))
+
+
+def spectral_hessian_parts(bg: mf.TorusBackground, psik: np.ndarray) -> list[np.ndarray]:
+    """[H_00], or [H_00, H_11, Re H_01, Im H_01], of psi = irfftn(psik).
+
+    Each component is irfftn of a real symbol -pi^2 w_j conj(w_k), w = l +
+    i*k with the Nyquist wavenumber taken as -N/2, times the half spectrum
+    of psi: psik with the planes 0 and N/2 (last index) replaced by their
+    conjugate-even part, the part of them that irfftn reads.  An ETD stage's
+    psik need not be conjugate-even there, and Re and Im H_01 are odd on
+    the Nyquist entries, so without the projection they would read the rest.
+    """
+    n, N = bg.n, bg.N
+    freqs = np.fft.fftfreq(N) * N
+    grids = np.meshgrid(*([freqs] * (2 * n - 1) + [freqs[: N // 2 + 1]]), indexing="ij")
+    w = [grids[2 * j + 1] + 1j * grids[2 * j] for j in range(n)]
+    symbols = [(-(np.pi**2) * w[0] * w[0].conj()).real]
+    if n == 2:
+        off = -(np.pi**2) * w[0] * w[1].conj()
+        symbols += [(-(np.pi**2) * w[1] * w[1].conj()).real, off.real, off.imag]
+    complex_axes = tuple(range(2 * n - 1))
+    even = psik.copy()
+    for j in (0, -1):
+        plane = psik[..., j]
+        mirror = np.roll(np.flip(plane), 1, axis=complex_axes)  # k -> -k
+        even[..., j] = 0.5 * (plane + mirror.conj())
+    axes = tuple(range(2 * n))
+    return [np.fft.irfftn(sym * even, s=bg.shape, axes=axes) for sym in symbols]
 
 
 def ricci_and_scalar(

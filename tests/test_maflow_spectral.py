@@ -4,7 +4,12 @@ import sympy as sp
 
 import krflab.maflow as mf
 from krflab.maflow.background import MATRIX_MAX_N, _det_and_eigs, _trace_ratio
-from oracles import full_grid_tail_fraction, laplacian_multiplier, ricci_and_scalar
+from oracles import (
+    full_grid_tail_fraction,
+    laplacian_multiplier,
+    ricci_and_scalar,
+    spectral_hessian_parts,
+)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -13,6 +18,18 @@ def test_zero_field_has_zero_hessian():
     bg = mf.TorusBackground(n=1, N=16, g0=[[1.0]])
     H = bg.complex_hessian(np.zeros(bg.shape))
     assert np.abs(H).max() == 0.0
+
+
+def test_constant_field_has_exactly_zero_n2_hessian():
+    # the kernel subtracts phi's first entry before its passes, so a constant
+    # differentiates to exact zeros and the metric is g0 to the bit
+    bg = mf.TorusBackground(n=2, N=16, g0=[[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 2.0]])
+    constant = np.full(bg.shape, 0.7)
+    assert not np.any(bg.complex_hessian(constant))
+    g, det, lo, _ = bg.fast_metric_fields(bg.spectrum(constant))
+    for part, base in zip(g, bg._g0_parts):
+        assert np.all(part == base)
+    assert np.all(det == det.flat[0]) and np.all(lo == lo.flat[0])
 
 
 def test_single_mode_n1_analytic():
@@ -134,13 +151,15 @@ def test_metric_kernel_matches_linalg_oracle(n, N, g0):
     eigs = np.linalg.eigvalsh(G)
     inv = np.linalg.inv(G)
 
-    g, det, lo = bg.fast_metric_fields(bg.spectrum(phi))
+    g, det, lo, psi = bg.fast_metric_fields(bg.spectrum(phi))
     hi = _det_and_eigs(g)[2]
     assert np.abs(det - np.linalg.det(G).real).max() < 1e-13
     assert np.abs(lo - eigs[..., 0]).max() < 1e-13
     assert np.abs(hi - eigs[..., -1]).max() < 1e-13
-    # the adapter for Hessian arrays is the same closed form, bit for bit
-    adapter = mf.metric_determinant_and_eigs(bg.g0, bg.complex_hessian(phi))
+    # the adapter for Hessian arrays is the same closed form, bit for bit, on
+    # the field the kernel differentiated (n=2 forms it, n=1 reads phi's spectrum)
+    assert (psi is None) == (n == 1)
+    adapter = mf.metric_determinant_and_eigs(bg.g0, bg.complex_hessian(phi if psi is None else psi))
     for got, want in zip(adapter, (det, lo, hi)):
         assert np.array_equal(got, want)
 
@@ -270,27 +289,51 @@ def test_tail_fraction_reads_the_field_of_any_half_spectrum():
     assert abs(bg.tail_energy_fraction(vk) - want) <= 1e-13 * want
 
 
+def _relative_errors(got, want):
+    return [float(np.abs(g - w).max() / np.abs(w).max()) for g, w in zip(got, want)]
+
+
+@pytest.mark.parametrize("g0", [np.eye(2), COMPLEX_G0], ids=["identity", "complex"])
+@pytest.mark.parametrize("N", [4, 8, 16, 32])
+def test_n2_axis_operators_match_the_spectral_oracle(N, g0):
+    # the per-axis real operators are the spectral operator, Nyquist terms
+    # included, to round-off: on a random field, which has content on every
+    # Nyquist plane, and on a half spectrum with complex noise, whose planes
+    # 0 and N/2 are not conjugate-even (as an ETD stage's need not be)
+    bg = mf.TorusBackground(n=2, N=N, g0=g0)
+    rng = np.random.default_rng(N)
+    phi = rng.standard_normal(bg.shape)
+    H = bg.complex_hessian(phi)
+    got = [H[..., 0, 0].real, H[..., 1, 1].real, H[..., 0, 1].real, H[..., 0, 1].imag]
+    assert max(_relative_errors(got, spectral_hessian_parts(bg, bg.spectrum(phi)))) <= 1e-14
+    vk = bg.spectrum(phi)
+    vk = vk + 0.5 * (rng.standard_normal(vk.shape) + 1j * rng.standard_normal(vk.shape))
+    g, _, _, psi = bg.fast_metric_fields(vk)
+    want = spectral_hessian_parts(bg, vk)
+    assert np.array_equal(psi, bg.field(vk))
+    got = [part - base for part, base in zip(g, bg._g0_parts)]
+    assert max(_relative_errors(got, want)) <= 1e-14
+
+
 @pytest.mark.parametrize(
     "n, N, g0",
     [(1, 16, [[2.0]]), (2, 8, np.eye(2)), (2, 8, [[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 1.5]])],
 )
 def test_hessian_from_the_spectrum_matches_the_field_path(n, N, g0):
-    # the stages build the Hessian from the half spectrum without forming
-    # phi; that must be the Hessian of phi = irfftn(vk) even where vk, as a
-    # combination of ETD terms, is not conjugate-even on the planes 0, N/2
+    # an n=1 stage builds the Hessian from the half spectrum without forming
+    # phi, and an n=2 stage from phi = field(vk); either must be the Hessian
+    # of phi = irfftn(vk) even where vk, as a combination of ETD terms, is
+    # not conjugate-even on the planes 0, N/2
     bg = mf.TorusBackground(n=n, N=N, g0=g0)
     rng = np.random.default_rng(N + n)
     vk = bg.spectrum(rng.standard_normal(bg.shape))
     vk = vk + 0.5 * (rng.standard_normal(vk.shape) + 1j * rng.standard_normal(vk.shape))
-    got = bg._hessian_parts(vk)
     H = bg.complex_hessian(bg.field(vk))
     want = [H[..., 0, 0].real]
     if n == 2:
         want += [H[..., 1, 1].real, H[..., 0, 1].real, H[..., 0, 1].imag]
     scale = max(np.abs(w).max() for w in want)
-    for g, w in zip(got, want):
-        assert np.abs(g - w).max() <= 1e-13 * scale
-    g, det, lo = bg.fast_metric_fields(vk)
+    g, det, lo, _ = bg.fast_metric_fields(vk)
     for part, w, base in zip(g, want, bg._g0_parts):
         assert np.abs(part - (w + base)).max() <= 1e-13 * scale
     assert np.array_equal((det, lo), _det_and_eigs(g)[:2])
